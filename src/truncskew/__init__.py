@@ -33,6 +33,7 @@ from .esn import (
     AugmentedNormal,
     EsnDerived,
     EsnParams,
+    NormalReduction,
     augment,
     esn_cdf,
     esn_conditional,
@@ -43,6 +44,7 @@ from .esn import (
     esn_mean_cov,
     esn_pdf,
     esn_sample,
+    reduce_to_normal,
 )
 from .folded import (
     FoldedCrossWork,

@@ -37,9 +37,5 @@ class Settings:
     # Cap on dimension for 2**p sign-pattern sums.
     orthant_sum_max_dim: int = 12
 
-    # Linear-space division by the skewness normalizer is allowed above this;
-    # below it the ratio is formed in log space.
-    linear_xi_floor: float = 1e-250
-
 
 settings = Settings()

@@ -15,6 +15,7 @@ skew-normal (with the factor-2 normalization).
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
@@ -29,22 +30,21 @@ from .core import (
     symmetrize,
 )
 from .errors import DimensionMismatchError
-from .moments import FirstTwoMoments, MultiIndex, as_multi_index
+from .moments import FirstTwoMoments, MultiIndex
 from .mvn import (
     DEFAULT_QMC,
     NormalParams,
     QmcConfig,
     TruncationBox,
-    mvn_log_prob,
     mvn_logpdf,
     mvn_prob,
-    std_icdf_log,
 )
 
 __all__ = [
     "EsnParams",
     "EsnDerived",
     "AugmentedNormal",
+    "NormalReduction",
     "esn_derive",
     "esn_pdf",
     "esn_logpdf",
@@ -55,6 +55,7 @@ __all__ = [
     "esn_limit_params",
     "esn_sample",
     "augment",
+    "reduce_to_normal",
 ]
 
 
@@ -147,14 +148,13 @@ class AugmentedNormal:
 
     ``omega`` is the block matrix [[sigma, -Delta], [-Delta', 1]]; the last
     coordinate is integrated over (-inf, tau_tilde] and never appears in the
-    moment index (``kappa_star`` ends in 0).
+    moment index.
     """
 
     mu_star: np.ndarray
     omega: np.ndarray
     a_star: np.ndarray
     b_star: np.ndarray
-    kappa_star: MultiIndex
 
     @property
     def params(self) -> NormalParams:
@@ -166,7 +166,6 @@ class AugmentedNormal:
 
 
 def augment(p: EsnParams, box: TruncationBox | None = None,
-            kappa: MultiIndex | None = None,
             derived: EsnDerived | None = None) -> AugmentedNormal:
     """Build the normal-reduction representation of an ESN rectangle task."""
     d = derived if derived is not None else esn_derive(p)
@@ -174,7 +173,6 @@ def augment(p: EsnParams, box: TruncationBox | None = None,
         box = TruncationBox.unbounded(p.dim)
     if box.dim != p.dim:
         raise DimensionMismatchError("box and parameter dimensions differ")
-    kappa = (0,) * p.dim if kappa is None else as_multi_index(kappa, p.dim)
     omega = np.empty((p.dim + 1, p.dim + 1))
     omega[: p.dim, : p.dim] = p.sigma
     omega[: p.dim, p.dim] = -d.Delta
@@ -185,8 +183,40 @@ def augment(p: EsnParams, box: TruncationBox | None = None,
         omega=symmetrize(omega),
         a_star=np.append(box.lower, -np.inf),
         b_star=np.append(box.upper, d.tau_tilde),
-        kappa_star=kappa + (0,),
     )
+
+
+class NormalReduction(NamedTuple):
+    """A normal rectangle task that carries an ESN one: the ESN integral of
+    ``y^kappa`` over the ESN box is the normal integral of ``lift(kappa)``
+    over ``box`` divided by ``xi``."""
+
+    box: TruncationBox
+    params: NormalParams
+    hidden: bool              # a hidden last coordinate was appended
+    xi: float
+
+    def lift(self, kappa: MultiIndex) -> MultiIndex:
+        return kappa + (0,) if self.hidden else kappa
+
+
+def reduce_to_normal(box: TruncationBox, p: EsnParams,
+                     derived: EsnDerived | None = None) -> NormalReduction:
+    """The ESN-to-normal reduction behind every skewed rectangle task.
+
+    Above the shift switch point: the (p+1)-dimensional augmented normal of
+    :func:`augment`, hidden coordinate cut at tau_tilde, and xi =
+    Phi(tau_tilde) >= Phi(-35) ~ 1e-268, a normal double, so the division
+    by xi needs no log channel.  Below it, where xi underflows: the
+    limiting normal N(mu - mu_b, Gamma) on the same box, with xi = 1.
+    """
+    d = derived if derived is not None else esn_derive(p)
+    if d.tau_tilde < settings.tau_tilde_limit:
+        if box.dim != p.dim:
+            raise DimensionMismatchError("box and parameter dimensions differ")
+        return NormalReduction(box, esn_limit_params(p, d), False, 1.0)
+    aug = augment(p, box, derived=d)
+    return NormalReduction(aug.box, aug.params, True, d.xi)
 
 
 # ----------------------------------------------------------------------------
@@ -206,24 +236,11 @@ def esn_pdf(x, p: EsnParams, derived: EsnDerived | None = None) -> float:
 
 def esn_cdf(y, p: EsnParams, cfg: QmcConfig = DEFAULT_QMC,
             derived: EsnDerived | None = None) -> float:
-    """P(Y <= y): one (p+1)-dimensional normal rectangle divided by xi.
-
-    Below the tau_tilde switch point the limiting-normal cdf is used
-    instead, which is where the ratio would otherwise be 0/0.
-    """
-    d = derived if derived is not None else esn_derive(p)
+    """P(Y <= y): the rectangle probability over (-inf, y], i.e. one normal
+    rectangle of :func:`reduce_to_normal` divided by its xi."""
     y = as_vector(y, dim=p.dim)
-    if d.tau_tilde < settings.tau_tilde_limit:
-        limit = esn_limit_params(p, d)
-        box = TruncationBox(np.full(p.dim, -np.inf), y)
-        return mvn_prob(box, limit, cfg)[0]
-    aug = augment(p, TruncationBox(np.full(p.dim, -np.inf), y), derived=d)
-    if d.xi > settings.linear_xi_floor:
-        val = mvn_prob(aug.box, aug.params, cfg)[0] / d.xi
-    else:
-        logp = mvn_log_prob(aug.box, aug.params, cfg)
-        val = math.exp(logp - d.log_xi) if logp > -np.inf else 0.0
-    return min(1.0, max(0.0, val))
+    red = reduce_to_normal(TruncationBox(np.full(p.dim, -np.inf), y), p, derived)
+    return min(1.0, mvn_prob(red.box, red.params, cfg)[0] / red.xi)
 
 
 # ----------------------------------------------------------------------------

@@ -4,10 +4,10 @@ A fold is a sum over the 2^p sign patterns s of the reflected laws; the
 extended skew-normal family is closed under reflection (only mu, the
 off-diagonal scale entries, and lam flip; the shift and the normalizer are
 invariant).  Moments reduce to positive-orthant integrals, available through
-the direct recurrence (:func:`fesn_ik`), the (p+1)-dimensional normal
-reduction with the corner block sign-flipped, or -- for the first two
-moments -- explicit formulas that collapse the sign sum to a handful of
-univariate and bivariate evaluations per matrix entry.
+the direct recurrence (:func:`fesn_ik`), the normal reduction of each
+reflected law, or -- for the first two moments -- explicit formulas that
+collapse the sign sum to a handful of univariate and bivariate evaluations
+per matrix entry.
 """
 
 import math
@@ -22,18 +22,17 @@ from .errors import (
     DimensionTooLargeError,
     NegativeArgumentError,
 )
-from .esn import EsnParams, augment, esn_cdf, esn_derive, esn_limit_params, esn_logpdf, esn_marginal
+from .esn import EsnParams, esn_cdf, esn_derive, esn_limit_params, esn_logpdf, esn_marginal, reduce_to_normal
 from .moments import FirstTwoMoments, as_multi_index
 from .mvn import (
     DEFAULT_QMC,
-    NormalParams,
     QmcConfig,
     TruncationBox,
     mvn_prob,
+    norm_pdf,
     std_cdf,
-    std_pdf,
 )
-from .tesn import TesnSession, _divide_by_xi, edge_conditional, tesn_prob
+from .tesn import TesnSession, edge_conditional, tesn_prob
 from .tn import TnSession
 
 __all__ = [
@@ -133,9 +132,9 @@ def fesn_moment(p: EsnParams, kappa, method: str = "orthant-sum",
     """Raw folded moment E[|X|^kappa].
 
     'orthant-sum' evaluates the direct recurrence once per sign pattern;
-    'normal-reduction' evaluates one (p+1)-dimensional normal orthant
-    moment per pattern, with the augmented corner block's sign flipped,
-    and divides the sum by xi once.
+    'normal-reduction' evaluates one normal moment per pattern, that of
+    :func:`reduce_to_normal` on the positive orthant of the reflected law,
+    divided by xi.
     """
     kappa = as_multi_index(kappa, p.dim)
     if method == "orthant-sum":
@@ -143,27 +142,12 @@ def fesn_moment(p: EsnParams, kappa, method: str = "orthant-sum",
                          for s in sign_patterns(p.dim)))
     if method != "normal-reduction":
         raise ValueError(f"unknown method {method!r}")
-    d = esn_derive(p)
-    if d.tau_tilde < settings.tau_tilde_limit:
-        limit = esn_limit_params(p, d)
-        total = 0.0
-        for s in sign_patterns(p.dim):
-            v = s.vec
-            par = NormalParams(v * limit.mu, symmetrize(limit.sigma * np.outer(v, v)))
-            total += TnSession(TruncationBox.orthant(p.dim), par, cfg).fk(kappa)
-        return float(total)
+    orthant = TruncationBox.orthant(p.dim)
     total = 0.0
-    box = TruncationBox.orthant(p.dim + 1)
     for s in sign_patterns(p.dim):
-        v = s.vec
-        omega_minus = np.empty((p.dim + 1, p.dim + 1))
-        omega_minus[: p.dim, : p.dim] = p.sigma * np.outer(v, v)
-        omega_minus[: p.dim, p.dim] = v * d.Delta
-        omega_minus[p.dim, : p.dim] = v * d.Delta
-        omega_minus[p.dim, p.dim] = 1.0
-        par = NormalParams(np.append(v * p.mu, d.tau_tilde), symmetrize(omega_minus))
-        total += TnSession(box, par, cfg).fk(kappa + (0,))
-    return _divide_by_xi(float(total), d)
+        red = reduce_to_normal(orthant, flip_params(p, s))
+        total += TnSession(red.box, red.params, cfg).fk(red.lift(kappa)) / red.xi
+    return float(total)
 
 
 # ----------------------------------------------------------------------------
@@ -175,11 +159,6 @@ def _abs_moment_1d(p: EsnParams, k: int, cfg: QmcConfig) -> float:
     positive-orthant integrals."""
     flip = flip_params(p, SignPattern((-1,)))
     return fesn_ik(p, (k,), cfg=cfg) + fesn_ik(flip, (k,), cfg=cfg)
-
-
-def _norm_pdf(x: float, mean: float, var: float) -> float:
-    sd = math.sqrt(var)
-    return std_pdf((x - mean) / sd) / sd
 
 
 @dataclass(frozen=True)
@@ -211,8 +190,6 @@ def folded_cross_work(pair: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> FoldedCr
     """Assemble the ingredients of the explicit E|V_i V_j| formula for a
     bivariate law (coordinate 0 = i, coordinate 1 = j)."""
     d = esn_derive(pair)
-    mu_i, mu_j = pair.mu
-    s_ii, s_ij, s_jj = pair.sigma[0, 0], pair.sigma[0, 1], pair.sigma[1, 1]
     m = pair.mu - d.mu_b
     g_ii, g_ij, g_jj = d.Gamma[0, 0], d.Gamma[0, 1], d.Gamma[1, 1]
 
@@ -221,13 +198,9 @@ def folded_cross_work(pair: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> FoldedCr
     cond_given_i = ec_i.child_params(pair, 0.0)
     cond_given_j = ec_j.child_params(pair, 0.0)
 
-    sigma_minus = np.array([[s_ii, -s_ij], [-s_ij, s_jj]])
-    flip_i = EsnParams(mu=[-mu_i, mu_j], sigma=sigma_minus,
-                       lam=[-pair.lam[0], pair.lam[1]], tau=pair.tau)
-    flip_j = EsnParams(mu=[mu_i, -mu_j], sigma=sigma_minus,
-                       lam=[pair.lam[0], -pair.lam[1]], tau=pair.tau)
+    flip_i = flip_params(pair, SignPattern((-1, 1)))
+    flip_j = flip_params(pair, SignPattern((1, -1)))
     origin = np.zeros(2)
-    gamma_minus = np.array([[g_ii, -g_ij], [-g_ij, g_jj]])
     neg_box = TruncationBox([-np.inf, -np.inf], [0.0, 0.0])
 
     return FoldedCrossWork(
@@ -242,8 +215,8 @@ def folded_cross_work(pair: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> FoldedCr
         cdf_ij=esn_cdf([0.0], cond_given_j, cfg),
         cdf2_i=esn_cdf(origin, flip_i, cfg),
         cdf2_j=esn_cdf(origin, flip_j, cfg),
-        ncdf2_i=mvn_prob(neg_box, NormalParams([-m[0], m[1]], gamma_minus), cfg)[0],
-        ncdf2_j=mvn_prob(neg_box, NormalParams([m[0], -m[1]], gamma_minus), cfg)[0],
+        ncdf2_i=mvn_prob(neg_box, esn_limit_params(flip_i), cfg)[0],
+        ncdf2_j=mvn_prob(neg_box, esn_limit_params(flip_j), cfg)[0],
         m_ji=m[1] - g_ij * m[0] / g_ii,
         v_ji=g_jj - g_ij * g_ij / g_ii,
         m_ij=m[0] - g_ij * m[1] / g_jj,
@@ -275,8 +248,8 @@ def _abs_cross_moment(pair: EsnParams, cfg: QmcConfig) -> float:
         * (1.0 - 2.0 * (w.ncdf2_i + w.ncdf2_j))
         + 2.0 * mu_j * (s_ii * w.dens_i * (1.0 - 2.0 * w.cdf_ji)
                         + s_ij * w.dens_j * (1.0 - 2.0 * w.cdf_ij))
-        + 2.0 * delta_j * (g_ii * _norm_pdf(mu_i, mb_i, g_ii) * (1.0 - 2.0 * ncdf_ji)
-                           + g_ij * _norm_pdf(mu_j, mb_j, g_jj) * (1.0 - 2.0 * ncdf_ij))
+        + 2.0 * delta_j * (g_ii * norm_pdf(mu_i, mb_i, g_ii) * (1.0 - 2.0 * ncdf_ji)
+                           + g_ij * norm_pdf(mu_j, mb_j, g_jj) * (1.0 - 2.0 * ncdf_ij))
         + 2.0 * s_jj * w.dens_j * w.inner_abs
     )
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.fft import fft, ifft
 from scipy.integrate import quad
-from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from .core import as_sym_matrix, as_vector, symmetrize
 from .errors import (
@@ -36,14 +36,15 @@ __all__ = [
     "DEFAULT_QMC",
     "std_cdf",
     "std_pdf",
+    "norm_pdf",
     "log_std_cdf",
-    "std_icdf_log",
     "bvn_cdf",
     "bvn_pdf",
     "mvn_pdf",
     "mvn_logpdf",
     "mvn_prob",
     "mvn_log_prob",
+    "standardize",
     "IntegralCounter",
     "count_integrals",
 ]
@@ -183,6 +184,12 @@ def std_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT_2PI
 
 
+def norm_pdf(x: float, mean: float, var: float) -> float:
+    """Univariate normal density with the given mean and variance; 0 at +-inf."""
+    sd = math.sqrt(var)
+    return std_pdf((x - mean) / sd) / sd
+
+
 def std_cdf(x: float) -> float:
     """Standard normal cdf Phi, with Phi(-inf)=0 and Phi(+inf)=1."""
     return float(ndtr(x))
@@ -191,11 +198,6 @@ def std_cdf(x: float) -> float:
 def log_std_cdf(x: float) -> float:
     """log Phi(x), finite far into the left tail (~ -x^2/2 - log|x|...)."""
     return float(log_ndtr(x))
-
-
-def std_icdf_log(log_p: float) -> float:
-    """Inverse cdf taking log-probability, stable for extreme tails."""
-    return float(ndtri_exp(log_p))
 
 
 def _interval_log_prob(lo: float, hi: float) -> float:
@@ -473,7 +475,10 @@ def _qmc_prob(R: np.ndarray, lo: np.ndarray, hi: np.ndarray, cfg: QmcConfig):
 # public rectangle probability
 
 
-def _standardize(box: TruncationBox, p: NormalParams):
+def standardize(box: TruncationBox, p: NormalParams):
+    """Per-coordinate scales ``sd``, correlation matrix ``R`` and the box
+    limits in standard units: the one place a covariance is turned into
+    correlation form."""
     sd = np.sqrt(np.diag(p.sigma))
     if np.any(sd <= 0.0):
         raise NotPSDError("scale matrix has a non-positive diagonal entry")
@@ -483,7 +488,7 @@ def _standardize(box: TruncationBox, p: NormalParams):
     # +-inf stays +-inf; no NaNs possible since sd > 0
     R = symmetrize(p.sigma / np.outer(sd, sd))
     np.fill_diagonal(R, 1.0)
-    return R, lo, hi
+    return sd, R, lo, hi
 
 
 def mvn_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_QMC):
@@ -494,13 +499,23 @@ def mvn_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_QMC):
     cdf (error <= 1e-14); dim >= 3: randomized lattice QMC, error estimate
     3x the standard error over replicates.  The result is clamped to [0, 1]
     and is a pure function of ``(box, p, cfg)``.
+
+    Coordinates whose standardized interval lies above 0 are reflected
+    first, so every interval probability is formed on the side where the
+    cdf is small: ``Phi(hi) - Phi(lo)`` is ``1 - 1 = 0`` once ``lo`` passes
+    ~8.3.
     """
     if box.dim != p.dim:
         raise DimensionMismatchError("box and parameter dimensions differ")
     _record(p.dim)
     if box.is_unbounded():
         return 1.0, 0.0
-    R, lo, hi = _standardize(box, p)
+    _, R, lo, hi = standardize(box, p)
+    flip = lo > 0.0
+    if np.any(flip):
+        lo, hi = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
+        v = np.where(flip, -1.0, 1.0)
+        R = R * np.outer(v, v)
     if p.dim == 1:
         prob = std_cdf(float(hi[0])) - std_cdf(float(lo[0]))
         return min(1.0, max(0.0, prob)), 0.0
@@ -529,7 +544,7 @@ def mvn_log_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_Q
         raise DimensionMismatchError("box and parameter dimensions differ")
     if p.dim == 1:
         _record(1)
-        _, lo, hi = _standardize(box, p)
+        _, _, lo, hi = standardize(box, p)
         return _interval_log_prob(float(lo[0]), float(hi[0]))
     prob, _ = mvn_prob(box, p, cfg)
     return math.log(prob) if prob > 0.0 else -np.inf

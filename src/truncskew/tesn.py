@@ -7,9 +7,10 @@ Two interchangeable engines:
   companion normal integrals at the limiting parameters (mu - mu_b, Gamma),
   and per-coordinate boundary terms that factor into a univariate edge
   density times a (p-1)-dimensional problem with conditional parameters.
-* :func:`tesn_fk_via_normal` -- one (p+1)-dimensional truncated-normal
-  moment with the augmented pair (mu*, Omega), last coordinate cut at
-  tau_tilde, divided by xi.
+* :func:`tesn_fk_via_normal` -- one truncated-normal moment of
+  :func:`~truncskew.esn.reduce_to_normal` divided by its xi: the augmented
+  pair (mu*, Omega) with the last coordinate cut at tau_tilde, or the
+  limiting normal below the shift switch point.
 
 Conditional moments are the ratio F_kappa / F_0; both engines are exposed
 and cross-checked, the normal reduction being the default (fewer and
@@ -31,10 +32,17 @@ from .esn import (
     esn_derive,
     esn_limit_params,
     esn_pdf,
+    reduce_to_normal,
 )
 from .moments import FirstTwoMoments, MultiIndex, as_multi_index
-from .mvn import DEFAULT_QMC, QmcConfig, TruncationBox, mvn_log_prob, mvn_prob
-from .tn import TnSession, _tn_mean_mgf, tn_first_two_corrected, tn_fk
+from .mvn import DEFAULT_QMC, QmcConfig, TruncationBox, mvn_prob
+from .tn import (
+    RecurrenceSession,
+    TnSession,
+    _tn_mean_mgf,
+    tn_first_two_corrected,
+    tn_first_two_mgf,
+)
 
 __all__ = [
     "EdgeConditional",
@@ -98,33 +106,15 @@ def edge_conditional(p: EsnParams, j: int,
     )
 
 
-def _divide_by_xi(value: float, d: EsnDerived) -> float:
-    if d.xi > settings.linear_xi_floor:
-        return value / d.xi
-    if value == 0.0:
-        return 0.0
-    return math.copysign(math.exp(math.log(abs(value)) - d.log_xi), value)
-
-
 def tesn_prob_with_error(box: TruncationBox, p: EsnParams,
                          cfg: QmcConfig = DEFAULT_QMC,
                          derived: EsnDerived | None = None) -> tuple[float, float]:
     """Rectangle probability of the extended skew-normal law and an absolute
-    error estimate: one (p+1)-dimensional normal rectangle divided by xi (in
-    log space when xi is tiny); the limiting-normal rectangle below the
-    shift switch point."""
-    d = derived if derived is not None else esn_derive(p)
-    if d.tau_tilde < settings.tau_tilde_limit:
-        return mvn_prob(box, esn_limit_params(p, d), cfg)
-    aug = augment(p, box, derived=d)
-    if d.xi > settings.linear_xi_floor:
-        raw, err = mvn_prob(aug.box, aug.params, cfg)
-        val, err = raw / d.xi, err / d.xi
-    else:
-        logp = mvn_log_prob(aug.box, aug.params, cfg)
-        val = math.exp(logp - d.log_xi) if logp > -np.inf else 0.0
-        err = cfg.target_abs_error
-    return min(1.0, max(0.0, val)), err
+    error estimate: the normal rectangle of :func:`reduce_to_normal` divided
+    by its xi."""
+    red = reduce_to_normal(box, p, derived)
+    prob, err = mvn_prob(red.box, red.params, cfg)
+    return min(1.0, prob / red.xi), err / red.xi
 
 
 def tesn_prob(box: TruncationBox, p: EsnParams, cfg: QmcConfig = DEFAULT_QMC,
@@ -132,109 +122,47 @@ def tesn_prob(box: TruncationBox, p: EsnParams, cfg: QmcConfig = DEFAULT_QMC,
     return tesn_prob_with_error(box, p, cfg, derived)[0]
 
 
-class TesnSession:
+class TesnSession(RecurrenceSession):
     """Memoized evaluator of the truncated skewed product moments
     F_kappa = int_box x^kappa f_ESN(x) dx for one (box, params) pair.
 
     Holds the companion normal session at the limiting parameters
-    (mu - mu_b, Gamma) and lazily built (p-1)-dimensional edge sessions.
-    Far below the shift switch point the skewed integrals coincide with the
-    companion's to double precision, and the session just forwards there.
+    (mu - mu_b, Gamma), whose values enter every raising step through the
+    term ``delta_i * normal.fk(low)``, and lazily built (p-1)-dimensional
+    edge sessions.  Below the shift switch point the session runs the
+    companion's own recurrence instead, so it returns the limiting normal's
+    integrals.  These are not the skewed ones: the hidden coordinate's
+    truncated mean sits a Mills-ratio offset ~1/|tau_tilde| from tau_tilde,
+    which moves the law by about ``Delta / |tau_tilde|`` (3% of |Delta| at
+    the switch point) and widens it along Delta; where Gamma is narrow along
+    Delta, box probabilities and moments can be off by O(1).
     """
 
     def __init__(self, box: TruncationBox, params: EsnParams,
                  cfg: QmcConfig = DEFAULT_QMC):
-        if box.dim != params.dim:
-            raise DimensionMismatchError("box and parameter dimensions differ")
-        self.box = box
-        self.params = params
-        self.cfg = cfg
-        self.dim = params.dim
+        super().__init__(box, params, cfg)
         self.derived = esn_derive(params)
-        self.at_limit = self.derived.tau_tilde < settings.tau_tilde_limit
         self.normal = TnSession(box, esn_limit_params(params, self.derived), cfg)
-        self.table: dict[MultiIndex, float] = {}
-        self._dvec: dict[MultiIndex, np.ndarray] = {}
-        self._edges: dict[tuple[int, int], tuple[float, "TesnSession | None"]] = {}
+        self.at_limit = self.derived.tau_tilde < settings.tau_tilde_limit
+        if self.at_limit:
+            self.loc, self.scale = self.normal.params.mu, self.normal.params.sigma
 
-    def prob(self) -> float:
-        zero = (0,) * self.dim
-        if zero not in self.table:
-            if self.at_limit:
-                self.table[zero] = self.normal.prob()
-            else:
-                self.table[zero] = tesn_prob(self.box, self.params, self.cfg,
-                                             derived=self.derived)
-        return self.table[zero]
+    def _prob(self) -> float:
+        return tesn_prob(self.box, self.params, self.cfg, derived=self.derived)
 
-    def _edge(self, j: int, side: int):
-        key = (j, side)
-        if key in self._edges:
-            return self._edges[key]
-        bound = (self.box.lower if side == 0 else self.box.upper)[j]
-        if np.isinf(bound):
-            self._edges[key] = (0.0, None)
-            return self._edges[key]
+    def _edge_at(self, j: int, t: float):
+        if self.at_limit:
+            return self.normal._edge_at(j, t)
         ec = edge_conditional(self.params, j, self.derived)
-        dens = ec.edge_density(float(bound))
         child = None
         if self.dim > 1:
-            child = TesnSession(self.box.drop(j),
-                                ec.child_params(self.params, float(bound)), self.cfg)
-        self._edges[key] = (dens, child)
-        return self._edges[key]
+            child = TesnSession(self.box.drop(j), ec.child_params(self.params, t), self.cfg)
+        return ec.edge_density(t), child
 
-    @staticmethod
-    def _child_fk(child: "TesnSession | None", kappa: MultiIndex) -> float:
-        if child is None:
-            return 1.0
-        return child.fk(kappa)
-
-    def dvec(self, kappa: MultiIndex) -> np.ndarray:
-        """The boundary/differentiation vector d_kappa of the recurrence."""
-        if kappa in self._dvec:
-            return self._dvec[kappa]
-        a, b = self.box.lower, self.box.upper
-        d = np.zeros(self.dim)
-        for j in range(self.dim):
-            kj = kappa[j]
-            val = 0.0
-            if kj > 0:
-                low = list(kappa)
-                low[j] -= 1
-                val += kj * self.fk(tuple(low))
-            sub = kappa[:j] + kappa[j + 1:]
-            dens_a, child_a = self._edge(j, 0)
-            if dens_a > 0.0:
-                val += a[j] ** kj * dens_a * self._child_fk(child_a, sub)
-            dens_b, child_b = self._edge(j, 1)
-            if dens_b > 0.0:
-                val -= b[j] ** kj * dens_b * self._child_fk(child_b, sub)
-            d[j] = val
-        self._dvec[kappa] = d
-        return d
-
-    def fk(self, kappa: MultiIndex) -> float:
-        kappa = as_multi_index(kappa, self.dim)
-        if kappa in self.table:
-            return self.table[kappa]
-        if not any(kappa):
-            return self.prob()
+    def _companion(self, i: int, low: MultiIndex) -> float:
         if self.at_limit:
-            val = self.normal.fk(kappa)
-            self.table[kappa] = val
-            return val
-        i = next(k for k, v in enumerate(kappa) if v > 0)
-        low = list(kappa)
-        low[i] -= 1
-        low = tuple(low)
-        val = (
-            self.params.mu[i] * self.fk(low)
-            + self.derived.delta[i] * self.normal.fk(low)
-            + float(self.params.sigma[i, :] @ self.dvec(low))
-        )
-        self.table[kappa] = val
-        return val
+            return 0.0
+        return self.derived.delta[i] * self.normal.fk(low)
 
 
 def tesn_fk(box: TruncationBox, p: EsnParams, kappa,
@@ -266,19 +194,17 @@ def tesn_fk_univariate(a: float, b: float, p: EsnParams, k_max: int,
 def tesn_fk_via_normal(box: TruncationBox, p: EsnParams, kappa,
                        session: TnSession | None = None,
                        cfg: QmcConfig = DEFAULT_QMC) -> float:
-    """The same integral through the (p+1)-dimensional normal reduction.
+    """The same integral through the normal reduction: one normal moment of
+    :func:`reduce_to_normal` divided by its xi.
 
-    An existing session for the augmented problem may be passed to share
-    memoization; it must have been built by this function for identical
-    (box, p, cfg)."""
+    An existing session may be passed to share memoization; it must have
+    been built on the box and params of ``reduce_to_normal(box, p)`` with
+    the same cfg."""
     kappa = as_multi_index(kappa, p.dim)
-    d = esn_derive(p)
-    if d.tau_tilde < settings.tau_tilde_limit:
-        return tn_fk(box, esn_limit_params(p, d), kappa, cfg=cfg)
-    aug = augment(p, box, kappa=kappa, derived=d)
+    red = reduce_to_normal(box, p)
     if session is None:
-        session = TnSession(aug.box, aug.params, cfg)
-    return _divide_by_xi(session.fk(aug.kappa_star), d)
+        session = TnSession(red.box, red.params, cfg)
+    return session.fk(red.lift(kappa)) / red.xi
 
 
 def tesn_moment(box: TruncationBox, p: EsnParams, kappa,
@@ -303,26 +229,17 @@ def tesn_moments(box: TruncationBox, p: EsnParams, kappas,
     if method == "auto":
         method = "recurrence" if p.dim == 1 else "normal-reduction"
     if method == "recurrence":
-        session = TesnSession(box, p, cfg)
-        denom = session.prob()
-        if denom <= 0.0:
-            raise DegenerateBoxError("box probability is numerically zero")
-        return {k: session.fk(k) / denom for k in kappas}
-    if method != "normal-reduction":
-        raise ValueError(f"unknown method {method!r}")
-    d = esn_derive(p)
-    if d.tau_tilde < settings.tau_tilde_limit:
-        session = TnSession(box, esn_limit_params(p, d), cfg)
-        lift = {k: k for k in kappas}
+        session, lift = TesnSession(box, p, cfg), (lambda k: k)
+    elif method == "normal-reduction":
+        red = reduce_to_normal(box, p)
+        session, lift = TnSession(red.box, red.params, cfg), red.lift
     else:
-        aug = augment(p, box, derived=d)
-        session = TnSession(aug.box, aug.params, cfg)
-        lift = {k: k + (0,) for k in kappas}
+        raise ValueError(f"unknown method {method!r}")
     denom = session.prob()
     if denom <= 0.0:
         raise DegenerateBoxError("box probability is numerically zero")
     # xi cancels in each ratio
-    return {k: session.fk(lift[k]) / denom for k in kappas}
+    return {k: session.fk(lift(k)) / denom for k in kappas}
 
 
 # ----------------------------------------------------------------------------
@@ -344,7 +261,7 @@ def _mean_cov_direct(box: TruncationBox, p: EsnParams,
     zero = (0,) * p.dim
     q = session.dvec(zero)
     mean = p.mu + (L_w * d.delta + p.sigma @ q) / LL
-    w_mean = _tn_mean_mgf(box, esn_limit_params(p, d), cfg)
+    w_mean = _tn_mean_mgf(box, session.normal.params, cfg)
     cols = []
     for m in range(p.dim):
         e_m = tuple(1 if k == m else 0 for k in range(p.dim))
@@ -357,19 +274,23 @@ def _mean_cov_direct(box: TruncationBox, p: EsnParams,
     return FirstTwoMoments(mean=mean, raw2=raw2, cov=cov)
 
 
+def _drop_hidden(full: FirstTwoMoments, box: TruncationBox,
+                 corrections: tuple[str, ...] = ()) -> FirstTwoMoments:
+    """Moments of the ESN coordinates from those of the augmented normal:
+    the hidden last coordinate dropped, the mean clipped into the box."""
+    n = box.dim
+    mean = np.clip(full.mean[:n], box.lower, box.upper)
+    raw2 = full.raw2[:n, :n]
+    return FirstTwoMoments(mean=mean, raw2=raw2, cov=raw2 - np.outer(mean, mean),
+                           corrections=corrections)
+
+
 def _mean_cov_nr_uncorrected(box: TruncationBox, p: EsnParams,
                              cfg: QmcConfig) -> FirstTwoMoments:
     """Normal reduction straight into the MGF formulas, no extreme-case
     screening.  Benchmark-only: isolates the method's own integral count."""
-    from .tn import tn_first_two_mgf
-
     aug = augment(p, box)
-    full = tn_first_two_mgf(aug.box, aug.params, cfg)
-    n = p.dim
-    mean = np.clip(full.mean[:n], box.lower, box.upper)
-    raw2 = symmetrize(full.raw2[:n, :n])
-    return FirstTwoMoments(mean=mean, raw2=raw2,
-                           cov=symmetrize(raw2 - np.outer(mean, mean)))
+    return _drop_hidden(tn_first_two_mgf(aug.box, aug.params, cfg), box)
 
 
 def tesn_mean_cov(box: TruncationBox, p: EsnParams,
@@ -387,22 +308,16 @@ def tesn_mean_cov(box: TruncationBox, p: EsnParams,
         raise DimensionMismatchError("box and parameter dimensions differ")
     if method == "auto":
         method = "normal-reduction"
-    d = esn_derive(p)
-    if d.tau_tilde < settings.tau_tilde_limit:
-        res = tn_first_two_corrected(box, esn_limit_params(p, d), cfg)
-        return FirstTwoMoments(mean=res.mean, raw2=res.raw2, cov=res.cov,
-                               corrections=("limit-tau",) + res.corrections)
-    if method == "recurrence":
-        return _mean_cov_direct(box, p, cfg)
-    if method != "normal-reduction":
+    if method not in ("recurrence", "normal-reduction"):
         raise ValueError(f"unknown method {method!r}")
-    aug = augment(p, box, derived=d)
-    full = tn_first_two_corrected(aug.box, aug.params, cfg)
+    red = reduce_to_normal(box, p)
+    if red.hidden and method == "recurrence":
+        return _mean_cov_direct(box, p, cfg)
+    full = tn_first_two_corrected(red.box, red.params, cfg)
+    if not red.hidden:
+        return FirstTwoMoments(mean=full.mean, raw2=full.raw2, cov=full.cov,
+                               corrections=("limit-tau",) + full.corrections)
     n = p.dim
-    mean = full.mean[:n]
-    raw2 = full.raw2[:n, :n]
-    mean = np.clip(mean, box.lower, box.upper)
-    cov = symmetrize(raw2 - np.outer(mean, mean))
     # the augmented coordinate is internal: pinning it is the deep-shift limit
     notes = tuple(
         "limit-tau (augmented coordinate pinned)"
@@ -410,5 +325,4 @@ def tesn_mean_cov(box: TruncationBox, p: EsnParams,
                  f"jointly-degenerate, pinned coord {n + 1}") else c
         for c in full.corrections
     )
-    return FirstTwoMoments(mean=mean, raw2=symmetrize(raw2), cov=cov,
-                           corrections=notes)
+    return _drop_hidden(full, box, notes)

@@ -3,9 +3,10 @@
 Three engines over the same rectangle kernel:
 
 * :class:`TnSession` / :func:`tn_fk` -- arbitrary-order product-moment
-  recurrence.  Raising one index costs the current-level value, a d-vector of
-  lower-order values, and two (p-1)-dimensional edge integrals per
-  coordinate, all memoized per session.
+  recurrence on the skeleton :class:`RecurrenceSession`, which the skewed
+  family shares.  Raising one index costs the current-level value, a
+  d-vector of lower-order values, and two (p-1)-dimensional edge integrals
+  per coordinate, all memoized per session.
 * :func:`tn_first_two_mgf` -- first two moments by differentiating the
   moment generating function in correlation form, with the Hessian diagonal
   recycled from the off-diagonal entries and the edge vector q.
@@ -32,10 +33,13 @@ from .mvn import (
     bvn_pdf,
     mvn_log_prob,
     mvn_prob,
+    norm_pdf,
+    standardize,
     std_pdf,
 )
 
 __all__ = [
+    "RecurrenceSession",
     "TnSession",
     "tn_fk",
     "TnMgfWork",
@@ -45,69 +49,56 @@ __all__ = [
 ]
 
 
-def _norm_pdf(x: float, mean: float, var: float) -> float:
-    if np.isinf(x):
-        return 0.0
-    sd = math.sqrt(var)
-    return std_pdf((x - mean) / sd) / sd
+class RecurrenceSession:
+    """Memoized product-moment recurrence F_kappa = int_box x^kappa f(x) dx
+    for one fixed (box, params) pair of a location-scale family.
 
+    Raising index i of ``low`` gives
 
-class TnSession:
-    """Memoized evaluator of the unnormalized truncated-normal product
-    moments F_kappa = int_box x^kappa phi_p(x; mu, sigma) dx for one fixed
-    (box, params) pair.
+        F_{low + e_i} = loc_i F_low + companion_i(low) + scale_i' d_low,
 
-    ``table`` maps multi-indices to already computed values; edge
-    sub-sessions (one per finite bound) are created lazily and shared by all
-    recurrence steps.
+    where ``d_low`` collects the lower-order values and the boundary terms
+    at the finite bounds of every coordinate.  ``table`` maps multi-indices
+    to computed values; edge sub-sessions (one per finite bound) are created
+    lazily and shared by all recurrence steps.  A family supplies three
+    hooks: the rectangle probability ``_prob()``; ``_edge_at(j, t)``, the
+    factorization of the density on the slice ``x_j = t`` into a density
+    value and a (p-1)-dimensional child session (None in dimension 1); and
+    ``_companion(i, low)``, 0 unless overridden.
     """
 
-    def __init__(self, box: TruncationBox, params: NormalParams,
-                 cfg: QmcConfig = DEFAULT_QMC):
+    def __init__(self, box: TruncationBox, params, cfg: QmcConfig = DEFAULT_QMC):
         if box.dim != params.dim:
             raise DimensionMismatchError("box and parameter dimensions differ")
         self.box = box
         self.params = params
         self.cfg = cfg
         self.dim = params.dim
+        self.loc = params.mu
+        self.scale = params.sigma
         self.table: dict[MultiIndex, float] = {}
         self._dvec: dict[MultiIndex, np.ndarray] = {}
-        self._edges: dict[tuple[int, int], tuple[float, "TnSession | None"]] = {}
+        self._edges: dict[tuple[int, int], tuple[float, "RecurrenceSession | None"]] = {}
+
+    def _companion(self, i: int, low: MultiIndex) -> float:
+        return 0.0
 
     def prob(self) -> float:
         zero = (0,) * self.dim
         if zero not in self.table:
-            self.table[zero] = mvn_prob(self.box, self.params, self.cfg)[0]
+            self.table[zero] = self._prob()
         return self.table[zero]
 
     def _edge(self, j: int, side: int):
         """Density factor and child session for the boundary x_j = bound."""
         key = (j, side)
-        if key in self._edges:
-            return self._edges[key]
-        bound = (self.box.lower if side == 0 else self.box.upper)[j]
-        if np.isinf(bound):
-            self._edges[key] = (0.0, None)
-            return self._edges[key]
-        mu = self.params.mu
-        sigma = self.params.sigma
-        dens = _norm_pdf(bound, mu[j], sigma[j, j])
-        child = None
-        if self.dim > 1:
-            cmu, csig = conditional_normal(
-                mu, sigma, PartitionIndex.dropping(self.dim, [j]), [bound]
-            )
-            child = TnSession(self.box.drop(j), NormalParams(cmu, csig), self.cfg)
-        self._edges[key] = (dens, child)
+        if key not in self._edges:
+            bound = (self.box.lower if side == 0 else self.box.upper)[j]
+            self._edges[key] = (0.0, None) if np.isinf(bound) else self._edge_at(j, float(bound))
         return self._edges[key]
 
-    @staticmethod
-    def _child_fk(child: "TnSession | None", kappa: MultiIndex) -> float:
-        if child is None:  # zero-dimensional integral
-            return 1.0
-        return child.fk(kappa)
-
     def dvec(self, kappa: MultiIndex) -> np.ndarray:
+        """The boundary/differentiation vector d_kappa of the recurrence."""
         if kappa in self._dvec:
             return self._dvec[kappa]
         a, b = self.box.lower, self.box.upper
@@ -120,12 +111,12 @@ class TnSession:
                 low[j] -= 1
                 val += kj * self.fk(tuple(low))
             sub = kappa[:j] + kappa[j + 1:]
-            dens_a, child_a = self._edge(j, 0)
-            if dens_a > 0.0:
-                val += a[j] ** kj * dens_a * self._child_fk(child_a, sub)
-            dens_b, child_b = self._edge(j, 1)
-            if dens_b > 0.0:
-                val -= b[j] ** kj * dens_b * self._child_fk(child_b, sub)
+            for side, bound, sign in ((0, a[j], 1.0), (1, b[j], -1.0)):
+                dens, child = self._edge(j, side)
+                if dens > 0.0:
+                    # a zero-dimensional child integral is 1
+                    inner = child.fk(sub) if child is not None else 1.0
+                    val += sign * bound ** kj * dens * inner
             d[j] = val
         self._dvec[kappa] = d
         return d
@@ -140,11 +131,29 @@ class TnSession:
         low = list(kappa)
         low[i] -= 1
         low = tuple(low)
-        val = self.params.mu[i] * self.fk(low) + float(
-            self.params.sigma[i, :] @ self.dvec(low)
-        )
+        val = (self.loc[i] * self.fk(low) + self._companion(i, low)
+               + float(self.scale[i, :] @ self.dvec(low)))
         self.table[kappa] = val
         return val
+
+
+class TnSession(RecurrenceSession):
+    """Memoized evaluator of the unnormalized truncated-normal product
+    moments F_kappa = int_box x^kappa phi_p(x; mu, sigma) dx for one fixed
+    (box, params) pair; the recurrence has no companion term."""
+
+    def _prob(self) -> float:
+        return mvn_prob(self.box, self.params, self.cfg)[0]
+
+    def _edge_at(self, j: int, t: float):
+        mu, sigma = self.params.mu, self.params.sigma
+        child = None
+        if self.dim > 1:
+            cmu, csig = conditional_normal(
+                mu, sigma, PartitionIndex.dropping(self.dim, [j]), [t]
+            )
+            child = TnSession(self.box.drop(j), NormalParams(cmu, csig), self.cfg)
+        return norm_pdf(t, mu[j], sigma[j, j]), child
 
 
 def tn_fk(box: TruncationBox, p: NormalParams, kappa,
@@ -211,6 +220,22 @@ def _corner_term(R, a, b, i, j, vi, vj, cfg) -> float:
     return dens * mvn_prob(box, NormalParams(mean, cov), cfg)[0]
 
 
+def _standard_prob_and_edges(box: TruncationBox, p: NormalParams, cfg: QmcConfig):
+    """Correlation form of the problem, its rectangle probability L with
+    error estimate, and the edge vectors q_a, q_b (standard density at each
+    finite bound times the conditional (p-1)-dim rectangle probability)."""
+    sd, R, a, b = standardize(box, p)
+    n = p.dim
+    L, L_err = mvn_prob(TruncationBox(a, b), NormalParams(np.zeros(n), R), cfg)
+    q_a = np.zeros(n)
+    q_b = np.zeros(n)
+    for i in range(n):
+        for q, v in ((q_a, a[i]), (q_b, b[i])):
+            if np.isfinite(v):
+                q[i] = std_pdf(v) * _edge_interval_prob(R, a, b, i, v, cfg)
+    return sd, R, a, b, L, L_err, q_a, q_b
+
+
 def tn_mgf_work(box: TruncationBox, p: NormalParams,
                 cfg: QmcConfig = DEFAULT_QMC) -> TnMgfWork:
     """Standardize to correlation form and assemble L, q and H.
@@ -219,22 +244,8 @@ def tn_mgf_work(box: TruncationBox, p: NormalParams,
     entries are recycled from q and the off-diagonal row, which avoids any
     second-derivative integrals.
     """
-    sd = np.sqrt(np.diag(p.sigma))
-    R = symmetrize(p.sigma / np.outer(sd, sd))
-    np.fill_diagonal(R, 1.0)
-    with np.errstate(invalid="ignore"):
-        a = (box.lower - p.mu) / sd
-        b = (box.upper - p.mu) / sd
+    sd, R, a, b, L, L_err, q_a, q_b = _standard_prob_and_edges(box, p, cfg)
     n = p.dim
-    sbox = TruncationBox(a, b)
-    L, L_err = mvn_prob(sbox, NormalParams(np.zeros(n), R), cfg)
-    q_a = np.zeros(n)
-    q_b = np.zeros(n)
-    for i in range(n):
-        if np.isfinite(a[i]):
-            q_a[i] = std_pdf(a[i]) * _edge_interval_prob(R, a, b, i, a[i], cfg)
-        if np.isfinite(b[i]):
-            q_b[i] = std_pdf(b[i]) * _edge_interval_prob(R, a, b, i, b[i], cfg)
     H = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
@@ -257,11 +268,11 @@ def tn_mgf_work(box: TruncationBox, p: NormalParams,
                      q_a=q_a, q_b=q_b, q=q_a - q_b, H=H)
 
 
-def _check_normalizer(w: TnMgfWork) -> None:
-    if w.L <= 0.0 or w.L < max(1e-290, 20.0 * w.L_err):
+def _check_normalizer(L: float, L_err: float) -> None:
+    if L <= 0.0 or L < max(1e-290, 20.0 * L_err):
         raise DegenerateBoxError(
-            f"rectangle probability {w.L:.3e} is numerically zero "
-            f"(error estimate {w.L_err:.1e}); use the corrected path"
+            f"rectangle probability {L:.3e} is numerically zero "
+            f"(error estimate {L_err:.1e}); use the corrected path"
         )
 
 
@@ -274,7 +285,7 @@ def tn_first_two_mgf(box: TruncationBox, p: NormalParams,
     them before delegating here.
     """
     w = tn_mgf_work(box, p, cfg)
-    _check_normalizer(w)
+    _check_normalizer(w.L, w.L_err)
     mean_x = w.R @ w.q / w.L
     raw2_x = w.R + (w.R @ w.H @ w.R) / w.L
     cov_x = symmetrize(raw2_x - np.outer(mean_x, mean_x))
@@ -288,23 +299,9 @@ def _tn_mean_mgf(box: TruncationBox, p: NormalParams,
                  cfg: QmcConfig = DEFAULT_QMC) -> np.ndarray:
     """Mean only: L and the q vector, no Hessian.  Used where only the
     first-moment vector of a truncated normal is needed."""
-    sd = np.sqrt(np.diag(p.sigma))
-    R = symmetrize(p.sigma / np.outer(sd, sd))
-    np.fill_diagonal(R, 1.0)
-    with np.errstate(invalid="ignore"):
-        a = (box.lower - p.mu) / sd
-        b = (box.upper - p.mu) / sd
-    n = p.dim
-    L, L_err = mvn_prob(TruncationBox(a, b), NormalParams(np.zeros(n), R), cfg)
-    if L <= 0.0 or L < max(1e-290, 20.0 * L_err):
-        raise DegenerateBoxError("rectangle probability is numerically zero")
-    q = np.zeros(n)
-    for i in range(n):
-        if np.isfinite(a[i]):
-            q[i] += std_pdf(a[i]) * _edge_interval_prob(R, a, b, i, a[i], cfg)
-        if np.isfinite(b[i]):
-            q[i] -= std_pdf(b[i]) * _edge_interval_prob(R, a, b, i, b[i], cfg)
-    return np.clip(p.mu + sd * (R @ q / L), box.lower, box.upper)
+    sd, R, _, _, L, L_err, q_a, q_b = _standard_prob_and_edges(box, p, cfg)
+    _check_normalizer(L, L_err)
+    return np.clip(p.mu + sd * (R @ (q_a - q_b) / L), box.lower, box.upper)
 
 
 # ----------------------------------------------------------------------------
@@ -319,7 +316,6 @@ def _marginal_interval_log_prob(box: TruncationBox, p: NormalParams, i: int) -> 
 def _degenerate_point(box: TruncationBox, p: NormalParams, i: int) -> float:
     """Near bound of an out-of-bounds coordinate: the finite bound whose
     marginal log-density is larger."""
-    sd = math.sqrt(p.sigma[i, i])
     lo, hi = box.lower[i], box.upper[i]
     if np.isinf(lo):
         return float(hi)

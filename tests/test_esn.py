@@ -22,6 +22,7 @@ from truncskew import (
     quad_oracle_1d,
     quad_oracle_2d,
     tesn_mean_cov,
+    tesn_prob,
 )
 
 from conftest import FAST_QMC, random_esn_params, random_spd
@@ -302,3 +303,33 @@ class TestSampler:
         a = esn_sample(pr, 1000, seed=9)
         b = esn_sample(pr, 1000, seed=9)
         np.testing.assert_array_equal(a, b)
+
+
+class TestTinyNormalizer:
+    # tau_tilde = -34.5 lies above the switch point with xi ~ 4e-261, so the
+    # normal rectangle is divided by xi directly
+
+    def test_univariate_against_quadrature(self):
+        lam = 1.0
+        pr = EsnParams(mu=[0.4], sigma=[[2.0]], lam=[lam],
+                       tau=-34.5 * math.sqrt(1.0 + lam * lam))
+        assert esn_derive(pr).xi < 1e-250
+        center = esn_limit_params(pr).mu[0]
+
+        def dens(x):
+            return esn_pdf([x], pr)
+
+        for y in (center - 1.0, center, center + 0.7):
+            ref = quad_oracle_1d(dens, center - 15.0 * math.sqrt(2.0), y)
+            assert esn_cdf([y], pr) == pytest.approx(ref, abs=1e-7)
+            ref = quad_oracle_1d(dens, center - 1.0, y + 1.0)
+            box = TruncationBox([center - 1.0], [y + 1.0])
+            assert tesn_prob(box, pr) == pytest.approx(ref, abs=1e-7)
+
+    def test_bivariate_cdf_is_the_lower_box_probability(self, rng):
+        lam = np.array([0.8, -0.5])
+        pr = EsnParams(mu=[0.2, -0.1], sigma=random_spd(rng, 2), lam=lam,
+                       tau=-34.5 * math.sqrt(1.0 + lam @ lam))
+        y = esn_limit_params(pr).mu + 0.3
+        box = TruncationBox(np.full(2, -np.inf), y)
+        assert esn_cdf(y, pr, FAST_QMC) == tesn_prob(box, pr, FAST_QMC)

@@ -315,3 +315,22 @@ class TestLatticeGenerator:
             assert [_lattice_ints(d, n) for d, n in cases] == expected
         finally:
             mvn._lattice_generator.cache_clear()
+
+
+class TestDeepShiftBox:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_interval_far_above_the_mean(self, dim):
+        # the first interval is [9, 10] in standard units, where
+        # Phi(10) - Phi(9) rounds to 1 - 1 = 0
+        mu = np.array([3.0, 0.0, 0.0])[:dim]
+        sd = np.array([2.0, 1.0, 1.0])[:dim]
+        lower = np.array([21.0, -1.0, -np.inf])[:dim]
+        upper = np.array([23.0, 0.5, 1.2])[:dim]
+        prob, _ = mvn_prob(TruncationBox(lower, upper),
+                           NormalParams(mu, np.diag(sd * sd)), FAST_QMC)
+        exact = math.prod(
+            std_cdf(-lo) - std_cdf(-hi) if lo > 0 else std_cdf(hi) - std_cdf(lo)
+            for lo, hi in zip((lower - mu) / sd, (upper - mu) / sd)
+        )
+        assert exact > 1e-20
+        assert prob == pytest.approx(exact, rel=1e-12, abs=0.0)

@@ -16,6 +16,7 @@ from truncskew import (
     esn_sample,
     mvn_prob,
     quad_oracle_1d,
+    reduce_to_normal,
     tesn_fk,
     tesn_fk_univariate,
     tesn_fk_via_normal,
@@ -264,3 +265,19 @@ class TestBatchMoments:
             for k in kappas:
                 tesn_moment(box, pr, k, FAST_QMC)
         assert batched.total < separate.total
+
+
+class TestViaNormalSession:
+    @pytest.mark.parametrize("tau_tilde", [0.3, -36.0])
+    def test_uses_the_callers_session(self, tau_tilde):
+        # one regime on each side of the switch point tau_tilde = -35
+        lam = np.array([0.8, -0.5])
+        pr = EsnParams(mu=[0.2, -0.1], sigma=[[1.0, 0.3], [0.3, 1.5]], lam=lam,
+                       tau=tau_tilde * math.sqrt(1.0 + lam @ lam))
+        center = pr.mu if tau_tilde > 0 else esn_limit_params(pr).mu
+        box = TruncationBox(center - 1.0, center + 1.5)
+        red = reduce_to_normal(box, pr)
+        session = TnSession(red.box, red.params, FAST_QMC)
+        value = tesn_fk_via_normal(box, pr, (1, 1), session=session, cfg=FAST_QMC)
+        assert red.lift((1, 1)) in session.table
+        assert value == tesn_fk_via_normal(box, pr, (1, 1), cfg=FAST_QMC)
