@@ -247,11 +247,12 @@ def esn_cdf(y, p: EsnParams, cfg: QmcConfig = DEFAULT_QMC,
 # marginal / conditional parameter maps
 
 
-def _partition_quantities(p: EsnParams, one: list[int], two: list[int]):
+def _partition_quantities(p: EsnParams, one: list[int], two: list[int],
+                          derived: EsnDerived | None = None):
     """Blocks used by both the marginal and the conditional map, with the
     conventions of the closure property: block 'one' is kept / conditioned
     on, block 'two' is the complement."""
-    varphi = esn_derive(p).varphi
+    varphi = (derived if derived is not None else esn_derive(p)).varphi
     S11 = p.sigma[np.ix_(one, one)]
     S12 = p.sigma[np.ix_(one, two)]
     S22 = p.sigma[np.ix_(two, two)]
@@ -264,7 +265,8 @@ def _partition_quantities(p: EsnParams, one: list[int], two: list[int]):
     return S11, S12, S22_1, phi1_tilde, phi2, c12, S11_inv_S12
 
 
-def esn_marginal(p: EsnParams, keep: PartitionIndex) -> EsnParams:
+def esn_marginal(p: EsnParams, keep: PartitionIndex,
+                 derived: EsnDerived | None = None) -> EsnParams:
     """Parameters of the kept sub-vector (the family is closed under
     marginalization)."""
     if keep.dim != p.dim:
@@ -273,12 +275,13 @@ def esn_marginal(p: EsnParams, keep: PartitionIndex) -> EsnParams:
     two = list(keep.removed)
     if not two:
         return p
-    S11, _, _, phi1_tilde, _, c12, _ = _partition_quantities(p, one, two)
+    S11, _, _, phi1_tilde, _, c12, _ = _partition_quantities(p, one, two, derived)
     lam1 = c12 * (sym_sqrt(S11) @ phi1_tilde)
     return EsnParams(mu=p.mu[one], sigma=S11, lam=lam1, tau=c12 * p.tau)
 
 
-def esn_conditional(p: EsnParams, given: PartitionIndex, value) -> EsnParams:
+def esn_conditional(p: EsnParams, given: PartitionIndex, value,
+                    derived: EsnDerived | None = None) -> EsnParams:
     """Parameters of the kept sub-vector given ``x[removed] = value``."""
     if given.dim != p.dim:
         raise DimensionMismatchError("partition does not match dimension")
@@ -287,7 +290,7 @@ def esn_conditional(p: EsnParams, given: PartitionIndex, value) -> EsnParams:
     value = as_vector(value, dim=len(one))
     if not one:
         return p
-    _, S12, S22_1, phi1_tilde, phi2, _, S11_inv_S12 = _partition_quantities(p, one, two)
+    _, S12, S22_1, phi1_tilde, phi2, _, S11_inv_S12 = _partition_quantities(p, one, two, derived)
     dev = value - p.mu[one]
     mu_cond = p.mu[two] + S11_inv_S12.T @ dev
     tau_cond = p.tau + float(phi1_tilde @ dev)

@@ -22,8 +22,8 @@ from .errors import (
     DimensionTooLargeError,
     NegativeArgumentError,
 )
-from .esn import EsnParams, esn_cdf, esn_derive, esn_limit_params, esn_logpdf, esn_marginal, reduce_to_normal
-from .moments import FirstTwoMoments, as_multi_index
+from .esn import EsnParams, esn_cdf, esn_derive, esn_limit_params, esn_logpdf, esn_marginal
+from .moments import FirstTwoMoments
 from .mvn import (
     DEFAULT_QMC,
     QmcConfig,
@@ -32,8 +32,7 @@ from .mvn import (
     norm_pdf,
     std_cdf,
 )
-from .tesn import TesnSession, edge_conditional, tesn_prob
-from .tn import TnSession
+from .tesn import TesnSession, edge_conditional, tesn_fk, tesn_fk_via_normal, tesn_prob
 
 __all__ = [
     "SignPattern",
@@ -119,46 +118,33 @@ def fesn_cdf(y, p: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> float:
 
 def fesn_ik(p: EsnParams, kappa, session: TesnSession | None = None,
             cfg: QmcConfig = DEFAULT_QMC) -> float:
-    """Positive-orthant moment integral I_kappa: the box recurrence with
-    lower limits 0 and upper limits infinity (so the zero-power lower edge
-    is the only surviving boundary term)."""
-    if session is None:
-        session = TesnSession(TruncationBox.orthant(p.dim), p, cfg)
-    return session.fk(as_multi_index(kappa, p.dim))
+    """Positive-orthant moment integral I_kappa: :func:`tesn_fk` with lower
+    limits 0 and upper limits infinity (so the zero-power lower edge is the
+    only surviving boundary term)."""
+    return tesn_fk(TruncationBox.orthant(p.dim), p, kappa, session, cfg)
 
 
 def fesn_moment(p: EsnParams, kappa, method: str = "orthant-sum",
                 cfg: QmcConfig = DEFAULT_QMC) -> float:
-    """Raw folded moment E[|X|^kappa].
+    """Raw folded moment E[|X|^kappa]: the sum over sign patterns of the
+    positive-orthant integral of each reflected law.
 
-    'orthant-sum' evaluates the direct recurrence once per sign pattern;
-    'normal-reduction' evaluates one normal moment per pattern, that of
-    :func:`reduce_to_normal` on the positive orthant of the reflected law,
-    divided by xi.
+    'orthant-sum' takes each from the direct recurrence (:func:`tesn_fk`);
+    'normal-reduction' from :func:`tesn_fk_via_normal`.
     """
-    kappa = as_multi_index(kappa, p.dim)
     if method == "orthant-sum":
-        return float(sum(fesn_ik(flip_params(p, s), kappa, cfg=cfg)
-                         for s in sign_patterns(p.dim)))
-    if method != "normal-reduction":
+        fk = tesn_fk
+    elif method == "normal-reduction":
+        fk = tesn_fk_via_normal
+    else:
         raise ValueError(f"unknown method {method!r}")
     orthant = TruncationBox.orthant(p.dim)
-    total = 0.0
-    for s in sign_patterns(p.dim):
-        red = reduce_to_normal(orthant, flip_params(p, s))
-        total += TnSession(red.box, red.params, cfg).fk(red.lift(kappa)) / red.xi
-    return float(total)
+    return float(sum(fk(orthant, flip_params(p, s), kappa, cfg=cfg)
+                     for s in sign_patterns(p.dim)))
 
 
 # ----------------------------------------------------------------------------
 # explicit first two moments
-
-
-def _abs_moment_1d(p: EsnParams, k: int, cfg: QmcConfig) -> float:
-    """E[|V|^k] for a univariate law: the two-term reflection sum of
-    positive-orthant integrals."""
-    flip = flip_params(p, SignPattern((-1,)))
-    return fesn_ik(p, (k,), cfg=cfg) + fesn_ik(flip, (k,), cfg=cfg)
 
 
 @dataclass(frozen=True)
@@ -195,8 +181,8 @@ def folded_cross_work(pair: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> FoldedCr
 
     ec_i = edge_conditional(pair, 0, d)
     ec_j = edge_conditional(pair, 1, d)
-    cond_given_i = ec_i.child_params(pair, 0.0)
-    cond_given_j = ec_j.child_params(pair, 0.0)
+    cond_given_i = ec_i.child_params(pair, 0.0, d)
+    cond_given_j = ec_j.child_params(pair, 0.0, d)
 
     flip_i = flip_params(pair, SignPattern((-1, 1)))
     flip_j = flip_params(pair, SignPattern((1, -1)))
@@ -221,7 +207,7 @@ def folded_cross_work(pair: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> FoldedCr
         v_ji=g_jj - g_ij * g_ij / g_ii,
         m_ij=m[0] - g_ij * m[1] / g_jj,
         v_ij=g_ii - g_ij * g_ij / g_jj,
-        inner_abs=_abs_moment_1d(cond_given_j, 1, cfg),
+        inner_abs=fesn_moment(cond_given_j, (1,), cfg=cfg),
     )
 
 
@@ -266,8 +252,8 @@ def fesn_mean_cov(p: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> FirstTwoMoments
     raw2 = np.zeros((n, n))
     for i in range(n):
         marg = esn_marginal(p, PartitionIndex.dropping(n, [k for k in range(n) if k != i]))
-        mean[i] = _abs_moment_1d(marg, 1, cfg)
-        raw2[i, i] = _abs_moment_1d(marg, 2, cfg)
+        mean[i] = fesn_moment(marg, (1,), cfg=cfg)
+        raw2[i, i] = fesn_moment(marg, (2,), cfg=cfg)
     for i in range(n):
         for j in range(i + 1, n):
             keep = PartitionIndex.dropping(n, [k for k in range(n) if k not in (i, j)])

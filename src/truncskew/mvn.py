@@ -248,7 +248,8 @@ def bvn_cdf(h: float, k: float, rho: float) -> float:
     """P(X <= h, Y <= k) for standard bivariate normal, correlation ``rho``.
 
     Adaptive quadrature over the correlation parameter of the tetrachoric
-    identity d Phi2 / d rho = phi2; absolute error ~1e-15.
+    identity d Phi2 / d rho = phi2, to a relative 1e-12 of the integral
+    (no absolute floor, so rectangles far below 1e-16 keep their digits).
     """
     if np.isnan(h) or np.isnan(k):
         raise DimensionMismatchError("NaN argument to bvn_cdf")
@@ -267,7 +268,7 @@ def bvn_cdf(h: float, k: float, rho: float) -> float:
         om = 1.0 - t * t
         return np.exp(-0.5 * (h * h - 2.0 * h * k * t + k * k) / om) / np.sqrt(om)
 
-    val, err = quad(integrand, 0.0, rho, epsabs=1e-16, epsrel=1e-12, limit=200)
+    val, err = quad(integrand, 0.0, rho, epsabs=0.0, epsrel=1e-12, limit=200)
     if err > 1e-10:
         raise QuadratureNonConvergenceError(
             f"bivariate cdf quadrature error {err:.2e} at rho={rho}"
@@ -294,19 +295,7 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _largest_prime_at_most(n: int) -> int:
-    def ok(m):
-        if m < 2:
-            return False
-        if m % 2 == 0:
-            return m == 2
-        f = 3
-        while f * f <= m:
-            if m % f == 0:
-                return False
-            f += 2
-        return True
-
-    while not ok(n):
+    while _prime_factors(n) != [n]:
         n -= 1
     return n
 
@@ -496,8 +485,9 @@ def mvn_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_QMC):
     error estimate.
 
     dim 1: difference of cdf values (error 0); dim 2: deterministic bivariate
-    cdf (error <= 1e-14); dim >= 3: randomized lattice QMC, error estimate
-    3x the standard error over replicates.  The result is clamped to [0, 1]
+    cdf, each value to a relative 1e-12 (reported error 1e-14); dim >= 3:
+    randomized lattice QMC, error estimate 3x the standard error over
+    replicates.  The result is clamped to [0, 1]
     and is a pure function of ``(box, p, cfg)``.
 
     Coordinates whose standardized interval lies above 0 are reflected

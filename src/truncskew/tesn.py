@@ -6,7 +6,9 @@ Two interchangeable engines:
   integrals directly.  Raising one index mixes the current level, the
   companion normal integrals at the limiting parameters (mu - mu_b, Gamma),
   and per-coordinate boundary terms that factor into a univariate edge
-  density times a (p-1)-dimensional problem with conditional parameters.
+  density times a (p-1)-dimensional problem with conditional parameters:
+  :func:`~truncskew.esn.esn_marginal` gives the edge law and
+  :func:`~truncskew.esn.esn_conditional` the child law.
 * :func:`tesn_fk_via_normal` -- one truncated-normal moment of
   :func:`~truncskew.esn.reduce_to_normal` divided by its xi: the augmented
   pair (mu*, Omega) with the last coordinate cut at tau_tilde, or the
@@ -17,20 +19,21 @@ and cross-checked, the normal reduction being the default (fewer and
 simpler integrals).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import settings
-from .core import delete_index, delete_row_col, sym_sqrt, symmetrize
+from .core import PartitionIndex, symmetrize
 from .errors import DegenerateBoxError, DimensionMismatchError
 from .esn import (
     EsnDerived,
     EsnParams,
     augment,
+    esn_conditional,
     esn_derive,
     esn_limit_params,
+    esn_marginal,
     esn_pdf,
     reduce_to_normal,
 )
@@ -39,7 +42,7 @@ from .mvn import DEFAULT_QMC, QmcConfig, TruncationBox, mvn_prob
 from .tn import (
     RecurrenceSession,
     TnSession,
-    _tn_mean_mgf,
+    _tn_first_moments,
     tn_first_two_corrected,
     tn_first_two_mgf,
 )
@@ -61,24 +64,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EdgeConditional:
-    """Factorization of the p-dim density on the slice x_j = t:
-    a univariate extended skew-normal density at t times a (p-1)-dim
-    extended skew-normal in the remaining coordinates."""
+    """Factorization of the p-dim density on the slice x_j = t: the
+    marginal density of x_j at t (:func:`esn_marginal`) times the (p-1)-dim
+    extended skew-normal of the other coordinates given x_j = t
+    (:func:`esn_conditional`)."""
 
     j: int
-    c_j: float
-    varphi_tilde_j: float
-    sigma_tilde_j: np.ndarray      # (p-1, p-1) conditional scale
-    lam_child: np.ndarray          # sigma_tilde^{1/2} varphi_(j)
     edge_params: EsnParams         # univariate law of coordinate j
 
-    def child_params(self, full: EsnParams, t: float) -> EsnParams:
+    def child_params(self, full: EsnParams, t: float,
+                     derived: EsnDerived | None = None) -> EsnParams:
         """Parameters of the remaining coordinates given x_j = t."""
-        j = self.j
-        col = delete_index(full.sigma[:, j], j)
-        mu = delete_index(full.mu, j) + col * ((t - full.mu[j]) / full.sigma[j, j])
-        tau = full.tau + self.varphi_tilde_j * (t - full.mu[j])
-        return EsnParams(mu=mu, sigma=self.sigma_tilde_j, lam=self.lam_child, tau=tau)
+        return esn_conditional(full, PartitionIndex.dropping(full.dim, [self.j]), [t], derived)
 
     def edge_density(self, t: float) -> float:
         if np.isinf(t):
@@ -88,22 +85,9 @@ class EdgeConditional:
 
 def edge_conditional(p: EsnParams, j: int,
                      derived: EsnDerived | None = None) -> EdgeConditional:
-    d = derived if derived is not None else esn_derive(p)
-    sjj = float(p.sigma[j, j])
-    col = delete_index(p.sigma[:, j], j)
-    sigma_tilde = symmetrize(delete_row_col(p.sigma, j, j) - np.outer(col, col) / sjj)
-    phi_rest = delete_index(d.varphi, j)
-    phi_tilde_j = float(d.varphi[j]) + float(col @ phi_rest) / sjj
-    c_j = 1.0 / math.sqrt(1.0 + float(phi_rest @ (sigma_tilde @ phi_rest)))
-    edge_params = EsnParams(
-        mu=[p.mu[j]], sigma=[[sjj]],
-        lam=[c_j * math.sqrt(sjj) * phi_tilde_j], tau=c_j * p.tau,
-    )
-    lam_child = sym_sqrt(sigma_tilde) @ phi_rest if p.dim > 1 else np.empty(0)
-    return EdgeConditional(
-        j=j, c_j=c_j, varphi_tilde_j=phi_tilde_j, sigma_tilde_j=sigma_tilde,
-        lam_child=lam_child, edge_params=edge_params,
-    )
+    others = [k for k in range(p.dim) if k != j]
+    return EdgeConditional(j=j, edge_params=esn_marginal(
+        p, PartitionIndex.dropping(p.dim, others), derived))
 
 
 def tesn_prob_with_error(box: TruncationBox, p: EsnParams,
@@ -156,7 +140,8 @@ class TesnSession(RecurrenceSession):
         ec = edge_conditional(self.params, j, self.derived)
         child = None
         if self.dim > 1:
-            child = TesnSession(self.box.drop(j), ec.child_params(self.params, t), self.cfg)
+            child = TesnSession(self.box.drop(j),
+                                ec.child_params(self.params, t, self.derived), self.cfg)
         return ec.edge_density(t), child
 
     def _companion(self, i: int, low: MultiIndex) -> float:
@@ -250,8 +235,8 @@ def _mean_cov_direct(box: TruncationBox, p: EsnParams,
                      cfg: QmcConfig) -> FirstTwoMoments:
     """First two moments assembled from the recurrence quantities: the
     probability, the companion normal rectangle, the edge vector (the
-    d-vector at order zero), the companion truncated-normal mean, and the
-    d-vectors at the unit indices."""
+    d-vector at order zero), the companion normal's unnormalized first
+    moments, and the d-vectors at the unit indices."""
     session = TesnSession(box, p, cfg)
     d = session.derived
     LL = session.prob()
@@ -261,13 +246,13 @@ def _mean_cov_direct(box: TruncationBox, p: EsnParams,
     zero = (0,) * p.dim
     q = session.dvec(zero)
     mean = p.mu + (L_w * d.delta + p.sigma @ q) / LL
-    w_mean = _tn_mean_mgf(box, session.normal.params, cfg)
+    w_first = _tn_first_moments(box, session.normal.params, cfg)
     cols = []
     for m in range(p.dim):
         e_m = tuple(1 if k == m else 0 for k in range(p.dim))
         cols.append(session.dvec(e_m))
     D = np.column_stack(cols)
-    raw2 = np.outer(p.mu, mean) + (L_w * np.outer(d.delta, w_mean) + p.sigma @ D) / LL
+    raw2 = np.outer(p.mu, mean) + (np.outer(d.delta, w_first) + p.sigma @ D) / LL
     raw2 = symmetrize(raw2)
     mean = np.clip(mean, box.lower, box.upper)
     cov = symmetrize(raw2 - np.outer(mean, mean))

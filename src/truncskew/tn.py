@@ -9,7 +9,9 @@ Three engines over the same rectangle kernel:
   per coordinate, all memoized per session.
 * :func:`tn_first_two_mgf` -- first two moments by differentiating the
   moment generating function in correlation form, with the Hessian diagonal
-  recycled from the off-diagonal entries and the edge vector q.
+  recycled from the off-diagonal entries and the edge vector q.  Edges and
+  corners are rectangles of the conditional law given one or two
+  coordinates, both from :func:`~truncskew.core.conditional_normal`.
 * :func:`tn_first_two_corrected` -- total function: splits off coordinates
   with two infinite limits, degenerates coordinates whose interval carries
   numerically zero mass at the near bound, and only then calls the MGF path
@@ -189,35 +191,23 @@ class TnMgfWork:
     H: np.ndarray          # MGF Hessian boundary matrix
 
 
-def _edge_interval_prob(R, a, b, i, value, cfg) -> float:
-    """(p-1)-dim rectangle probability of the conditional law given the
-    i-th standardized coordinate sits at ``value``."""
-    p = R.shape[0]
-    if p == 1:
+def _slice_prob(R, a, b, fixed, values, cfg) -> float:
+    """Rectangle probability of the other coordinates of N(0, R) given the
+    standardized coordinates ``fixed`` (increasing) sit at ``values``."""
+    given = PartitionIndex.dropping(R.shape[0], fixed)
+    if not given.kept:
         return 1.0
-    others = [k for k in range(p) if k != i]
-    mean = R[others, i] * value
-    cov = symmetrize(R[np.ix_(others, others)] - np.outer(R[others, i], R[i, others]))
-    box = TruncationBox(a[others], b[others])
-    return mvn_prob(box, NormalParams(mean, cov), cfg)[0]
+    mean, cov = conditional_normal(np.zeros(R.shape[0]), R, given, values)
+    others = list(given.kept)
+    return mvn_prob(TruncationBox(a[others], b[others]), NormalParams(mean, cov), cfg)[0]
 
 
 def _corner_term(R, a, b, i, j, vi, vj, cfg) -> float:
     """phi2 at the (i, j) corner times the (p-2)-dim conditional rectangle."""
     if np.isinf(vi) or np.isinf(vj):
         return 0.0
-    p = R.shape[0]
-    rho = float(R[i, j])
-    dens = bvn_pdf(vi, vj, rho)
-    if dens == 0.0 or p == 2:
-        return dens
-    others = [k for k in range(p) if k not in (i, j)]
-    mean, cov = conditional_normal(
-        np.zeros(p), R, PartitionIndex(kept=tuple(others), removed=tuple(sorted((i, j)))),
-        [vi, vj] if i < j else [vj, vi],
-    )
-    box = TruncationBox(a[others], b[others])
-    return dens * mvn_prob(box, NormalParams(mean, cov), cfg)[0]
+    dens = bvn_pdf(vi, vj, float(R[i, j]))
+    return dens * _slice_prob(R, a, b, (i, j), (vi, vj), cfg) if dens > 0.0 else 0.0
 
 
 def _standard_prob_and_edges(box: TruncationBox, p: NormalParams, cfg: QmcConfig):
@@ -232,7 +222,7 @@ def _standard_prob_and_edges(box: TruncationBox, p: NormalParams, cfg: QmcConfig
     for i in range(n):
         for q, v in ((q_a, a[i]), (q_b, b[i])):
             if np.isfinite(v):
-                q[i] = std_pdf(v) * _edge_interval_prob(R, a, b, i, v, cfg)
+                q[i] = std_pdf(v) * _slice_prob(R, a, b, (i,), (v,), cfg)
     return sd, R, a, b, L, L_err, q_a, q_b
 
 
@@ -295,13 +285,13 @@ def tn_first_two_mgf(box: TruncationBox, p: NormalParams,
     return FirstTwoMoments.from_mean_cov(mean, cov)
 
 
-def _tn_mean_mgf(box: TruncationBox, p: NormalParams,
-                 cfg: QmcConfig = DEFAULT_QMC) -> np.ndarray:
-    """Mean only: L and the q vector, no Hessian.  Used where only the
-    first-moment vector of a truncated normal is needed."""
-    sd, R, _, _, L, L_err, q_a, q_b = _standard_prob_and_edges(box, p, cfg)
-    _check_normalizer(L, L_err)
-    return np.clip(p.mu + sd * (R @ (q_a - q_b) / L), box.lower, box.upper)
+def _tn_first_moments(box: TruncationBox, p: NormalParams,
+                      cfg: QmcConfig = DEFAULT_QMC) -> np.ndarray:
+    """Unnormalized first moments int_box x phi_p(x; mu, sigma) dx from L
+    and the q vector, no Hessian; no division by L, so a box of numerically
+    zero mass gives zero moments instead of an error."""
+    sd, R, _, _, L, _, q_a, q_b = _standard_prob_and_edges(box, p, cfg)
+    return L * p.mu + sd * (R @ (q_a - q_b))
 
 
 # ----------------------------------------------------------------------------

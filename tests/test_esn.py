@@ -310,21 +310,23 @@ class TestTinyNormalizer:
     # normal rectangle is divided by xi directly
 
     def test_univariate_against_quadrature(self):
-        lam = 1.0
-        pr = EsnParams(mu=[0.4], sigma=[[2.0]], lam=[lam],
-                       tau=-34.5 * math.sqrt(1.0 + lam * lam))
-        assert esn_derive(pr).xi < 1e-250
-        center = esn_limit_params(pr).mu[0]
+        # at lam = 2.5 the bivariate rectangles are ~1e-261, far below any
+        # absolute quadrature tolerance
+        for lam in (1.0, 2.5):
+            pr = EsnParams(mu=[0.4], sigma=[[2.0]], lam=[lam],
+                           tau=-34.5 * math.sqrt(1.0 + lam * lam))
+            assert esn_derive(pr).xi < 1e-250
+            center = esn_limit_params(pr).mu[0]
 
-        def dens(x):
-            return esn_pdf([x], pr)
+            def dens(x):
+                return esn_pdf([x], pr)
 
-        for y in (center - 1.0, center, center + 0.7):
-            ref = quad_oracle_1d(dens, center - 15.0 * math.sqrt(2.0), y)
-            assert esn_cdf([y], pr) == pytest.approx(ref, abs=1e-7)
-            ref = quad_oracle_1d(dens, center - 1.0, y + 1.0)
-            box = TruncationBox([center - 1.0], [y + 1.0])
-            assert tesn_prob(box, pr) == pytest.approx(ref, abs=1e-7)
+            for y in (center - 1.0, center, center + 0.7):
+                ref = quad_oracle_1d(dens, center - 15.0 * math.sqrt(2.0), y)
+                assert esn_cdf([y], pr) == pytest.approx(ref, abs=1e-7)
+                ref = quad_oracle_1d(dens, center - 1.0, y + 1.0)
+                box = TruncationBox([center - 1.0], [y + 1.0])
+                assert tesn_prob(box, pr) == pytest.approx(ref, abs=1e-7)
 
     def test_bivariate_cdf_is_the_lower_box_probability(self, rng):
         lam = np.array([0.8, -0.5])

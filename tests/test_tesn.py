@@ -10,6 +10,8 @@ from truncskew import (
     TesnSession,
     TnSession,
     TruncationBox,
+    edge_conditional,
+    esn_derive,
     esn_limit_params,
     esn_mean_cov,
     esn_pdf,
@@ -234,6 +236,18 @@ class TestMeanCov:
         np.testing.assert_allclose(m_inf.mean, m_far.mean, atol=1e-8)
         np.testing.assert_allclose(m_inf.cov, m_far.cov, atol=1e-8)
 
+    def test_recurrence_with_massless_companion(self):
+        # the companion normal N(mu - mu_b, Gamma) puts numerically zero mass
+        # on the box while the skewed law's mass there is healthy
+        pr = EsnParams(mu=[0.0, 0.0], sigma=[[1.0, 0.3], [0.3, 1.0]],
+                       lam=[3.0, 0.0], tau=60.0)
+        box = TruncationBox([-1.0, -1.0], [1.0, 1.5])
+        m_nr = tesn_mean_cov(box, pr, method="normal-reduction")
+        m_rec = tesn_mean_cov(box, pr, method="recurrence")
+        np.testing.assert_allclose(m_rec.mean, m_nr.mean, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(m_rec.raw2, m_nr.raw2, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(m_rec.cov, m_nr.cov, rtol=0, atol=1e-8)
+
     def test_against_sampler(self, rng):
         box, pr = random_instance_with_mass(rng, 3, min_prob=0.05)
         m = tesn_mean_cov(box, pr, FAST_QMC)
@@ -281,3 +295,20 @@ class TestViaNormalSession:
         value = tesn_fk_via_normal(box, pr, (1, 1), session=session, cfg=FAST_QMC)
         assert red.lift((1, 1)) in session.table
         assert value == tesn_fk_via_normal(box, pr, (1, 1), cfg=FAST_QMC)
+
+
+class TestEdgeConditional:
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_slice_factorization(self, rng, p):
+        # f(x) = f_j(x_j) f(x_{-j} | x_j): the identity behind every
+        # boundary term of the recurrence
+        pr = random_esn_params(rng, p)
+        d = esn_derive(pr)
+        for _ in range(3):
+            x = pr.mu + rng.normal(size=p)
+            joint = esn_pdf(x, pr)
+            for j in range(p):
+                ec = edge_conditional(pr, j, d)
+                child = ec.child_params(pr, x[j], d)
+                prod = ec.edge_density(x[j]) * esn_pdf(np.delete(x, j), child)
+                assert prod == pytest.approx(joint, rel=1e-12)
