@@ -192,7 +192,9 @@ def conditional_normal(mu, S, given: PartitionIndex, value) -> tuple[np.ndarray,
     S22 = S[np.ix_(r, r)]
     if not k:
         return np.empty(0), np.empty((0, 0))
-    if np.linalg.cond(S22) > settings.max_block_condition:
+    # a finite non-zero 1x1 block has condition number exactly 1: skip the SVD
+    well_conditioned = len(r) == 1 and S22[0, 0] != 0.0 and np.isfinite(S22[0, 0])
+    if not well_conditioned and np.linalg.cond(S22) > settings.max_block_condition:
         raise SingularBlockError("conditioned-on block is numerically singular")
     S12 = S[np.ix_(k, r)]
     sol = np.linalg.solve(S22, np.column_stack([(value - mu[r]), S12.T.reshape(len(r), -1)]))

@@ -1,16 +1,20 @@
 """Multivariate normal density and rectangle probabilities.
 
 The rectangle probability L_p(a, b; mu, Sigma) is the scalar kernel every
-moment recurrence in this library bottoms out in.  Dimensions 1 and 2 are
-deterministic (closed form / adaptive quadrature over the correlation
-parameter); higher dimensions use a separation-of-variables transform with
-greedy variable reordering, integrated by a randomized rank-1 lattice rule.
-The lattice comes from fast component-by-component construction with a fixed
-tie rule, so its generating vector is a pure function of (dimension, number
-of points), whatever the FFT library's rounding.  Identical
-:class:`QmcConfig` (including seed) gives bit-identical results.
+moment recurrence in this library bottoms out in.  Dimensions 1 to 3 are
+deterministic and ignore :class:`QmcConfig`: a cdf difference, adaptive
+quadrature over the correlation parameter, and Plackett's identity for the
+trivariate cdf (a 1-d integral of bivariate densities times a univariate cdf)
+with inclusion-exclusion over the corners.  Higher dimensions use a
+separation-of-variables transform with greedy variable reordering,
+integrated by a randomized rank-1 lattice rule.  The lattice comes from fast
+component-by-component construction with a fixed tie rule, so its generating
+vector is a pure function of (dimension, number of points), whatever the FFT
+library's rounding.  Identical :class:`QmcConfig` (including seed) gives
+bit-identical results.
 """
 
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -51,6 +55,9 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# Correlations within this distance of +-1 are taken as exactly +-1.
+_RHO_ONE = 1e-15
 
 
 # ----------------------------------------------------------------------------
@@ -244,12 +251,38 @@ def bvn_pdf(x: float, y: float, rho: float) -> float:
     return math.exp(-0.5 * q) / (2.0 * math.pi * math.sqrt(om))
 
 
+def _angle_quad(f, rho: float) -> tuple[float, float]:
+    """Integral of ``f(psi)`` over ``psi`` in [acos|rho|, pi/2] and its error,
+    to a relative 1e-12 with no absolute floor.
+
+    ``psi`` is the angle between a correlation ``+-cos(psi)`` and +-1.  The
+    integrands of this module change on the scale of ``psi`` itself, so the
+    quadrature runs in ``log(psi)``: a narrow feature next to a
+    near-singular end, which a rule on ``psi`` would step over and report as
+    converged, is resolved.  ``full_output`` keeps quad's IntegrationWarning
+    off stderr; its error estimate is returned instead.
+    """
+
+    def integrand(u):
+        psi = math.exp(u)
+        return psi * f(psi)
+
+    val, err, *_ = quad(integrand, math.log(math.acos(abs(rho))),
+                        math.log(0.5 * math.pi), epsabs=0.0, epsrel=1e-12,
+                        limit=200, full_output=1)
+    return val, err
+
+
 def bvn_cdf(h: float, k: float, rho: float) -> float:
     """P(X <= h, Y <= k) for standard bivariate normal, correlation ``rho``.
 
     Adaptive quadrature over the correlation parameter of the tetrachoric
     identity d Phi2 / d rho = phi2, to a relative 1e-12 of the integral
     (no absolute floor, so rectangles far below 1e-16 keep their digits).
+    The correlation runs as ``+-cos(psi)``: ``d t`` cancels phi2's
+    ``1 / sqrt(1 - t^2)``, so the integrand stays bounded as |rho| -> 1, and
+    ``psi``, the angular distance from |t| = 1, keeps its relative precision
+    there.
     """
     if np.isnan(h) or np.isnan(k):
         raise DimensionMismatchError("NaN argument to bvn_cdf")
@@ -259,22 +292,158 @@ def bvn_cdf(h: float, k: float, rho: float) -> float:
         return std_cdf(k)
     if k == np.inf:
         return std_cdf(h)
-    if rho >= 1.0 - 1e-15:
+    if rho >= 1.0 - _RHO_ONE:
         return std_cdf(min(h, k))
-    if rho <= -1.0 + 1e-15:
+    if rho <= -1.0 + _RHO_ONE:
         return max(0.0, std_cdf(h) + std_cdf(k) - 1.0)
 
-    def integrand(t):
-        om = 1.0 - t * t
-        return np.exp(-0.5 * (h * h - 2.0 * h * k * t + k * k) / om) / np.sqrt(om)
+    # (h^2 - 2 h k t + k^2) / (2 (1 - t^2)) at t = sign cos(psi), split into
+    # two terms that do not cancel as |t| -> 1
+    sign = math.copysign(1.0, rho)
+    d2 = (h - sign * k) ** 2
+    hk = sign * h * k
 
-    val, err = quad(integrand, 0.0, rho, epsabs=0.0, epsrel=1e-12, limit=200)
+    def integrand(psi):
+        s = math.sin(psi)
+        return math.exp(-0.5 * d2 / (s * s) - hk / (1.0 + math.cos(psi)))
+
+    val, err = _angle_quad(integrand, rho)
+    val *= sign
     if err > 1e-10:
         raise QuadratureNonConvergenceError(
             f"bivariate cdf quadrature error {err:.2e} at rho={rho}"
         )
     res = std_cdf(h) * std_cdf(k) + val / (2.0 * math.pi)
     return min(1.0, max(0.0, res))
+
+
+# ----------------------------------------------------------------------------
+# trivariate cdf (Plackett 1954; Genz 2004) and rectangles
+
+# Relative error allowed for each term of a trivariate cdf in its error
+# estimate: ten times the relative tolerance the quadratures are run to.
+_TVN_REL_ERR = 1e-11
+
+
+def _singular_gap(rho: float) -> float:
+    """Bound sqrt(1 - |rho|) / pi on the gap between Phi2(h, k; rho) and its
+    limit at |rho| = 1, where :func:`bvn_cdf` takes that limit; else 0."""
+    a = 1.0 - abs(rho)
+    return math.sqrt(a) / math.pi if a <= _RHO_ONE else 0.0
+
+
+def _bvn_with_error(h: float, k: float, rho: float) -> tuple[float, float]:
+    """:func:`bvn_cdf` and an error estimate, relative to both of its terms."""
+    val = bvn_cdf(h, k, rho)
+    return val, _TVN_REL_ERR * (val + std_cdf(h) * std_cdf(k)) + _singular_gap(rho)
+
+
+def _cond_cdf(num: float, var: float) -> float:
+    """Phi(num / sqrt(var)); the step at 0 when the variance vanishes."""
+    if var > 0.0:
+        return std_cdf(num / math.sqrt(var))
+    return 1.0 if num >= 0.0 else 0.0
+
+
+def _tvn_cdf(h, R: np.ndarray) -> tuple[float, float]:
+    """``P(X <= h)`` for a standard trivariate normal with correlation ``R``,
+    and an absolute error estimate.
+
+    Plackett's identity along the path that scales the correlations of
+    coordinate 1 by ``t`` in [0, 1], with (2, 3) the most correlated pair so
+    that every matrix on the path is positive semidefinite:
+
+        Phi3(h; R) = Phi(h1) Phi2(h2, h3; r23)
+                     + int_0^1 r12 phi2(h1, h2; t r12) Phi(u3(t))
+                             + r13 phi2(h1, h3; t r13) Phi(u2(t)) dt,
+
+    ``u_k(t)`` being the standardized ``h_k`` given the other two at ``t``.
+    Each term is integrated over the angle of its correlation, as in
+    :func:`bvn_cdf`, to a relative 1e-12 with no absolute floor, so tiny
+    orthants keep their relative accuracy.  The estimate is 1e-11 relative
+    to the size of each term plus quadrature's own estimate; where a
+    correlation is taken as +-1 it adds the bound sqrt(1 - |rho|) / pi on
+    the gap to that limit.
+    """
+    if any(x == -np.inf for x in h):
+        return 0.0, 0.0
+    keep = [i for i in range(3) if h[i] < np.inf]
+    if len(keep) < 3:
+        if not keep:
+            return 1.0, 0.0
+        if len(keep) == 1:
+            return std_cdf(h[keep[0]]), 0.0
+        i, j = keep
+        return _bvn_with_error(h[i], h[j], float(R[i, j]))
+    # coordinate 1 is the one outside the most correlated pair; R[m - 2, m - 1]
+    # correlates the two coordinates other than m
+    i = max(range(3), key=lambda m: abs(R[m - 2, m - 1]))
+    j, k = (i + 1) % 3, (i + 2) % 3
+    h1, h2, h3 = float(h[i]), float(h[j]), float(h[k])
+    r12, r13, r23 = float(R[i, j]), float(R[i, k]), float(R[j, k])
+    if abs(r23) >= 1.0 - _RHO_ONE:
+        # x3 = +-x2: a bivariate cdf of (x1, x2)
+        gap = _singular_gap(r23)
+        if r23 > 0.0:
+            val, err = _bvn_with_error(h1, min(h2, h3), r12)
+            return val, err + gap
+        if h2 <= -h3:
+            return 0.0, gap
+        v1, e1 = _bvn_with_error(h1, h2, r12)
+        v2, e2 = _bvn_with_error(h1, -h3, r12)
+        return max(0.0, v1 - v2), e1 + e2 + gap
+    p1 = std_cdf(h1)
+    v23, e23 = _bvn_with_error(h2, h3, r23)
+    base, base_err = p1 * v23, p1 * e23
+    if r12 == 0.0 and r13 == 0.0:
+        return base, base_err
+    s23 = (1.0 - r23) * (1.0 + r23)
+    # r12^2 + r13^2 - 2 r12 r13 r23, free of cancellation near |r23| = 1
+    if r23 >= 0.0:
+        q = (r12 - r13) ** 2 + 2.0 * r12 * r13 * (1.0 - r23)
+    else:
+        q = (r12 + r13) ** 2 - 2.0 * r12 * r13 * (1.0 + r23)
+
+    def path_term(hx, hy, hz, rxy, rxz):
+        """2 pi times the integral over t of rxy phi2(hx, hy; t rxy) Phi(uz(t)),
+        run as t rxy = sign cos(psi) as in :func:`bvn_cdf`, and its error."""
+        if rxy == 0.0:
+            return 0.0, 0.0
+        sign = math.copysign(1.0, rxy)
+        d2 = (hx - sign * hy) ** 2
+        hxy = sign * hx * hy
+
+        def integrand(psi):
+            c, s = math.cos(psi), math.sin(psi)
+            a, om = sign * c, s * s
+            t = c / abs(rxy)
+            b = t * rxz
+            dens = math.exp(-0.5 * d2 / om - hxy / (1.0 + c))
+            num = hz * om - (b - a * r23) * hx - (r23 - a * b) * hy
+            return dens * _cond_cdf(num, om * (s23 - t * t * q))
+
+        val, err = _angle_quad(integrand, rxy)
+        return sign * val, err
+
+    v2, e2 = path_term(h1, h2, h3, r12, r13)
+    v3, e3 = path_term(h1, h3, h2, r13, r12)
+    val = (v2 + v3) / (2.0 * math.pi)
+    err = (e2 + e3) / (2.0 * math.pi)
+    return (min(1.0, max(0.0, base + val)),
+            base_err + _TVN_REL_ERR * (abs(v2) + abs(v3)) / (2.0 * math.pi) + err)
+
+
+def _tvn_prob(R: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
+    """Trivariate rectangle probability by inclusion-exclusion over the
+    corners whose lower limits are finite; the error estimates add up."""
+    corners = [((h, 1.0), (l, -1.0)) if l > -np.inf else ((h, 1.0),)
+               for l, h in zip(lo, hi)]
+    prob = err = 0.0
+    for corner in itertools.product(*corners):
+        val, e = _tvn_cdf([h for h, _ in corner], R)
+        prob += math.prod(sign for _, sign in corner) * val
+        err += e
+    return min(1.0, max(0.0, prob)), err
 
 
 # ----------------------------------------------------------------------------
@@ -447,8 +616,9 @@ def _qmc_prob(R: np.ndarray, lo: np.ndarray, hi: np.ndarray, cfg: QmcConfig):
             s = L[i, :i] @ y[:i, :]
             ct = L[i, i]
             if ct > 0.0:
-                c = ndtr((lo[i] - s) / ct)
-                d = ndtr((hi[i] - s) / ct)
+                # ndtr(-inf) = 0 and ndtr(inf) = 1 exactly: skip it on +-inf limits
+                c = ndtr((lo[i] - s) / ct) if lo[i] > -np.inf else 0.0
+                d = ndtr((hi[i] - s) / ct) if hi[i] < np.inf else 1.0
             else:
                 c = (lo[i] - s <= 0.0).astype(float)
                 d = (hi[i] - s >= 0.0).astype(float)
@@ -485,10 +655,14 @@ def mvn_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_QMC):
     error estimate.
 
     dim 1: difference of cdf values (error 0); dim 2: deterministic bivariate
-    cdf, each value to a relative 1e-12 (reported error 1e-14); dim >= 3:
-    randomized lattice QMC, error estimate 3x the standard error over
-    replicates.  The result is clamped to [0, 1]
-    and is a pure function of ``(box, p, cfg)``.
+    cdf, each value to a relative 1e-12 (reported error 1e-14); dim 3:
+    deterministic trivariate cdf (:func:`_tvn_cdf`) by inclusion-exclusion
+    over the corners with finite lower limits, each to a relative 1e-12,
+    reported error the sum over corners of 1e-11 relative to each term plus
+    quadrature's own estimate; dim >= 4: randomized lattice QMC, error
+    estimate 3x the standard error over replicates.  ``cfg`` is used only
+    at dim >= 4.  The result is clamped to [0, 1] and is a pure function of
+    ``(box, p, cfg)``.
 
     Coordinates whose standardized interval lies above 0 are reflected
     first, so every interval probability is formed on the side where the
@@ -518,6 +692,8 @@ def mvn_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_QMC):
             + bvn_cdf(lo[0], lo[1], rho)
         )
         return min(1.0, max(0.0, prob)), 1e-14
+    if p.dim == 3:
+        return _tvn_prob(R, lo, hi)
     return _qmc_prob(R, lo, hi, cfg)
 
 

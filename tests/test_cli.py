@@ -141,7 +141,15 @@ class TestDeterminism:
         assert first.stdout == second.stdout
 
     def test_seed_override_changes_qmc_result(self):
-        req = (DOCS / "cdf_esn.json").read_text()
+        # a p = 3 ESN cdf integrates a 4-dim normal by QMC (dim 3 is deterministic)
+        req = json.dumps({
+            "task": "cdf", "family": "esn",
+            "params": {"mu": [0.0, 0.1, -0.2],
+                       "sigma": [[1.0, 0.25, 0.1], [0.25, 1.0, -0.2], [0.1, -0.2, 1.0]],
+                       "lambda": [0.7, -0.3, 0.4], "tau": 0.2},
+            "x": [0.5, 0.1, 0.3],
+            "qmc": {"sample_count": 4096, "replicates": 10, "seed": 7},
+        })
         base = _run_cli(["--input", "-"], stdin_text=req)
         reseeded = _run_cli(["--input", "-", "--seed", "12345"], stdin_text=req)
         assert json.loads(base.stdout)["value"] != json.loads(reseeded.stdout)["value"]

@@ -146,6 +146,26 @@ class TestConditionalNormal:
             np.testing.assert_array_equal(cov, cov.T)
             assert np.linalg.eigvalsh(cov)[0] >= -1e-10 * np.trace(cov)
 
+    def test_one_coordinate_block(self, monkeypatch):
+        # a finite non-zero 1x1 block has condition number 1: no SVD is taken
+        def no_svd(_):
+            raise AssertionError("condition number computed for a 1x1 block")
+
+        monkeypatch.setattr(np.linalg, "cond", no_svd)
+        s = np.array([[2.0, 0.6, -0.3], [0.6, 1.5, 0.2], [-0.3, 0.2, 0.8]])
+        mu = np.array([0.1, -0.4, 0.3])
+        mean, cov = conditional_normal(mu, s, PartitionIndex.dropping(3, [1]), [0.9])
+        k = [0, 2]
+        np.testing.assert_allclose(mean, mu[k] + s[k, 1] / s[1, 1] * (0.9 - mu[1]),
+                                   rtol=1e-14)
+        np.testing.assert_allclose(
+            cov, s[np.ix_(k, k)] - np.outer(s[k, 1], s[k, 1]) / s[1, 1], rtol=1e-14)
+
+    def test_zero_one_coordinate_block_raises(self):
+        s = np.diag([1.0, 0.0, 2.0])
+        with pytest.raises(SingularBlockError):
+            conditional_normal(np.zeros(3), s, PartitionIndex.dropping(3, [1]), [0.0])
+
     def test_singular_block_raises(self):
         s = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(SingularBlockError):

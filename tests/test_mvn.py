@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
+from scipy.integrate import quad
 from scipy.special import owens_t
 
 from truncskew import (
     DEFAULT_QMC,
+    EsnParams,
     NormalParams,
     QmcConfig,
     TruncationBox,
@@ -17,9 +20,12 @@ from truncskew import (
     mvn_prob,
     std_cdf,
     std_pdf,
+    tesn_prob_with_error,
 )
 from truncskew import mvn
 from truncskew.errors import DimensionMismatchError
+from truncskew.esn import esn_cdf, esn_derive, esn_limit_params, esn_pdf
+from truncskew.oracle import quad_oracle_2d
 
 from conftest import FAST_QMC, random_spd
 
@@ -93,6 +99,9 @@ class TestBivariateCdf:
     @pytest.mark.parametrize("h,k,rho", [
         (0.3, -0.4, 0.5), (1.2, 0.7, -0.8), (-2.0, 1.5, 0.25),
         (0.0, 1.0, 0.6), (2.5, 2.5, 0.99), (-1.0, -1.0, -0.6),
+        # within 1e-12 of +-1, where the integrand's scale shrinks to ~1e-6
+        (0.6, 0.6, 1.0 - 1e-12), (0.5, 0.5 + 3e-6, 1.0 - 7.8e-13),
+        (0.6, -0.6, -1.0 + 1e-12),
     ])
     def test_against_owens_t(self, h, k, rho):
         assert bvn_cdf(h, k, rho) == pytest.approx(_owen_bvn_cdf(h, k, rho),
@@ -334,3 +343,154 @@ class TestDeepShiftBox:
         )
         assert exact > 1e-20
         assert prob == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def _nested_rect(R, lo, hi):
+    """P(lo <= X <= hi) for X ~ N(0, R) in three dimensions: 1-d quadrature of
+    phi(x1) times the conditional bivariate rectangle of (x2, x3) given x1."""
+    r12, r13, r23 = R[0, 1], R[0, 2], R[1, 2]
+    s2, s3 = math.sqrt(1.0 - r12 * r12), math.sqrt(1.0 - r13 * r13)
+    rho = (r23 - r12 * r13) / (s2 * s3)
+
+    def integrand(x):
+        a2, b2 = (lo[1] - r12 * x) / s2, (hi[1] - r12 * x) / s2
+        a3, b3 = (lo[2] - r13 * x) / s3, (hi[2] - r13 * x) / s3
+        rect = (bvn_cdf(b2, b3, rho) - bvn_cdf(a2, b3, rho)
+                - bvn_cdf(b2, a3, rho) + bvn_cdf(a2, a3, rho))
+        return std_pdf(x) * rect
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return quad(integrand, lo[0], hi[0], epsabs=0.0, epsrel=1e-13, limit=500)[0]
+
+
+def _corr(r12, r13, r23):
+    return np.array([[1.0, r12, r13], [r12, 1.0, r23], [r13, r23, 1.0]])
+
+
+def _tvn(lo, hi, R, cfg=DEFAULT_QMC):
+    """Dimension-3 mvn_prob with every warning turned into an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return mvn_prob(TruncationBox(lo, hi), NormalParams(np.zeros(3), R), cfg)
+
+
+class TestTrivariate:
+    def _check(self, lo, hi, R, ref, tol=1e-11):
+        prob, err = _tvn(lo, hi, R)
+        assert prob == pytest.approx(ref, abs=tol, rel=0.0)
+        assert abs(prob - ref) <= err
+        return prob, err
+
+    def test_random_boxes(self, rng):
+        for _ in range(8):
+            a = rng.normal(size=(3, 3))
+            s = a @ a.T + 0.1 * np.eye(3)
+            sd = np.sqrt(np.diag(s))
+            R = s / np.outer(sd, sd)
+            np.fill_diagonal(R, 1.0)
+            lo = -0.2 - 2.0 * rng.random(3)
+            hi = lo + 0.3 + 2.5 * rng.random(3)
+            lo[rng.random(3) < 0.3] = -np.inf
+            hi[rng.random(3) < 0.3] = np.inf
+            if np.all(np.isinf(lo)) and np.all(np.isinf(hi)):
+                continue
+            self._check(lo, hi, R, _nested_rect(R, lo, hi))
+
+    def test_independent_coordinate(self):
+        lo, hi = np.array([-0.4, -1.2, -np.inf]), np.array([1.1, 0.3, 0.8])
+        R = _corr(0.0, 0.0, 0.6)
+        exact = (std_cdf(1.1) - std_cdf(-0.4)) * (bvn_cdf(0.3, 0.8, 0.6)
+                                                  - bvn_cdf(-1.2, 0.8, 0.6))
+        self._check(lo, hi, R, exact, tol=1e-15)
+        self._check(lo, hi, R, _nested_rect(R, lo, hi))
+
+    @pytest.mark.parametrize("r23", [1.0, -1.0])
+    def test_singular_pair(self, r23):
+        # x3 = +-x2: a bivariate rectangle of (x1, x2)
+        r = 0.45
+        R = _corr(r, r * r23, r23)
+        lo, hi = np.array([-1.0, -0.7, -0.5]), np.array([0.8, 1.3, 0.9])
+        if r23 > 0:
+            lo2, hi2 = max(lo[1], lo[2]), min(hi[1], hi[2])
+        else:
+            lo2, hi2 = max(lo[1], -hi[2]), min(hi[1], -lo[2])
+        ref, _ = mvn_prob(TruncationBox([lo[0], lo2], [hi[0], hi2]),
+                          NormalParams(np.zeros(2), _corr(r, 0, 0)[:2, :2]))
+        prob, err = _tvn(lo, hi, R)
+        assert prob == pytest.approx(ref, abs=1e-14, rel=0.0)
+        assert abs(prob - ref) <= err < 1e-10
+
+    @pytest.mark.parametrize("r23", [1.0 - 1e-12, -1.0 + 1e-12])
+    def test_nearly_singular_pair(self, r23):
+        r = 0.45
+        R = _corr(r, r * math.copysign(1.0, r23), r23)
+        lo, hi = np.array([-1.0, -0.7, -0.5]), np.array([0.8, 1.3, 0.9])
+        self._check(lo, hi, R, _nested_rect(R, lo, hi))
+        # equal limits, where the gap to the singular limit is largest
+        lo, hi = np.array([-1.0, -0.6, -0.6]), np.array([0.8, 0.6, 0.6])
+        self._check(lo, hi, R, _nested_rect(R, lo, hi))
+
+    @pytest.mark.parametrize("eps", [1e-9, 3e-14])
+    def test_nearly_singular_equicorrelated(self, eps):
+        # all three correlations 1 - eps: 1-d quadrature over the common factor
+        rho, h = 1.0 - eps, 0.5
+        w, z0 = math.sqrt(eps), h / math.sqrt(1.0 - eps)
+
+        def integrand(z):
+            return std_pdf(z) * std_cdf((h - math.sqrt(rho) * z) / w) ** 3
+
+        edges = [-np.inf] + [z0 + j * w for j in (-40, -8, -2, 0, 2, 8, 40)] + [np.inf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref = sum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                      for a, b in zip(edges[:-1], edges[1:]))
+        R = np.full((3, 3), rho)
+        np.fill_diagonal(R, 1.0)
+        prob, err = _tvn(np.full(3, -np.inf), np.full(3, h), R)
+        assert abs(prob - ref) <= err <= 1e-5
+
+    def test_infinite_limits(self):
+        R = _corr(0.3, -0.5, 0.4)
+        for lo, hi in [
+            ([-np.inf, -np.inf, -np.inf], [0.2, -0.4, 1.0]),
+            ([-np.inf, -1.0, -np.inf], [np.inf, 0.5, 0.3]),
+            ([-0.5, -np.inf, -np.inf], [np.inf, np.inf, 0.7]),
+            ([-np.inf, -0.3, -1.5], [np.inf, np.inf, np.inf]),
+        ]:
+            lo, hi = np.array(lo), np.array(hi)
+            self._check(lo, hi, R, _nested_rect(R, lo, hi))
+
+    def test_deep_tail_independent_coordinate(self):
+        # [-31, -30] sd in the first coordinate: ~5e-198
+        lo, hi = np.array([-31.0, -1.0, -np.inf]), np.array([-30.0, 0.5, 1.2])
+        prob, err = _tvn(lo, hi, np.eye(3))
+        exact = ((std_cdf(-30.0) - std_cdf(-31.0)) * (std_cdf(0.5) - std_cdf(-1.0))
+                 * std_cdf(1.2))
+        assert exact > 1e-200
+        assert prob == pytest.approx(exact, rel=1e-11, abs=0.0)
+        assert abs(prob - exact) <= err
+
+    def test_deep_tail_esn_cdf(self):
+        # p = 2 ESN at tau_tilde = -34.5: the augmented orthant is ~1e-261 and
+        # is divided by xi = Phi(-34.5)
+        lam = np.array([0.8, -0.5])
+        pr = EsnParams(mu=[0.2, -0.1], sigma=[[1.2, 0.3], [0.3, 0.9]], lam=lam,
+                       tau=-34.5 * math.sqrt(1.0 + lam @ lam))
+        assert esn_derive(pr).xi < 1e-250
+        y = esn_limit_params(pr).mu + np.array([0.3, -0.2])
+        ref = quad_oracle_2d(lambda u, v: esn_pdf(np.array([u, v]), pr),
+                             y[0] - 12.0, y[0], y[1] - 12.0, y[1], tol=1e-13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = esn_cdf(y, pr)
+            prob, err = tesn_prob_with_error(TruncationBox(np.full(2, -np.inf), y), pr)
+        assert value == pytest.approx(ref, abs=1e-11)
+        assert prob == value and abs(value - ref) <= err
+
+    def test_independent_of_qmc_seed(self, rng):
+        R = _corr(0.35, -0.2, 0.55)
+        lo, hi = np.array([-1.0, -np.inf, -0.4]), np.array([0.7, 0.9, 1.6])
+        results = {_tvn(lo, hi, R, QmcConfig(seed=s)) for s in (1, 2, 12345)}
+        results.add(_tvn(lo, hi, R, FAST_QMC))
+        assert len(results) == 1
