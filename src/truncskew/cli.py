@@ -414,7 +414,11 @@ def main(argv=None) -> int:
             return 0
         if args.input is None:
             parser.error("--input is required unless --benchmark is given")
-        text = sys.stdin.read() if args.input == "-" else open(args.input).read()
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input) as fh:
+                text = fh.read()
         try:
             req = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -8,10 +8,19 @@ the direct recurrence (:func:`fesn_ik`), the normal reduction of each
 reflected law, or -- for the first two moments -- explicit formulas that
 collapse the sign sum to a handful of univariate and bivariate evaluations
 per matrix entry.
+
+The 2^p orthant masses of a sign sum come from one inclusion-exclusion
+table (:func:`_orthant_masses`): reflecting coordinates commutes with the
+normal reduction and leaves tau_tilde unchanged, so every reflected
+orthant is a signed sum of the lower-orthant masses of the unreflected
+normal: C(p, k) rectangle calls of dimension k + 1 for k = 0..p (k below
+the switch point, where k = 0 needs none), so one (p+1)-dimensional call
+where one call per pattern made 2^p.  The masses sum to one by
+construction.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,17 +31,27 @@ from .errors import (
     DimensionTooLargeError,
     NegativeArgumentError,
 )
-from .esn import EsnParams, esn_cdf, esn_derive, esn_limit_params, esn_logpdf, esn_marginal
-from .moments import FirstTwoMoments
+from .esn import (
+    EsnParams,
+    esn_cdf,
+    esn_derive,
+    esn_limit_params,
+    esn_logpdf,
+    esn_marginal,
+    reduce_to_normal,
+)
+from .moments import FirstTwoMoments, as_multi_index
 from .mvn import (
     DEFAULT_QMC,
+    NormalParams,
     QmcConfig,
     TruncationBox,
     mvn_prob,
     norm_pdf,
     std_cdf,
 )
-from .tesn import TesnSession, edge_conditional, tesn_fk, tesn_fk_via_normal, tesn_prob
+from .tesn import TesnSession, edge_conditional, tesn_fk, tesn_prob
+from .tn import TnSession
 
 __all__ = [
     "SignPattern",
@@ -124,23 +143,119 @@ def fesn_ik(p: EsnParams, kappa, session: TesnSession | None = None,
     return tesn_fk(TruncationBox.orthant(p.dim), p, kappa, session, cfg)
 
 
+def _orthant_masses(box: TruncationBox, params: NormalParams, dim: int,
+                    cfg: QmcConfig, kappas=()) -> dict[SignPattern, tuple[float, float]]:
+    """Masses of the 2^dim sign-pattern orthants of a normal, with error
+    estimates, from one inclusion-exclusion table.
+
+    The first ``dim`` coordinates are folded; any further coordinate (the
+    hidden one of :func:`reduce_to_normal`) keeps its interval in ``box``.
+    The lower-orthant mass G(B) = P(X_i <= 0 for i in B, further
+    coordinates in their intervals) takes one :func:`mvn_prob` call of
+    dimension |B| plus the number of further coordinates (no call, mass 1,
+    when that is zero).  With P_s and N_s the coordinates where s_i = +1
+    and -1, orthant s is the subset transform
+
+        sum over A in P_s of (-1)^|A| G(N_s + A),
+
+    with the sum of the terms' estimates as its estimate.  The masses are
+    not clamped, so they sum to G(empty set) exactly; a massless orthant
+    can come out slightly negative, within its estimate.
+
+    ``kappas`` are the moment indices the masses serve.  In the folded
+    moment of index kappa, pattern s's mass is weighted by prod_i
+    s_i^kappa_i times a common factor, so the error of G(B) cancels unless
+    kappa is odd on every coordinate of B; then it enters 2^|B| times with
+    one sign, where 2^|B| separate orthant calls would add independent
+    errors to about 2^(|B|/2) times one.  Such a call gets 2^(|B|/2) times
+    ``cfg.sample_count`` points, which makes up the difference for a
+    lattice error falling like 1 / points.
+    """
+    extra = list(range(dim, params.dim))
+    lower = np.concatenate([np.full(dim, -np.inf), box.lower[dim:]])
+    upper = np.concatenate([np.zeros(dim), box.upper[dim:]])
+    n_sets = 1 << dim
+    mass = np.ones(n_sets)
+    err = np.zeros(n_sets)
+    odd_sets = [sum(1 << i for i, k in enumerate(kappa) if k % 2) for kappa in kappas]
+    for b in range(n_sets):
+        in_b = [i for i in range(dim) if b >> i & 1]
+        idx = in_b + extra
+        if idx:
+            call_cfg = cfg
+            if in_b and any(b & odd == b for odd in odd_sets):
+                call_cfg = replace(cfg, sample_count=int(
+                    cfg.sample_count * 2.0 ** (len(in_b) / 2)))
+            mass[b], err[b] = mvn_prob(
+                TruncationBox(lower[idx], upper[idx]),
+                NormalParams(params.mu[idx], params.sigma[np.ix_(idx, idx)]), call_cfg)
+    # superset Moebius transform, one coordinate at a time: entry b ends as
+    # the orthant whose negative coordinates are the set b
+    sets = np.arange(n_sets)
+    for i in range(dim):
+        below = sets[(sets >> i & 1) == 0]
+        mass[below] -= mass[below | 1 << i]
+        err[below] += err[below | 1 << i]
+    out = {}
+    for s in sign_patterns(dim):
+        b = sum(1 << i for i, v in enumerate(s.s) if v < 0)
+        out[s] = (float(mass[b]), float(err[b]))
+    return out
+
+
+def _pattern_fks(p: EsnParams, method: str, cfg: QmcConfig, kappas):
+    """One evaluator ``kappa -> F_kappa`` per sign pattern: the
+    positive-orthant integral of the reflected law, on a session whose F_0
+    memo (and its companion normal's) is seeded from :func:`_orthant_masses`
+    for the indices ``kappas``.
+
+    'orthant-sum' runs a :class:`TesnSession` on each reflected law;
+    'normal-reduction' a :class:`TnSession` on its :func:`reduce_to_normal`,
+    whose F_0 is the unnormalized mass (the result is divided by xi).
+    """
+    if method not in ("orthant-sum", "normal-reduction"):
+        raise ValueError(f"unknown method {method!r}")
+    n = p.dim
+    zero = (0,) * n
+    orthant = TruncationBox.orthant(n)
+    d = esn_derive(p)
+    red = reduce_to_normal(orthant, p, d)
+    masses = _orthant_masses(red.box, red.params, n, cfg, kappas)
+    if method == "orthant-sum":
+        companion = (_orthant_masses(orthant, esn_limit_params(p, d), n, cfg, kappas)
+                     if red.hidden else masses)
+    fks = []
+    for s in sign_patterns(n):
+        flipped = flip_params(p, s)
+        if method == "orthant-sum":
+            session = TesnSession(orthant, flipped, cfg)
+            session.table[zero] = masses[s][0] / red.xi
+            session.normal.table[zero] = companion[s][0]
+            fks.append(session.fk)
+        else:
+            red_s = reduce_to_normal(orthant, flipped)
+            session = TnSession(red_s.box, red_s.params, cfg)
+            session.table[red_s.lift(zero)] = masses[s][0]
+            fks.append(lambda kappa, session=session, red_s=red_s:
+                       session.fk(red_s.lift(kappa)) / red_s.xi)
+    return fks
+
+
 def fesn_moment(p: EsnParams, kappa, method: str = "orthant-sum",
                 cfg: QmcConfig = DEFAULT_QMC) -> float:
     """Raw folded moment E[|X|^kappa]: the sum over sign patterns of the
     positive-orthant integral of each reflected law.
 
-    'orthant-sum' takes each from the direct recurrence (:func:`tesn_fk`);
-    'normal-reduction' from :func:`tesn_fk_via_normal`.
+    'orthant-sum' takes each from the direct recurrence (as
+    :func:`tesn_fk`); 'normal-reduction' from the normal reduction (as
+    :func:`~truncskew.tesn.tesn_fk_via_normal`).  Either way the orthant
+    masses come from one table (:func:`_orthant_masses`) and sum to one
+    exactly: at p = 3 one dim-4, three dim-3, three dim-2 and one dim-1
+    call where one call per pattern made eight dim-4 calls.  Edge terms
+    stay one session per pattern.
     """
-    if method == "orthant-sum":
-        fk = tesn_fk
-    elif method == "normal-reduction":
-        fk = tesn_fk_via_normal
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    orthant = TruncationBox.orthant(p.dim)
-    return float(sum(fk(orthant, flip_params(p, s), kappa, cfg=cfg)
-                     for s in sign_patterns(p.dim)))
+    kappa = as_multi_index(kappa, p.dim)
+    return float(sum(fk(kappa) for fk in _pattern_fks(p, method, cfg, [kappa])))
 
 
 # ----------------------------------------------------------------------------
@@ -265,20 +380,23 @@ def fesn_mean_cov(p: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> FirstTwoMoments
 
 def fesn_mean_cov_orthant(p: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> FirstTwoMoments:
     """Mean and covariance of |X| by the full 2^p orthant sum (reference
-    implementation for cross-checks and the benchmark)."""
+    implementation for cross-checks and the benchmark): one direct
+    recurrence session per reflected law, every orthant mass (and the
+    companion normal's) from one inclusion-exclusion table as in
+    :func:`fesn_moment`, so one (p+1)-dim rectangle call in place of 2^p."""
     n = p.dim
     mean = np.zeros(n)
     raw2 = np.zeros((n, n))
-    for s in sign_patterns(n):
-        session = TesnSession(TruncationBox.orthant(n), flip_params(p, s), cfg)
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    pairs = {(i, j): tuple(a + b for a, b in zip(units[i], units[j]))
+             for i in range(n) for j in range(i, n)}
+    for fk in _pattern_fks(p, "orthant-sum", cfg, units + list(pairs.values())):
         for i in range(n):
-            e_i = tuple(1 if k == i else 0 for k in range(n))
-            mean[i] += session.fk(e_i)
-            for j in range(i, n):
-                kappa = tuple((1 if k == i else 0) + (1 if k == j else 0) for k in range(n))
-                val = session.fk(kappa)
-                raw2[i, j] += val
-                if j != i:
-                    raw2[j, i] += val
+            mean[i] += fk(units[i])
+        for (i, j), kappa in pairs.items():
+            val = fk(kappa)
+            raw2[i, j] += val
+            if j != i:
+                raw2[j, i] += val
     cov = symmetrize(raw2 - np.outer(mean, mean))
     return FirstTwoMoments(mean=mean, raw2=symmetrize(raw2), cov=cov)

@@ -595,8 +595,11 @@ def _qmc_prob(R: np.ndarray, lo: np.ndarray, hi: np.ndarray, cfg: QmcConfig):
     """Randomized lattice integration of the reordered SOV integrand."""
     L, lo, hi = _reordered_cholesky(R, lo, hi)
     n = R.shape[0]
-    c0 = std_cdf(lo[0] / L[0, 0]) if L[0, 0] > 0 else float(lo[0] <= 0.0)
-    d0 = std_cdf(hi[0] / L[0, 0]) if L[0, 0] > 0 else float(hi[0] >= 0.0)
+    if L[0, 0] > 0:
+        c0, d0 = std_cdf(lo[0] / L[0, 0]), std_cdf(hi[0] / L[0, 0])
+    else:
+        # a deterministic coordinate: the whole unit interval or nothing
+        c0, d0 = 0.0, float(lo[0] <= 0.0 <= hi[0])
     q, n_pts = _lattice_generator(n - 1, cfg.sample_count)
     idx = np.arange(1, n_pts + 1)
     rng = np.random.default_rng(cfg.seed)
@@ -620,8 +623,10 @@ def _qmc_prob(R: np.ndarray, lo: np.ndarray, hi: np.ndarray, cfg: QmcConfig):
                 c = ndtr((lo[i] - s) / ct) if lo[i] > -np.inf else 0.0
                 d = ndtr((hi[i] - s) / ct) if hi[i] < np.inf else 1.0
             else:
-                c = (lo[i] - s <= 0.0).astype(float)
-                d = (hi[i] - s >= 0.0).astype(float)
+                # conditionally deterministic: (c, d) = (0, 1) where the
+                # point lies in the interval, (0, 0) where it does not
+                c = 0.0
+                d = ((lo[i] - s <= 0.0) & (hi[i] - s >= 0.0)).astype(float)
             dc = d - c
             pv = pv * dc
         estimates[r] = pv.mean()
@@ -698,19 +703,19 @@ def mvn_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_QMC):
 
 
 def mvn_log_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_QMC) -> float:
-    """log of the rectangle probability.
+    """log of a univariate interval probability, exact in log space (finite
+    far beyond double underflow).
 
-    Exact in log space for dim 1 (finite far beyond double underflow); for
-    higher dimensions the log of the linear-space value (-inf if that
-    underflows to zero).  The extreme-case corrections route all mass-zero
-    situations through univariate log-probabilities, so the multivariate
-    branch never needs sub-1e-300 accuracy.
+    Only dimension 1 is supported: the extreme-case corrections route every
+    mass-zero situation through univariate log-probabilities.  ``cfg`` is
+    unused (dim 1 is deterministic) and kept for the signature of
+    :func:`mvn_prob`.
     """
     if box.dim != p.dim:
         raise DimensionMismatchError("box and parameter dimensions differ")
-    if p.dim == 1:
-        _record(1)
-        _, _, lo, hi = standardize(box, p)
-        return _interval_log_prob(float(lo[0]), float(hi[0]))
-    prob, _ = mvn_prob(box, p, cfg)
-    return math.log(prob) if prob > 0.0 else -np.inf
+    if p.dim != 1:
+        raise DimensionMismatchError(
+            f"mvn_log_prob is univariate; got dimension {p.dim}")
+    _record(1)
+    _, _, lo, hi = standardize(box, p)
+    return _interval_log_prob(float(lo[0]), float(hi[0]))

@@ -154,6 +154,16 @@ class TestDeterminism:
         reseeded = _run_cli(["--input", "-", "--seed", "12345"], stdin_text=req)
         assert json.loads(base.stdout)["value"] != json.loads(reseeded.stdout)["value"]
 
+    def test_input_file_is_closed(self):
+        # an unclosed request file would print a ResourceWarning on stderr
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-m", "truncskew",
+             "--input", str(DOCS / "cdf_esn.json")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr
+
     def test_timing_only_with_flag(self):
         req = (DOCS / "prob_halfline_normal.json").read_text()
         plain = json.loads(_run_cli(["--input", "-"], stdin_text=req).stdout)

@@ -13,6 +13,7 @@ from truncskew import (
     TesnSession,
     TnSession,
     TruncationBox,
+    count_integrals,
     esn_pdf,
     esn_sample,
     fesn_cdf,
@@ -30,6 +31,9 @@ from truncskew import (
     tesn_fk,
     tesn_prob_with_error,
 )
+import truncskew.folded as folded_module
+from truncskew.esn import reduce_to_normal
+from truncskew.folded import _orthant_masses
 
 from conftest import FAST_QMC, random_esn_params, random_spd, unit_index
 
@@ -183,6 +187,84 @@ class TestMoments:
                 total += v
                 err_sum += e
             assert abs(total - 1.0) <= err_sum + 1e-9
+
+
+def _at_shift(pr: EsnParams, tau_tilde) -> EsnParams:
+    """The same law with its shift set so that tau / sqrt(1 + lam'lam) is
+    ``tau_tilde`` (unchanged for None)."""
+    if tau_tilde is None:
+        return pr
+    tau = tau_tilde * math.sqrt(1.0 + float(pr.lam @ pr.lam))
+    return EsnParams(mu=pr.mu, sigma=pr.sigma, lam=pr.lam, tau=tau)
+
+
+# regular, deep shift (hidden coordinate kept), limit (limiting normal)
+SHIFT_REGIMES = [None, -20.0, -40.0]
+
+
+class TestOrthantTable:
+    """The 2^p orthant masses of one inclusion-exclusion table against one
+    direct rectangle call per reflected law."""
+
+    @staticmethod
+    def _table(pr: EsnParams):
+        red = reduce_to_normal(TruncationBox.orthant(pr.dim), pr)
+        masses = _orthant_masses(red.box, red.params, pr.dim, FAST_QMC)
+        return {s: (m / red.xi, e / red.xi) for s, (m, e) in masses.items()}
+
+    @pytest.mark.parametrize("tau_tilde", SHIFT_REGIMES)
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_matches_direct_orthants(self, rng, p, tau_tilde):
+        pr = _at_shift(random_esn_params(rng, p), tau_tilde)
+        table = self._table(pr)
+        assert len(table) == 2 ** p
+        for s in sign_patterns(p):
+            ref, ref_err = tesn_prob_with_error(TruncationBox.orthant(p),
+                                                flip_params(pr, s), FAST_QMC)
+            val, err = table[s]
+            assert abs(val - ref) <= err + ref_err + 1e-12, (s.s, val, ref)
+
+    @pytest.mark.parametrize("tau_tilde", SHIFT_REGIMES)
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_partition_of_unity(self, rng, p, tau_tilde):
+        pr = _at_shift(random_esn_params(rng, p), tau_tilde)
+        total = sum(m for m, _ in self._table(pr).values())
+        assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("kappa, points", [
+        ((1, 1, 1), int(2048 * 2 ** 1.5)),   # error enters 8 times, one sign
+        ((1, 0, 1), 2048),                   # error cancels
+        ((2, 2, 2), 2048),
+    ])
+    def test_top_call_points_follow_kappa(self, rng, monkeypatch, kappa, points):
+        seen = {}
+        kernel = folded_module.mvn_prob
+
+        def spy(box, params, cfg):
+            seen[box.dim] = cfg.sample_count
+            return kernel(box, params, cfg)
+
+        monkeypatch.setattr(folded_module, "mvn_prob", spy)
+        pr = random_esn_params(rng, 3)
+        red = reduce_to_normal(TruncationBox.orthant(3), pr)
+        _orthant_masses(red.box, red.params, 3, FAST_QMC, [kappa])
+        assert seen[4] == points
+
+    @pytest.mark.parametrize("method", ["orthant-sum", "normal-reduction"])
+    def test_one_top_dimension_call(self, rng, method):
+        pr = random_esn_params(rng, 3)
+        with count_integrals() as counter:
+            fesn_moment(pr, (1, 1, 1), method=method, cfg=FAST_QMC)
+        assert counter.by_dim[4] == 1
+        assert max(counter.by_dim) == 4
+
+    @pytest.mark.parametrize("tau_tilde", SHIFT_REGIMES)
+    def test_methods_agree_p3(self, rng, tau_tilde):
+        pr = _at_shift(random_esn_params(rng, 3), tau_tilde)
+        for kappa in ((1, 1, 1), (2, 0, 1)):
+            v_orth = fesn_moment(pr, kappa, method="orthant-sum", cfg=FAST_QMC)
+            v_nr = fesn_moment(pr, kappa, method="normal-reduction", cfg=FAST_QMC)
+            assert v_orth == pytest.approx(v_nr, rel=1e-8)
 
 
 class TestMeanCov:

@@ -233,6 +233,27 @@ class TestMvnProb:
         with pytest.raises(DimensionMismatchError):
             mvn_prob(TruncationBox([0.0], [1.0]), NormalParams([0, 0], np.eye(2)))
 
+    def test_log_prob_is_univariate(self):
+        box = TruncationBox([-np.inf, -np.inf], [0.0, 0.0])
+        with pytest.raises(DimensionMismatchError):
+            mvn_log_prob(box, NormalParams([0.0, 0.0], np.eye(2)))
+
+    @pytest.mark.parametrize("sigma3", [
+        np.eye(3),
+        np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 1.0]]),
+    ])
+    def test_qmc_copied_coordinate(self, sigma3):
+        # x4 = x1 exactly: the fourth coordinate is deterministic given the
+        # first and adds no constraint, so the 4-dim box equals the 3-dim one
+        copy = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [1.0, 0, 0]])
+        sigma4 = copy @ sigma3 @ copy.T
+        p4, e4 = mvn_prob(TruncationBox(-np.ones(4), np.ones(4)),
+                          NormalParams(np.zeros(4), sigma4), FAST_QMC)
+        p3, e3 = mvn_prob(TruncationBox(-np.ones(3), np.ones(3)),
+                          NormalParams(np.zeros(3), sigma3))
+        assert p3 > 0.3
+        assert abs(p4 - p3) <= e4 + e3 + 1e-15
+
 
 class TestContainers:
     def test_box_requires_strict_order(self):
