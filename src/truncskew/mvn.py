@@ -5,15 +5,20 @@ moment recurrence in this library bottoms out in.  Dimensions 1 to 3 are
 deterministic and ignore :class:`QmcConfig`: a cdf difference, adaptive
 quadrature over the correlation parameter, and Plackett's identity for the
 trivariate cdf (a 1-d integral of bivariate densities times a univariate cdf)
-with inclusion-exclusion over the corners.  Higher dimensions use a
+with inclusion-exclusion over the corners.  Both integrals run on this
+module's adaptive Gauss-Kronrod 10/21 rule (QUADPACK's ``qk21`` nodes and
+error heuristic, largest-error bisection, no extrapolation), evaluating the
+integrand at all 21 nodes of a panel as one array.  Higher dimensions use a
 separation-of-variables transform with greedy variable reordering,
 integrated by a randomized rank-1 lattice rule.  The lattice comes from fast
 component-by-component construction with a fixed tie rule, so its generating
 vector is a pure function of (dimension, number of points), whatever the FFT
 library's rounding.  Identical :class:`QmcConfig` (including seed) gives
-bit-identical results.
+bit-identical results.  Neither ``scipy.integrate`` nor ``scipy.fft`` is
+imported: only ``scipy.special``.
 """
 
+import heapq
 import itertools
 import math
 from contextlib import contextmanager
@@ -21,8 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import fft, ifft
-from scipy.integrate import quad
+from numpy.fft import fft, ifft
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .core import as_sym_matrix, as_vector, symmetrize
@@ -251,6 +255,52 @@ def bvn_pdf(x: float, y: float, rho: float) -> float:
     return math.exp(-0.5 * q) / (2.0 * math.pi * math.sqrt(om))
 
 
+# QUADPACK's qk21 (Piessens et al. 1983): the nodes of the 21-point Kronrod
+# rule on [0, 1] in decreasing order, its weights, and the weights of the
+# 10-point Gauss rule on the odd-indexed nodes.
+_GK_XK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+          0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+          0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+          0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+          0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+          0.0)
+_GK_WK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+          0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+          0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+          0.123491976262065851077208272599770, 0.134709217311473325928054001771707,
+          0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+          0.149445554002916905664936468389821)
+_GK_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+          0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+          0.295524224714752870173892994651338)
+# the same rule on [-1, 1]: all 21 nodes, the Kronrod weights, and the
+# Kronrod and Gauss weights as the rows of one matrix (the Gauss rule puts
+# zero weight on the Kronrod-only nodes)
+_GK_WG11 = sum(((0.0, w) for w in _GK_WG), ()) + (0.0,)
+_GK_X = np.concatenate((-np.array(_GK_XK), _GK_XK[-2::-1]))
+_GK_W = np.array([_GK_WK + _GK_WK[-2::-1], _GK_WG11 + _GK_WG11[-2::-1]])
+_GK_WK21 = _GK_W[0].copy()
+_GK_EPS50 = 50.0 * np.finfo(float).eps
+_QUAD_REL_TOL = 1e-12
+_QUAD_PANELS = 200
+
+
+def _gk21(f, a: float, b: float) -> tuple[float, float]:
+    """The 21-point Kronrod value of the integral of ``f`` over [a, b], and
+    QUADPACK's estimate of its error: ``resasc min(1, (200 |K - G| /
+    resasc)^1.5)``, floored at ``50 eps resabs``.  ``f`` maps an array of
+    nodes to an array of values."""
+    h = 0.5 * (b - a)
+    fx = f(h * _GK_X + 0.5 * (a + b))
+    resk, resg = _GK_W.dot(fx).tolist()
+    resabs = abs(h) * float(_GK_WK21.dot(np.abs(fx)))
+    resasc = abs(h) * float(_GK_WK21.dot(np.abs(fx - 0.5 * resk)))
+    err = abs(h * (resk - resg))
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    return h * resk, max(err, _GK_EPS50 * resabs)
+
+
 def _angle_quad(f, rho: float) -> tuple[float, float]:
     """Integral of ``f(psi)`` over ``psi`` in [acos|rho|, pi/2] and its error,
     to a relative 1e-12 with no absolute floor.
@@ -259,17 +309,30 @@ def _angle_quad(f, rho: float) -> tuple[float, float]:
     integrands of this module change on the scale of ``psi`` itself, so the
     quadrature runs in ``log(psi)``: a narrow feature next to a
     near-singular end, which a rule on ``psi`` would step over and report as
-    converged, is resolved.  ``full_output`` keeps quad's IntegrationWarning
-    off stderr; its error estimate is returned instead.
+    converged, is resolved.  ``f`` takes and returns arrays of 21 values.
+
+    The rule is QUADPACK's adaptive Gauss-Kronrod 10/21 (:func:`_gk21`)
+    without extrapolation: the panel with the largest error estimate is
+    bisected until the summed estimate is at most 1e-12 of the summed value,
+    or 200 panels are in use.  The integrands are smooth in ``log(psi)``, so
+    one panel almost always suffices.
     """
 
     def integrand(u):
-        psi = math.exp(u)
+        psi = np.exp(u)
         return psi * f(psi)
 
-    val, err, *_ = quad(integrand, math.log(math.acos(abs(rho))),
-                        math.log(0.5 * math.pi), epsabs=0.0, epsrel=1e-12,
-                        limit=200, full_output=1)
+    a, b = math.log(math.acos(abs(rho))), math.log(0.5 * math.pi)
+    val, err = _gk21(integrand, a, b)
+    panels = [(-err, a, b, val)]
+    while err > _QUAD_REL_TOL * abs(val) and len(panels) < _QUAD_PANELS:
+        _, a, b, _ = heapq.heappop(panels)
+        mid = 0.5 * (a + b)
+        for lo, hi in ((a, mid), (mid, b)):
+            v, e = _gk21(integrand, lo, hi)
+            heapq.heappush(panels, (-e, lo, hi, v))
+        val = math.fsum(panel[3] for panel in panels)
+        err = math.fsum(-panel[0] for panel in panels)
     return val, err
 
 
@@ -278,24 +341,30 @@ def bvn_cdf(h: float, k: float, rho: float) -> float:
 
     Adaptive quadrature over the correlation parameter of the tetrachoric
     identity d Phi2 / d rho = phi2, to a relative 1e-12 of the integral
-    (no absolute floor, so rectangles far below 1e-16 keep their digits).
-    The correlation runs as ``+-cos(psi)``: ``d t`` cancels phi2's
-    ``1 / sqrt(1 - t^2)``, so the integrand stays bounded as |rho| -> 1, and
-    ``psi``, the angular distance from |t| = 1, keeps its relative precision
-    there.
+    (no absolute floor, so rectangles far below 1e-16 keep their digits),
+    by :func:`_angle_quad`; an estimate above 1e-10 raises
+    :class:`QuadratureNonConvergenceError`.  The correlation runs as
+    ``+-cos(psi)``: ``d t`` cancels phi2's ``1 / sqrt(1 - t^2)``, so the
+    integrand stays bounded as |rho| -> 1, and ``psi``, the angular distance
+    from |t| = 1, keeps its relative precision there.  Rectangles report an
+    estimate of 1e-11 relative to both terms, ``Phi(h) Phi(k)`` and the
+    integral (:func:`_bvn_with_error`).
     """
-    if np.isnan(h) or np.isnan(k):
+    return _bvn_terms(h, k, rho)[0]
+
+
+def _bvn_terms(h: float, k: float, rho: float) -> tuple[float, float]:
+    """:func:`bvn_cdf` and the product ``Phi(h) Phi(k)`` it is formed from."""
+    if math.isnan(h) or math.isnan(k):
         raise DimensionMismatchError("NaN argument to bvn_cdf")
     if h == -np.inf or k == -np.inf:
-        return 0.0
-    if h == np.inf:
-        return std_cdf(k)
-    if k == np.inf:
-        return std_cdf(h)
-    if rho >= 1.0 - _RHO_ONE:
-        return std_cdf(min(h, k))
+        return 0.0, 0.0
+    ph, pk = std_cdf(h), std_cdf(k)
+    base = ph * pk
+    if h == np.inf or k == np.inf or rho >= 1.0 - _RHO_ONE:
+        return min(ph, pk), base
     if rho <= -1.0 + _RHO_ONE:
-        return max(0.0, std_cdf(h) + std_cdf(k) - 1.0)
+        return max(0.0, ph + pk - 1.0), base
 
     # (h^2 - 2 h k t + k^2) / (2 (1 - t^2)) at t = sign cos(psi), split into
     # two terms that do not cancel as |t| -> 1
@@ -304,17 +373,16 @@ def bvn_cdf(h: float, k: float, rho: float) -> float:
     hk = sign * h * k
 
     def integrand(psi):
-        s = math.sin(psi)
-        return math.exp(-0.5 * d2 / (s * s) - hk / (1.0 + math.cos(psi)))
+        s = np.sin(psi)
+        return np.exp(-0.5 * d2 / (s * s) - hk / (1.0 + np.cos(psi)))
 
     val, err = _angle_quad(integrand, rho)
-    val *= sign
     if err > 1e-10:
         raise QuadratureNonConvergenceError(
             f"bivariate cdf quadrature error {err:.2e} at rho={rho}"
         )
-    res = std_cdf(h) * std_cdf(k) + val / (2.0 * math.pi)
-    return min(1.0, max(0.0, res))
+    res = base + sign * val / (2.0 * math.pi)
+    return min(1.0, max(0.0, res)), base
 
 
 # ----------------------------------------------------------------------------
@@ -334,15 +402,8 @@ def _singular_gap(rho: float) -> float:
 
 def _bvn_with_error(h: float, k: float, rho: float) -> tuple[float, float]:
     """:func:`bvn_cdf` and an error estimate, relative to both of its terms."""
-    val = bvn_cdf(h, k, rho)
-    return val, _TVN_REL_ERR * (val + std_cdf(h) * std_cdf(k)) + _singular_gap(rho)
-
-
-def _cond_cdf(num: float, var: float) -> float:
-    """Phi(num / sqrt(var)); the step at 0 when the variance vanishes."""
-    if var > 0.0:
-        return std_cdf(num / math.sqrt(var))
-    return 1.0 if num >= 0.0 else 0.0
+    val, base = _bvn_terms(h, k, rho)
+    return val, _TVN_REL_ERR * (val + base) + _singular_gap(rho)
 
 
 def _tvn_cdf(h, R: np.ndarray) -> tuple[float, float]:
@@ -412,15 +473,24 @@ def _tvn_cdf(h, R: np.ndarray) -> tuple[float, float]:
         sign = math.copysign(1.0, rxy)
         d2 = (hx - sign * hy) ** 2
         hxy = sign * hx * hy
+        # at t = cos(psi) / |rxy|: b = t rxz = g cos(psi), a = sign cos(psi)
+        g = rxz / abs(rxy)
+        gx, gy, gq = hx * (g - sign * r23), hy * sign * g, q / (rxy * rxy)
 
         def integrand(psi):
-            c, s = math.cos(psi), math.sin(psi)
-            a, om = sign * c, s * s
-            t = c / abs(rxy)
-            b = t * rxz
-            dens = math.exp(-0.5 * d2 / om - hxy / (1.0 + c))
-            num = hz * om - (b - a * r23) * hx - (r23 - a * b) * hy
-            return dens * _cond_cdf(num, om * (s23 - t * t * q))
+            c, s = np.cos(psi), np.sin(psi)
+            om, cc = s * s, c * c
+            dens = np.exp(-0.5 * d2 / om - hxy / (1.0 + c))
+            # hz om - (b - a r23) hx - (r23 - a b) hy, and its variance
+            num = hz * om - gx * c - hy * r23 + gy * cc
+            var = om * (s23 - gq * cc)
+            if var.min() > 0.0:
+                return dens * ndtr(num / np.sqrt(var))
+            # Phi(num / sqrt(var)), and the step at 0 where the variance vanishes
+            pos = var > 0.0
+            cdf = (num >= 0.0).astype(float)
+            cdf[pos] = ndtr(num[pos] / np.sqrt(var[pos]))
+            return dens * cdf
 
         val, err = _angle_quad(integrand, rxy)
         return sign * val, err
@@ -433,14 +503,15 @@ def _tvn_cdf(h, R: np.ndarray) -> tuple[float, float]:
             base_err + _TVN_REL_ERR * (abs(v2) + abs(v3)) / (2.0 * math.pi) + err)
 
 
-def _tvn_prob(R: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
-    """Trivariate rectangle probability by inclusion-exclusion over the
-    corners whose lower limits are finite; the error estimates add up."""
+def _corner_prob(cdf, lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
+    """Rectangle probability by inclusion-exclusion over the corners whose
+    lower limits are finite, ``cdf`` mapping a corner to a cdf value and its
+    error estimate; the error estimates add up."""
     corners = [((h, 1.0), (l, -1.0)) if l > -np.inf else ((h, 1.0),)
                for l, h in zip(lo, hi)]
     prob = err = 0.0
     for corner in itertools.product(*corners):
-        val, e = _tvn_cdf([h for h, _ in corner], R)
+        val, e = cdf([h for h, _ in corner])
         prob += math.prod(sign for _, sign in corner) * val
         err += e
     return min(1.0, max(0.0, prob)), err
@@ -659,15 +730,14 @@ def mvn_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_QMC):
     """Rectangle probability ``P(lower <= X <= upper)`` and an absolute
     error estimate.
 
-    dim 1: difference of cdf values (error 0); dim 2: deterministic bivariate
-    cdf, each value to a relative 1e-12 (reported error 1e-14); dim 3:
-    deterministic trivariate cdf (:func:`_tvn_cdf`) by inclusion-exclusion
-    over the corners with finite lower limits, each to a relative 1e-12,
-    reported error the sum over corners of 1e-11 relative to each term plus
-    quadrature's own estimate; dim >= 4: randomized lattice QMC, error
-    estimate 3x the standard error over replicates.  ``cfg`` is used only
-    at dim >= 4.  The result is clamped to [0, 1] and is a pure function of
-    ``(box, p, cfg)``.
+    dim 1: difference of cdf values (error 0); dims 2 and 3: deterministic
+    bivariate (:func:`bvn_cdf`) and trivariate (:func:`_tvn_cdf`) cdfs by
+    inclusion-exclusion over the corners with finite lower limits, each to a
+    relative 1e-12, reported error the sum over corners of 1e-11 relative to
+    each term (plus quadrature's own estimate at dim 3); dim >= 4:
+    randomized lattice QMC, error estimate 3x the standard error over
+    replicates.  ``cfg`` is used only at dim >= 4.  The result is clamped
+    to [0, 1] and is a pure function of ``(box, p, cfg)``.
 
     Coordinates whose standardized interval lies above 0 are reflected
     first, so every interval probability is formed on the side where the
@@ -690,15 +760,9 @@ def mvn_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_QMC):
         return min(1.0, max(0.0, prob)), 0.0
     if p.dim == 2:
         rho = float(R[0, 1])
-        prob = (
-            bvn_cdf(hi[0], hi[1], rho)
-            - bvn_cdf(lo[0], hi[1], rho)
-            - bvn_cdf(hi[0], lo[1], rho)
-            + bvn_cdf(lo[0], lo[1], rho)
-        )
-        return min(1.0, max(0.0, prob)), 1e-14
+        return _corner_prob(lambda h: _bvn_with_error(h[0], h[1], rho), lo, hi)
     if p.dim == 3:
-        return _tvn_prob(R, lo, hi)
+        return _corner_prob(lambda h: _tvn_cdf(h, R), lo, hi)
     return _qmc_prob(R, lo, hi, cfg)
 
 

@@ -4,13 +4,18 @@ Used by the test suite and the CLI's ``--verify`` mode only; nothing in the
 analytic paths depends on this module.  The generator is Philox 4x64 keyed
 by the user seed, so any implementation of that algorithm reproduces the
 streams exactly.
+
+The quadrature oracles keep scipy's QUADPACK on purpose: the library's own
+bivariate and trivariate kernels run an in-house Gauss-Kronrod rule, and a
+reference built on a separate implementation stays independent of it.
+``scipy.integrate`` is imported inside each oracle, so importing the
+package does not load it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import dblquad, quad
 
 from .errors import QuadratureNonConvergenceError, RejectionTooHighError
 from .esn import EsnParams, sample_with_rng
@@ -112,6 +117,8 @@ def mc_fesn_moment(p: EsnParams, kappa, n: int, seed: int) -> McEstimate:
 
 def quad_oracle_1d(f, a: float, b: float, tol: float = 1e-9) -> float:
     """Adaptive quadrature to ``tol`` absolute error."""
+    from scipy.integrate import quad
+
     val, err = quad(f, a, b, epsabs=tol, epsrel=tol, limit=500)
     if err > 10.0 * max(tol, 1e-15):
         raise QuadratureNonConvergenceError(f"1-d quadrature error {err:.2e}")
@@ -121,6 +128,8 @@ def quad_oracle_1d(f, a: float, b: float, tol: float = 1e-9) -> float:
 def quad_oracle_2d(f, ax: float, bx: float, ay: float, by: float,
                    tol: float = 1e-6) -> float:
     """Adaptive 2-d quadrature of ``f(x, y)`` to ``tol`` absolute error."""
+    from scipy.integrate import dblquad
+
     val, err = dblquad(lambda y, x: f(x, y), ax, bx, ay, by,
                        epsabs=tol, epsrel=tol)
     if err > 10.0 * tol:

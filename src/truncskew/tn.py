@@ -258,7 +258,16 @@ def tn_mgf_work(box: TruncationBox, p: NormalParams,
                      q_a=q_a, q_b=q_b, q=q_a - q_b, H=H)
 
 
-def _check_normalizer(L: float, L_err: float) -> None:
+# The MGF path refuses a bivariate normalizer below 2e-13 (twenty times this
+# floor on its error estimate) and leaves such boxes to the corrected path's
+# pinning.  The bivariate kernel's own estimate is relative to the value and
+# would let them through; the MGF formulas have not been validated there.
+_BVN_NORMALIZER_ERR = 1e-14
+
+
+def _check_normalizer(L: float, L_err: float, dim: int) -> None:
+    if dim == 2:
+        L_err = max(L_err, _BVN_NORMALIZER_ERR)
     if L <= 0.0 or L < max(1e-290, 20.0 * L_err):
         raise DegenerateBoxError(
             f"rectangle probability {L:.3e} is numerically zero "
@@ -275,7 +284,7 @@ def tn_first_two_mgf(box: TruncationBox, p: NormalParams,
     them before delegating here.
     """
     w = tn_mgf_work(box, p, cfg)
-    _check_normalizer(w.L, w.L_err)
+    _check_normalizer(w.L, w.L_err, p.dim)
     mean_x = w.R @ w.q / w.L
     raw2_x = w.R + (w.R @ w.H @ w.R) / w.L
     cov_x = symmetrize(raw2_x - np.outer(mean_x, mean_x))

@@ -25,7 +25,7 @@ from truncskew import (
 from truncskew import mvn
 from truncskew.errors import DimensionMismatchError
 from truncskew.esn import esn_cdf, esn_derive, esn_limit_params, esn_pdf
-from truncskew.oracle import quad_oracle_2d
+from truncskew.oracle import quad_oracle_1d, quad_oracle_2d
 
 from conftest import FAST_QMC, random_spd
 
@@ -515,3 +515,120 @@ class TestTrivariate:
         results = {_tvn(lo, hi, R, QmcConfig(seed=s)) for s in (1, 2, 12345)}
         results.add(_tvn(lo, hi, R, FAST_QMC))
         assert len(results) == 1
+
+
+# ----------------------------------------------------------------------------
+# the Gauss-Kronrod rule under the bivariate and trivariate kernels
+
+
+def _quad_reference(f, rho):
+    """The integral :func:`mvn._angle_quad` computes, by scipy's QUADPACK at
+    a relative 1e-13, calling the same integrand one node at a time."""
+
+    def g(u):
+        psi = np.exp(np.array([u]))
+        return float((psi * f(psi))[0])
+
+    val, err, *_ = quad(g, math.log(math.acos(abs(rho))), math.log(0.5 * math.pi),
+                        epsabs=0.0, epsrel=1e-13, limit=500, full_output=1)
+    return val, err
+
+
+def _within_reported(val, err, ref, ref_err):
+    """``val`` within its error plus the reference's, plus the 1e-11 relative
+    the kernels add to every term they report.  That term covers the
+    rounding of the nodes: where an integrand spans many decades on a short
+    angle interval, QUADPACK references split at different points scatter
+    by ~1e-12 relative, beyond either quadrature estimate."""
+    return abs(val - ref) <= err + ref_err + mvn._TVN_REL_ERR * abs(val)
+
+
+@pytest.fixture
+def angle_quads(monkeypatch):
+    """Every (integrand, rho, value, error) that ``_angle_quad`` returns."""
+    calls = []
+    inner = mvn._angle_quad
+
+    def recording(f, rho):
+        val, err = inner(f, rho)
+        calls.append((f, rho, val, err))
+        return val, err
+
+    monkeypatch.setattr(mvn, "_angle_quad", recording)
+    return calls
+
+
+def _near_one(rng):
+    """A correlation magnitude with 1 - |rho| log-uniform in [1e-14, 1]."""
+    return 1.0 - 10.0 ** rng.uniform(-14.0, 0.0)
+
+
+class TestGaussKronrod:
+    def test_rules_integrate_monomials_exactly(self):
+        # Kronrod to degree 31, Gauss to degree 19, and neither one further
+        # (odd degrees integrate to zero by symmetry)
+        def errors(d):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            return np.abs(mvn._GK_W @ mvn._GK_X ** d - exact)
+
+        for d in range(32):
+            kronrod, gauss = errors(d)
+            assert kronrod <= 1e-15, d
+            assert gauss <= 1e-15 or d > 19, d
+        assert errors(20)[1] > 1e-7 and errors(32)[0] > 1e-13
+
+    def test_one_panel_on_a_smooth_integrand(self):
+        val, err = mvn._gk21(np.exp, 0.0, 1.0)
+        assert val == pytest.approx(math.e - 1.0, rel=1e-15)
+        assert err == pytest.approx(50 * np.finfo(float).eps * val)
+
+    def test_bvn_against_quadpack(self, rng, angle_quads):
+        for _ in range(1000):
+            h, k = rng.normal(scale=2.0, size=2)
+            rho = rng.choice([-1.0, 1.0]) * _near_one(rng)
+            angle_quads.clear()
+            bvn_cdf(h, k, rho)
+            for f, r, val, err in angle_quads:
+                ref, ref_err = _quad_reference(f, r)
+                assert _within_reported(val, err, ref, ref_err), (h, k, rho)
+
+    def test_trivariate_against_quadpack(self, rng, angle_quads):
+        checked = 0
+        for _ in range(200):
+            # correlations of a random normal, then one pair pulled towards
+            # +-1 so that 1 - |r| reaches 1e-14
+            a = rng.normal(size=(3, 3))
+            s = a @ a.T + 0.05 * np.eye(3)
+            sd = np.sqrt(np.diag(s))
+            R = s / np.outer(sd, sd)
+            if rng.random() < 0.5:
+                r23 = rng.choice([-1.0, 1.0]) * _near_one(rng)
+                scale = math.sqrt(1.0 - r23 * r23)
+                R = _corr(R[0, 1] * scale, R[0, 2] * scale, r23)
+            np.fill_diagonal(R, 1.0)
+            lo = rng.normal(scale=1.5, size=3) - 1.0
+            hi = lo + rng.uniform(0.2, 3.0, size=3)
+            lo[rng.random(3) < 0.3] = -np.inf
+            hi[rng.random(3) < 0.2] = np.inf
+            if np.all(np.isinf(lo)) and np.all(np.isinf(hi)):
+                continue
+            if np.linalg.eigvalsh(R)[0] < 0.0:
+                continue
+            angle_quads.clear()
+            mvn_prob(TruncationBox(lo, hi), NormalParams(np.zeros(3), R))
+            for f, r, val, err in angle_quads:
+                ref, ref_err = _quad_reference(f, r)
+                assert _within_reported(val, err, ref, ref_err), (R, lo, hi)
+                checked += 1
+        assert checked > 1000
+
+    def test_deep_shift_estimate_bounds_error(self):
+        # p = 1 at tau_tilde = -20: the estimate of the bivariate rectangle is
+        # relative to its terms, so dividing by xi = 2.8e-89 leaves it small
+        pr = EsnParams(mu=[0.0], sigma=[[1.0]], lam=[1.0], tau=-20.0 * math.sqrt(2.0))
+        assert esn_derive(pr).xi < 1e-88
+        prob, err = tesn_prob_with_error(TruncationBox([0.0], [np.inf]), pr)
+        ref = quad_oracle_1d(lambda x: esn_pdf(np.array([x]), pr), 0.0, np.inf,
+                             tol=1e-12)
+        assert math.isfinite(err) and err < 1e-9
+        assert abs(prob - ref) <= err
