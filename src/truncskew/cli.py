@@ -6,10 +6,15 @@ reported on stderr (and in the response only with ``--timing``, since it is
 inherently nondeterministic).  ``--benchmark`` runs the internal
 method-comparison harness and emits CSV instead.
 
+``_METHODS`` lists, per task, the request methods it accepts and the
+``method_used`` each reports; the schema's ``method`` enum is built from it,
+and any other method is a request error.
+
 Exit codes: 0 success, 1 request validation error, 2 numerical failure.
 """
 
 import argparse
+import dataclasses
 import json
 import statistics
 import sys
@@ -18,10 +23,11 @@ import time
 import numpy as np
 import jsonschema
 
+from .core import as_vector
 from .errors import TruncskewError
 from .esn import EsnParams, esn_pdf
 from .folded import fesn_mean_cov, fesn_mean_cov_orthant, fesn_moment
-from .moments import FirstTwoMoments
+from .moments import FirstTwoMoments, as_multi_index
 from .mvn import (
     DEFAULT_QMC,
     NormalParams,
@@ -42,6 +48,30 @@ from .tn import tn_first_two_corrected, tn_first_two_mgf
 
 SCHEMA_VERSION = 1
 
+# task -> {accepted request method: method_used}: "auto" and every method
+# value the task can report.  A "task:normal" entry replaces the task's own
+# for the normal family.  Two labels also depend on the dimension: a normal
+# prob at p >= 4 reports "qmc", and an auto moment at p = 1 reports
+# "univariate-recurrence".
+_METHODS = {
+    "pdf": {"auto": "closed-form"},
+    "cdf": {"auto": "normal-reduction", "normal-reduction": "normal-reduction"},
+    "prob": {"auto": "normal-reduction", "normal-reduction": "normal-reduction"},
+    "prob:normal": {"auto": "deterministic"},
+    "moment": {"auto": "normal-reduction", "recurrence": "recurrence",
+               "normal-reduction": "normal-reduction"},
+    "mean-cov": {"auto": "normal-reduction", "recurrence": "recurrence",
+                 "normal-reduction": "normal-reduction"},
+    "mean-cov:normal": {"auto": "corrected-mgf", "mgf": "mgf"},
+    "folded-moment": {"auto": "orthant-sum", "orthant-sum": "orthant-sum",
+                      "normal-reduction": "normal-reduction"},
+    "folded-mean-cov": {"auto": "explicit", "explicit": "explicit",
+                        "orthant-sum": "orthant-sum"},
+}
+
+# the field that carries each task's point or multi-index
+_ARGUMENT = {"pdf": "x", "cdf": "x", "moment": "kappa", "folded-moment": "kappa"}
+
 _NUMBER_OR_SENTINEL = {
     "anyOf": [{"type": "number"}, {"type": "string"}],
 }
@@ -53,10 +83,7 @@ REQUEST_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
-        "task": {
-            "enum": ["pdf", "cdf", "prob", "moment", "mean-cov",
-                     "folded-moment", "folded-mean-cov", "benchmark"],
-        },
+        "task": {"enum": [t for t in _METHODS if ":" not in t]},
         "family": {"enum": ["normal", "sn", "esn"]},
         "params": {
             "type": "object",
@@ -93,10 +120,7 @@ REQUEST_SCHEMA = {
         },
         "x": {"type": "array", "items": {"type": "number"}},
         "kappa": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        "method": {
-            "enum": ["auto", "recurrence", "normal-reduction", "mgf",
-                     "orthant-sum", "explicit"],
-        },
+        "method": {"enum": sorted({m for table in _METHODS.values() for m in table})},
         "qmc": {
             "type": "object",
             "additionalProperties": False,
@@ -133,55 +157,40 @@ class RequestError(ValueError):
     """Invalid request (exit code 1)."""
 
 
-def _parse_bound(v) -> float:
-    if isinstance(v, (int, float)):
-        return float(v)
-    s = str(v).strip().lower()
-    if s in ("-inf", "-infinity"):
-        return -np.inf
-    if s in ("inf", "+inf", "infinity", "+infinity"):
-        return np.inf
-    try:
-        return float(s)
-    except ValueError as exc:
-        raise RequestError(f"cannot parse bound {v!r}") from exc
-
-
 def _parse_request(req: dict):
+    """Validated parameters, box (or None), QMC settings and the task's
+    point or multi-index (or None)."""
     try:
         jsonschema.validate(req, REQUEST_SCHEMA)
     except jsonschema.ValidationError as exc:
         raise RequestError(f"request does not match schema: {exc.message}") from exc
+    field = _ARGUMENT.get(req["task"])
+    if field is not None and field not in req:
+        raise RequestError(f"task {req['task']!r} requires field {field!r}")
     par = req["params"]
-    mu = np.asarray(par["mu"], dtype=float)
-    sigma = np.asarray(par["sigma"], dtype=float)
-    lam = np.asarray(par.get("lambda", np.zeros(mu.shape[0])), dtype=float)
-    tau = float(par.get("tau", 0.0))
     try:
-        params = EsnParams(mu=mu, sigma=sigma, lam=lam, tau=tau)
-    except TruncskewError as exc:
+        params = EsnParams(mu=par["mu"], sigma=par["sigma"],
+                           lam=par.get("lambda", np.zeros(len(par["mu"]))),
+                           tau=par.get("tau", 0.0))
+        arg = None
+        if field is not None:
+            coerce = as_vector if field == "x" else as_multi_index
+            arg = coerce(req[field], params.dim)
+    except (TruncskewError, ValueError) as exc:
         raise RequestError(f"invalid parameters: {exc}") from exc
     box = None
     if "box" in req:
         raw = req["box"]
         lower, upper = (raw["lower"], raw["upper"]) if isinstance(raw, dict) else raw
         try:
-            box = TruncationBox(
-                [_parse_bound(v) for v in lower],
-                [_parse_bound(v) for v in upper],
-            )
-        except TruncskewError as exc:
+            # float() reads every spelling of infinity: "inf", "+Infinity", " -INF "
+            box = TruncationBox([float(v) for v in lower], [float(v) for v in upper])
+        except (TruncskewError, ValueError) as exc:
             raise RequestError(f"invalid box: {exc}") from exc
         if box.dim != params.dim:
             raise RequestError("box dimension does not match parameters")
-    qmc = req.get("qmc", {})
-    cfg = QmcConfig(
-        sample_count=qmc.get("sample_count", DEFAULT_QMC.sample_count),
-        replicates=qmc.get("replicates", DEFAULT_QMC.replicates),
-        seed=qmc.get("seed", DEFAULT_QMC.seed),
-        target_abs_error=qmc.get("target_abs_error", DEFAULT_QMC.target_abs_error),
-    )
-    return params, box, cfg
+    cfg = dataclasses.replace(DEFAULT_QMC, **req.get("qmc", {}))
+    return params, box, cfg, arg
 
 
 def _matrix(m: np.ndarray) -> dict:
@@ -196,133 +205,67 @@ def _moments_payload(res: FirstTwoMoments) -> dict:
     }
 
 
-def _require(req, key):
-    if key not in req:
-        raise RequestError(f"task {req['task']!r} requires field {key!r}")
-    return req[key]
-
-
-def _default_box(dim: int, box):
-    return box if box is not None else TruncationBox.unbounded(dim)
-
-
 def _execute(req: dict) -> dict:
-    params, box, cfg = _parse_request(req)
-    task = req["task"]
-    family = req["family"]
+    params, box, cfg, arg = _parse_request(req)
+    task, family = req["task"], req["family"]
     method = req.get("method", "auto")
+    accepted = _METHODS.get(f"{task}:{family}", _METHODS[task])
+    if method not in accepted:
+        raise RequestError(f"method {method!r} is not valid for task {task!r}")
+    method_used = accepted[method]
     is_normal = family == "normal"
-    corrections: tuple[str, ...] = ()
-    oracle = None
-    err = 0.0
+    npar = NormalParams(params.mu, params.sigma)
+    b = box if box is not None else TruncationBox.unbounded(params.dim)
+    n_mc = req.get("mc_samples", 1_000_000)
+    err = cfg.target_abs_error
+    res = oracle = None
 
     if task == "pdf":
-        x = np.asarray(_require(req, "x"), dtype=float)
-        value = (mvn_pdf(x, NormalParams(params.mu, params.sigma))
-                 if is_normal else esn_pdf(x, params))
-        method_used = "closed-form"
-    elif task == "cdf":
-        x = np.asarray(_require(req, "x"), dtype=float)
-        b = TruncationBox(np.full(params.dim, -np.inf), x)
-        if is_normal:
-            value, err = mvn_prob(b, NormalParams(params.mu, params.sigma), cfg)
-        else:
-            value, err = tesn_prob_with_error(b, params, cfg)
-        method_used = "normal-reduction"
-    elif task == "prob":
-        b = _default_box(params.dim, box)
-        if is_normal:
-            value, err = mvn_prob(b, NormalParams(params.mu, params.sigma), cfg)
-            method_used = "deterministic" if params.dim <= 2 else "qmc"
-        else:
-            value, err = tesn_prob_with_error(b, params, cfg)
-            method_used = "normal-reduction"
-        if req.get("verify"):
-            oracle = _scalar_oracle(
-                mc_tesn_moment(b, params, (0,) * params.dim,
-                               req.get("mc_samples", 1_000_000), cfg.seed))
+        value = mvn_pdf(arg, npar) if is_normal else esn_pdf(arg, params)
+        err = 0.0
+    elif task in ("cdf", "prob"):
+        if task == "cdf":
+            b = TruncationBox(np.full(params.dim, -np.inf), arg)
+        elif is_normal and params.dim > 3:  # past the trivariate kernel
+            method_used = "qmc"
+        value, err = (mvn_prob(b, npar, cfg) if is_normal
+                      else tesn_prob_with_error(b, params, cfg))
+        if task == "prob" and req.get("verify"):
+            oracle = dataclasses.asdict(
+                mc_tesn_moment(b, params, (0,) * params.dim, n_mc, cfg.seed))
     elif task == "moment":
-        b = _default_box(params.dim, box)
-        kappa = _require(req, "kappa")
-        m = {"auto": "auto", "recurrence": "recurrence",
-             "normal-reduction": "normal-reduction"}.get(method)
-        if m is None:
-            raise RequestError(f"method {method!r} is not valid for task 'moment'")
-        value = tesn_moment(b, params, kappa, cfg, method=m)
-        err = cfg.target_abs_error
-        method_used = ("univariate-recurrence" if params.dim == 1 and m == "auto"
-                       else ("normal-reduction" if m == "auto" else m))
+        value = tesn_moment(b, params, arg, cfg, method=method)
+        if params.dim == 1 and method == "auto":
+            method_used = "univariate-recurrence"
         if req.get("verify"):
-            oracle = _scalar_oracle(
-                mc_tesn_moment(b, params, kappa,
-                               req.get("mc_samples", 1_000_000), cfg.seed))
+            oracle = dataclasses.asdict(mc_tesn_moment(b, params, arg, n_mc, cfg.seed))
     elif task == "mean-cov":
-        b = _default_box(params.dim, box)
-        if is_normal:
-            npar = NormalParams(params.mu, params.sigma)
-            if method == "mgf":
-                res = tn_first_two_mgf(b, npar, cfg)
-                method_used = "mgf"
-            else:
-                res = tn_first_two_corrected(b, npar, cfg)
-                method_used = "corrected-mgf"
+        if not is_normal:
+            res = tesn_mean_cov(b, params, cfg, method=method_used)
+        elif method_used == "mgf":
+            res = tn_first_two_mgf(b, npar, cfg)
         else:
-            m = "recurrence" if method == "recurrence" else "normal-reduction"
-            res = tesn_mean_cov(b, params, cfg, method=m)
-            method_used = m
-        corrections = res.corrections
-        value = _moments_payload(res)
-        err = cfg.target_abs_error
+            res = tn_first_two_corrected(b, npar, cfg)
         if req.get("verify"):
-            oracle = _mean_oracle(b, params, req.get("mc_samples", 1_000_000), cfg.seed)
+            oracle = _mean_oracle(b, params, n_mc, cfg.seed)
     elif task == "folded-moment":
-        kappa = _require(req, "kappa")
-        m = {"auto": "orthant-sum", "orthant-sum": "orthant-sum",
-             "normal-reduction": "normal-reduction"}.get(method)
-        if m is None:
-            raise RequestError(f"method {method!r} is not valid for task 'folded-moment'")
-        value = fesn_moment(params, kappa, method=m, cfg=cfg)
-        err = cfg.target_abs_error
-        method_used = m
+        value = fesn_moment(params, arg, method=method_used, cfg=cfg)
         if req.get("verify"):
-            oracle = _scalar_oracle(
-                mc_fesn_moment(params, kappa, req.get("mc_samples", 1_000_000),
-                               cfg.seed))
-    elif task == "folded-mean-cov":
-        if method in ("auto", "explicit"):
-            res = fesn_mean_cov(params, cfg)
-            method_used = "explicit"
-        elif method == "orthant-sum":
-            res = fesn_mean_cov_orthant(params, cfg)
-            method_used = "orthant-sum"
-        else:
-            raise RequestError(
-                f"method {method!r} is not valid for task 'folded-mean-cov'")
-        corrections = res.corrections
-        value = _moments_payload(res)
-        err = cfg.target_abs_error
+            oracle = dataclasses.asdict(mc_fesn_moment(params, arg, n_mc, cfg.seed))
     else:
-        raise RequestError("task 'benchmark' is run with --benchmark")
+        res = (fesn_mean_cov if method_used == "explicit" else fesn_mean_cov_orthant)(
+            params, cfg)
 
     response = {
         "schema_version": SCHEMA_VERSION,
-        "value": value,
+        "value": _moments_payload(res) if res is not None else value,
         "abs_error_estimate": err,
         "method_used": method_used,
-        "corrections_applied": list(corrections),
+        "corrections_applied": list(res.corrections) if res is not None else [],
     }
     if oracle is not None:
         response["oracle"] = oracle
     return response
-
-
-def _scalar_oracle(est) -> dict:
-    return {
-        "value": est.value,
-        "std_error": est.std_error,
-        "n_effective": est.n_effective,
-        "seed": est.seed,
-    }
 
 
 def _mean_oracle(box, params, n, seed) -> dict:

@@ -28,7 +28,6 @@ __all__ = [
     "delete_row_col",
     "row_without",
     "conditional_normal",
-    "is_psd",
 ]
 
 
@@ -136,14 +135,6 @@ def row_without(S, i: int, j: int) -> np.ndarray:
     i = _check_index(i, arr.shape[0])
     j = _check_index(j, arr.shape[1])
     return np.delete(arr[i, :], j)
-
-
-def is_psd(S: np.ndarray, rel_tol: float | None = None) -> bool:
-    """True when the smallest eigenvalue is above ``-rel_tol * largest``."""
-    rel_tol = settings.psd_rel_tol if rel_tol is None else rel_tol
-    w = np.linalg.eigvalsh(symmetrize(np.asarray(S, dtype=float)))
-    wmax = max(float(w[-1]), 0.0)
-    return float(w[0]) >= -rel_tol * max(wmax, 1e-300)
 
 
 def sym_sqrt(S) -> np.ndarray:

@@ -81,9 +81,6 @@ class EsnParams:
     def dim(self) -> int:
         return self.mu.shape[0]
 
-    def is_normal(self) -> bool:
-        return bool(np.all(self.lam == 0.0) and self.tau == 0.0)
-
     @classmethod
     def normal(cls, mu, sigma) -> "EsnParams":
         mu = as_vector(mu)

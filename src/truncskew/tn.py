@@ -316,11 +316,8 @@ def _degenerate_point(box: TruncationBox, p: NormalParams, i: int) -> float:
     """Near bound of an out-of-bounds coordinate: the finite bound whose
     marginal log-density is larger."""
     lo, hi = box.lower[i], box.upper[i]
-    if np.isinf(lo):
-        return float(hi)
-    if np.isinf(hi):
-        return float(lo)
-    # densities compare by |standardized distance|
+    # densities compare by |standardized distance|; an infinite bound is
+    # never the nearer one
     return float(lo) if abs(lo - p.mu[i]) < abs(hi - p.mu[i]) else float(hi)
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -21,6 +23,21 @@ def _run_cli(args, stdin_text=None):
         input=stdin_text, capture_output=True, text=True,
     )
     return proc
+
+
+def _run_inprocess(request):
+    """``main(["--input", "-"])`` in this process; returns (exit code,
+    stdout, stderr).  ``request`` is a dict or the raw JSON text."""
+    text = request if isinstance(request, str) else json.dumps(request)
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["--input", "-"])
+    finally:
+        sys.stdin = saved
+    return rc, out.getvalue(), err.getvalue()
 
 
 def _approx_equal(a, b, rel=1e-9, abs_tol=1e-12):
@@ -74,6 +91,22 @@ class TestGolden:
         assert out["corrections_applied"] == ["out-of-bounds coord 1"]
         mean = out["value"]["mean"]
         assert -20.0 <= mean[0] <= -9.0 and -10.0 <= mean[1] <= 10.0
+
+    def test_trivariate_normal_prob_within_error_estimate(self):
+        # dim 3 runs the deterministic trivariate kernel; the reference is
+        # scipy's randomized lattice rule, converged to ~1e-12 on this box
+        from scipy.stats import multivariate_normal
+
+        request = json.loads((DOCS / "prob_trivariate_normal.json").read_text())
+        par, box = request["params"], request["box"]
+        ref = multivariate_normal.cdf(box["upper"], par["mu"], par["sigma"],
+                                      lower_limit=box["lower"], abseps=1e-13,
+                                      releps=0, maxpts=5_000_000, rng=0)
+        rc, out, err = _run_inprocess(request)
+        assert rc == 0, err
+        out = json.loads(out)
+        assert out["method_used"] == "deterministic"
+        assert abs(out["value"] - ref) <= out["abs_error_estimate"]
 
     def test_verify_oracle_within_band(self):
         proc = _run_cli(["--input", str(DOCS / "folded_moment_verify.json")])
@@ -130,6 +163,126 @@ class TestValidation:
         proc = _run_cli(["--input", "-"], stdin_text=json.dumps(req))
         assert proc.returncode == 2
         assert "numerical failure" in proc.stderr
+
+    @pytest.mark.parametrize("task, field, value", [
+        ("pdf", "x", [0.5]),
+        ("cdf", "x", [0.5, 0.1, 0.2]),
+        ("moment", "kappa", [1]),
+        ("folded-moment", "kappa", [1, 0, 0]),
+    ])
+    def test_argument_of_wrong_length(self, task, field, value):
+        req = {"task": task, "family": "normal",
+               "params": {"mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+               field: value}
+        rc, out, err = _run_inprocess(req)
+        assert rc == 1 and out == ""
+        assert "request error" in err
+
+    def test_ragged_sigma(self):
+        req = {"task": "prob", "family": "normal",
+               "params": {"mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0]]}}
+        rc, out, err = _run_inprocess(req)
+        assert rc == 1 and out == ""
+        assert "request error" in err
+
+    @pytest.mark.parametrize("lower, upper", [
+        ("0", "inf"), ("0", "+Infinity"), (" -INF ", "0"), ("-inf", 0),
+    ])
+    def test_bound_spellings(self, lower, upper):
+        req = {"task": "prob", "family": "normal",
+               "params": {"mu": [0.0], "sigma": [[1.0]]},
+               "box": [[lower], [upper]]}
+        rc, out, err = _run_inprocess(req)
+        assert rc == 0, err
+        assert json.loads(out)["value"] == pytest.approx(0.5, abs=1e-15)
+
+    def test_unreadable_bound(self):
+        req = {"task": "prob", "family": "normal",
+               "params": {"mu": [0.0], "sigma": [[1.0]]},
+               "box": [["abc"], [0.0]]}
+        rc, out, err = _run_inprocess(req)
+        assert rc == 1 and "request error" in err
+
+
+# (task, family kind) -> {accepted method: method_used} at p = 2
+_REDUCTION = {"auto": "normal-reduction", "normal-reduction": "normal-reduction"}
+_RECURRENCE = {**_REDUCTION, "recurrence": "recurrence"}
+_FOLDED_MOMENT = {"auto": "orthant-sum", "orthant-sum": "orthant-sum",
+                  "normal-reduction": "normal-reduction"}
+_FOLDED_MEAN_COV = {"auto": "explicit", "explicit": "explicit",
+                    "orthant-sum": "orthant-sum"}
+EXPECTED_METHODS = {
+    ("pdf", "normal"): {"auto": "closed-form"},
+    ("pdf", "skew"): {"auto": "closed-form"},
+    ("cdf", "normal"): _REDUCTION,
+    ("cdf", "skew"): _REDUCTION,
+    ("prob", "normal"): {"auto": "deterministic"},
+    ("prob", "skew"): _REDUCTION,
+    ("moment", "normal"): _RECURRENCE,
+    ("moment", "skew"): _RECURRENCE,
+    ("mean-cov", "normal"): {"auto": "corrected-mgf", "mgf": "mgf"},
+    ("mean-cov", "skew"): _RECURRENCE,
+    ("folded-moment", "normal"): _FOLDED_MOMENT,
+    ("folded-moment", "skew"): _FOLDED_MOMENT,
+    ("folded-mean-cov", "normal"): _FOLDED_MEAN_COV,
+    ("folded-mean-cov", "skew"): _FOLDED_MEAN_COV,
+}
+
+ALL_METHODS = ["auto", "recurrence", "normal-reduction", "mgf", "orthant-sum",
+               "explicit"]
+
+
+def _method_request(task, family, method, p=2):
+    par = {"mu": [0.1, -0.2, 0.3, 0.0][:p],
+           "sigma": [[1.0 if i == j else 0.3 for j in range(p)] for i in range(p)]}
+    if family != "normal":
+        par["lambda"] = [0.6, -0.4, 0.2, 0.1][:p]
+    if family == "esn":
+        par["tau"] = 0.3
+    req = {"task": task, "family": family, "params": par, "method": method,
+           "qmc": {"sample_count": 1024, "replicates": 8}}
+    if task in ("pdf", "cdf"):
+        req["x"] = [0.2] * p
+    if task in ("prob", "moment", "mean-cov"):
+        req["box"] = [[-1.0] + ["-inf"] * (p - 1), [1.5] * p]
+    if task in ("moment", "folded-moment"):
+        req["kappa"] = [1] * p
+    return req
+
+
+class TestMethodTable:
+    @pytest.mark.parametrize("family", ["normal", "sn", "esn"])
+    @pytest.mark.parametrize("task", ["pdf", "cdf", "prob", "moment", "mean-cov",
+                                      "folded-moment", "folded-mean-cov"])
+    def test_accepted_and_rejected_methods(self, task, family):
+        accepted = EXPECTED_METHODS[task, "normal" if family == "normal" else "skew"]
+        for method in ALL_METHODS:
+            rc, out, err = _run_inprocess(_method_request(task, family, method))
+            if method in accepted:
+                assert rc == 0, (method, err)
+                assert json.loads(out)["method_used"] == accepted[method], method
+            else:
+                assert rc == 1 and out == "", method
+                assert f"method {method!r} is not valid for task {task!r}" in err
+
+    def test_schema_lists_every_method(self):
+        from truncskew.cli import REQUEST_SCHEMA
+
+        enum = REQUEST_SCHEMA["properties"]["method"]["enum"]
+        assert sorted(enum) == sorted(ALL_METHODS)
+        rc, _, err = _run_inprocess(_method_request("prob", "normal", "quadrature"))
+        assert rc == 1 and "does not match schema" in err
+
+    @pytest.mark.parametrize("task, family, method, p, label", [
+        ("moment", "sn", "auto", 1, "univariate-recurrence"),
+        ("moment", "sn", "recurrence", 1, "recurrence"),
+        ("prob", "normal", "auto", 3, "deterministic"),
+        ("prob", "normal", "auto", 4, "qmc"),
+    ])
+    def test_dimension_dependent_labels(self, task, family, method, p, label):
+        rc, out, err = _run_inprocess(_method_request(task, family, method, p))
+        assert rc == 0, err
+        assert json.loads(out)["method_used"] == label
 
 
 class TestDeterminism:
