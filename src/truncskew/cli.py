@@ -34,8 +34,6 @@ from .mvn import (
     QmcConfig,
     TruncationBox,
     count_integrals,
-    mvn_pdf,
-    mvn_prob,
 )
 from .oracle import mc_fesn_moment, mc_tesn_moment
 from .tesn import (
@@ -44,7 +42,7 @@ from .tesn import (
     tesn_moment,
     tesn_prob_with_error,
 )
-from .tn import tn_first_two_corrected, tn_first_two_mgf
+from .tn import tn_first_two_mgf
 
 SCHEMA_VERSION = 1
 
@@ -213,23 +211,19 @@ def _execute(req: dict) -> dict:
     if method not in accepted:
         raise RequestError(f"method {method!r} is not valid for task {task!r}")
     method_used = accepted[method]
-    is_normal = family == "normal"
-    npar = NormalParams(params.mu, params.sigma)
     b = box if box is not None else TruncationBox.unbounded(params.dim)
     n_mc = req.get("mc_samples", 1_000_000)
     err = cfg.target_abs_error
     res = oracle = None
 
     if task == "pdf":
-        value = mvn_pdf(arg, npar) if is_normal else esn_pdf(arg, params)
-        err = 0.0
+        value, err = esn_pdf(arg, params), 0.0
     elif task in ("cdf", "prob"):
         if task == "cdf":
             b = TruncationBox(np.full(params.dim, -np.inf), arg)
-        elif is_normal and params.dim > 3:  # past the trivariate kernel
+        elif family == "normal" and params.dim > 3:  # past the trivariate kernel
             method_used = "qmc"
-        value, err = (mvn_prob(b, npar, cfg) if is_normal
-                      else tesn_prob_with_error(b, params, cfg))
+        value, err = tesn_prob_with_error(b, params, cfg)
         if task == "prob" and req.get("verify"):
             oracle = dataclasses.asdict(
                 mc_tesn_moment(b, params, (0,) * params.dim, n_mc, cfg.seed))
@@ -240,12 +234,10 @@ def _execute(req: dict) -> dict:
         if req.get("verify"):
             oracle = dataclasses.asdict(mc_tesn_moment(b, params, arg, n_mc, cfg.seed))
     elif task == "mean-cov":
-        if not is_normal:
-            res = tesn_mean_cov(b, params, cfg, method=method_used)
-        elif method_used == "mgf":
-            res = tn_first_two_mgf(b, npar, cfg)
+        if method == "mgf":
+            res = tn_first_two_mgf(b, NormalParams(params.mu, params.sigma), cfg)
         else:
-            res = tn_first_two_corrected(b, npar, cfg)
+            res = tesn_mean_cov(b, params, cfg, method=method)
         if req.get("verify"):
             oracle = _mean_oracle(b, params, n_mc, cfg.seed)
     elif task == "folded-moment":

@@ -1,8 +1,11 @@
-"""Library-wide numeric tolerances and switch points.
+"""Library-wide numeric tolerances, caps and the shift switch point.
 
 A single mutable instance, :data:`settings`, is consulted by the numeric
-modules.  Tests that need to probe edge behaviour may temporarily override
-fields; production callers normally never touch it.
+modules, and every field is read somewhere as ``settings.<field>``.  The
+switch point is read only by :func:`~truncskew.esn.esn_derive`, which
+decides there whether a law keeps its hidden coordinate.  Tests that need
+to probe edge behaviour may temporarily override fields; production callers
+normally never touch it.
 """
 
 from dataclasses import dataclass
@@ -21,15 +24,9 @@ class Settings:
     # (evaluated in log space) falls below this.
     out_of_bounds_eps: float = 1e-12
 
-    # Below this value of the standardized shift, all extended skew-normal
-    # computations switch to the limiting-normal parameters.
+    # Below this value of the standardized shift, extended skew-normal
+    # computations drop the hidden coordinate for the limiting normal.
     tau_tilde_limit: float = -35.0
-
-    # Rejection sampling is abandoned for the exact conditional construction
-    # below this log selection probability ...
-    sampler_log_xi_floor: float = -30.0
-    # ... or when the expected number of raw draws exceeds this budget.
-    sampler_max_expected_draws: float = 1e8
 
     # Per-coordinate cap on moment order in the recurrences.
     max_moment_order: int = 8

@@ -93,6 +93,12 @@ class EsnDerived:
 
     ``delta = eta * sqrt(1 + lam'lam) * Delta`` holds by construction;
     ``Gamma = sigma - Delta Delta'`` is positive definite whenever sigma is.
+
+    ``hidden`` is the one decision on the hidden coordinate of the
+    hidden-truncation representation: it is kept only when lam != 0 and
+    tau_tilde is at or above ``settings.tau_tilde_limit``.  At lam = 0 it is
+    independent of Y with mass exactly xi, so dropping it is exact; below
+    the switch point dropping it is the limiting-normal approximation.
     """
 
     lam_norm2: float          # 1 + lam' lam
@@ -107,6 +113,7 @@ class EsnDerived:
     Gamma: np.ndarray         # sigma - Delta Delta'
     sigma_sqrt: np.ndarray
     sigma_inv_sqrt: np.ndarray
+    hidden: bool
 
 
 def esn_derive(p: EsnParams) -> EsnDerived:
@@ -136,6 +143,7 @@ def esn_derive(p: EsnParams) -> EsnDerived:
         Gamma=symmetrize(p.sigma - np.outer(Delta, Delta)),
         sigma_sqrt=sigma_sqrt,
         sigma_inv_sqrt=sigma_inv_sqrt,
+        hidden=bool(np.any(p.lam)) and tau_tilde >= settings.tau_tilde_limit,
     )
 
 
@@ -186,12 +194,14 @@ def augment(p: EsnParams, box: TruncationBox | None = None,
 class NormalReduction(NamedTuple):
     """A normal rectangle task that carries an ESN one: the ESN integral of
     ``y^kappa`` over the ESN box is the normal integral of ``lift(kappa)``
-    over ``box`` divided by ``xi``."""
+    over ``box`` divided by ``xi``, up to the approximations named in
+    ``corrections``."""
 
     box: TruncationBox
     params: NormalParams
     hidden: bool              # a hidden last coordinate was appended
     xi: float
+    corrections: tuple[str, ...]
 
     def lift(self, kappa: MultiIndex) -> MultiIndex:
         return kappa + (0,) if self.hidden else kappa
@@ -201,19 +211,24 @@ def reduce_to_normal(box: TruncationBox, p: EsnParams,
                      derived: EsnDerived | None = None) -> NormalReduction:
     """The ESN-to-normal reduction behind every skewed rectangle task.
 
-    Above the shift switch point: the (p+1)-dimensional augmented normal of
-    :func:`augment`, hidden coordinate cut at tau_tilde, and xi =
-    Phi(tau_tilde) >= Phi(-35) ~ 1e-268, a normal double, so the division
-    by xi needs no log channel.  Below it, where xi underflows: the
-    limiting normal N(mu - mu_b, Gamma) on the same box, with xi = 1.
+    With the hidden coordinate (``EsnDerived.hidden``): the
+    (p+1)-dimensional augmented normal of :func:`augment`, hidden coordinate
+    cut at tau_tilde, and xi = Phi(tau_tilde) >= Phi(-35) ~ 1e-268, a
+    normal double, so the division by xi needs no log channel.  Without it,
+    the p-dimensional normal N(mu - mu_b, Gamma) on the same box with
+    xi = 1: at lam = 0 this is N(mu, sigma) itself, exactly, whatever tau
+    is (``corrections`` is empty); below the shift switch point, where xi
+    underflows, it is the limiting normal (``corrections`` is
+    ``("limit-tau",)``).
     """
     d = derived if derived is not None else esn_derive(p)
-    if d.tau_tilde < settings.tau_tilde_limit:
+    if not d.hidden:
         if box.dim != p.dim:
             raise DimensionMismatchError("box and parameter dimensions differ")
-        return NormalReduction(box, esn_limit_params(p, d), False, 1.0)
+        corrections = ("limit-tau",) if np.any(p.lam) else ()
+        return NormalReduction(box, esn_limit_params(p, d), False, 1.0, corrections)
     aug = augment(p, box, derived=d)
-    return NormalReduction(aug.box, aug.params, True, d.xi)
+    return NormalReduction(aug.box, aug.params, True, d.xi, ())
 
 
 # ----------------------------------------------------------------------------
@@ -221,10 +236,13 @@ def reduce_to_normal(box: TruncationBox, p: EsnParams,
 
 
 def esn_logpdf(x, p: EsnParams, derived: EsnDerived | None = None) -> float:
+    """The normal log-density plus the log selection factor.  At lam = 0 the
+    factor's two terms are the same double, so the result is the normal
+    log-density bit for bit."""
     d = derived if derived is not None else esn_derive(p)
     x = as_vector(x, dim=p.dim)
     arg = p.tau + float(p.lam @ (d.sigma_inv_sqrt @ (x - p.mu)))
-    return -d.log_xi + mvn_logpdf(x, NormalParams(p.mu, p.sigma)) + float(log_ndtr(arg))
+    return mvn_logpdf(x, NormalParams(p.mu, p.sigma)) + (float(log_ndtr(arg)) - d.log_xi)
 
 
 def esn_pdf(x, p: EsnParams, derived: EsnDerived | None = None) -> float:
@@ -303,14 +321,16 @@ def esn_mean_cov(p: EsnParams) -> FirstTwoMoments:
     """Closed-form untruncated mean and covariance.
 
     Uses the standardized representation Z = sigma^{-1/2}(Y - mu) whose mean
-    is eta*lam; far below the shift switch point the limiting normal moments
-    are returned instead (the closed form degrades by cancellation there).
+    is eta*lam.  Without a hidden coordinate the moments of the
+    p-dimensional normal of :func:`reduce_to_normal` are returned instead:
+    mu and sigma exactly at lam = 0, the limiting normal's below the shift
+    switch point (the closed form degrades by cancellation there).
     """
     d = esn_derive(p)
-    if d.tau_tilde < settings.tau_tilde_limit:
-        limit = esn_limit_params(p, d)
-        return FirstTwoMoments.from_mean_cov(limit.mu, limit.sigma,
-                                             corrections=("limit-tau",))
+    if not d.hidden:
+        red = reduce_to_normal(TruncationBox.unbounded(p.dim), p, d)
+        return FirstTwoMoments.from_mean_cov(red.params.mu, red.params.sigma,
+                                             corrections=red.corrections)
     mean_z = d.eta * p.lam
     # var of the hidden coordinate truncated above at tau_tilde is
     # 1 - r*(r + tau_tilde) with r the Mills ratio, which propagates to
@@ -337,10 +357,9 @@ def esn_sample(p: EsnParams, n: int, seed: int) -> np.ndarray:
     by the seed).
 
     Uses the hidden-truncation representation: (X1 | X2 < tau_tilde) with
-    (X1, X2) jointly normal.  Rejection is used while the selection
-    probability keeps the expected draw budget reasonable; otherwise X2 is
-    drawn exactly from its truncated law by log-space inverse cdf and X1
-    from the conditional normal.
+    (X1, X2) jointly normal.  Every draw is exact for every xi, with no
+    rejection: X2 comes from its truncated law by log-space inverse cdf and
+    X1 from the normal conditional on it.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -352,24 +371,6 @@ def sample_with_rng(p: EsnParams, n: int, rng: np.random.Generator) -> np.ndarra
     """Draw ``n`` variates advancing the caller's generator (lets several
     chunks share one deterministic stream)."""
     d = esn_derive(p)
-    use_rejection = (
-        d.log_xi >= settings.sampler_log_xi_floor
-        and (n == 0 or n / max(d.xi, 1e-300) <= settings.sampler_max_expected_draws)
-    )
-    if use_rejection:
-        aug = augment(p, derived=d)
-        factor = _psd_factor(aug.omega)
-        out = np.empty((0, p.dim))
-        while out.shape[0] < n:
-            need = n - out.shape[0]
-            batch = max(int(1.5 * need / max(d.xi, 1e-12)) + 16, 256)
-            batch = min(batch, 4_000_000)
-            z = rng.standard_normal((batch, p.dim + 1))
-            x = aug.mu_star + z @ factor.T
-            keep = x[:, p.dim] < d.tau_tilde
-            out = np.vstack([out, x[keep][:, : p.dim]])
-        return out[:n]
-    # exact conditional construction
     x2 = ndtri_exp(d.log_xi + np.log(rng.random(n)))
     z = rng.standard_normal((n, p.dim))
     return p.mu - np.outer(x2, d.Delta) + z @ _psd_factor(d.Gamma).T

@@ -12,7 +12,8 @@ Two interchangeable engines:
 * :func:`tesn_fk_via_normal` -- one truncated-normal moment of
   :func:`~truncskew.esn.reduce_to_normal` divided by its xi: the augmented
   pair (mu*, Omega) with the last coordinate cut at tau_tilde, or the
-  limiting normal below the shift switch point.
+  p-dimensional normal where the reduction drops the hidden coordinate
+  (exactly at lam = 0, as the limiting normal below the shift switch point).
 
 Conditional moments are the ratio F_kappa / F_0; both engines are exposed
 and cross-checked, the normal reduction being the default (fewer and
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import settings
 from .core import PartitionIndex, symmetrize
 from .errors import DegenerateBoxError, DimensionMismatchError
 from .esn import (
@@ -113,13 +113,15 @@ class TesnSession(RecurrenceSession):
     Holds the companion normal session at the limiting parameters
     (mu - mu_b, Gamma), whose values enter every raising step through the
     term ``delta_i * normal.fk(low)``, and lazily built (p-1)-dimensional
-    edge sessions.  Below the shift switch point the session runs the
-    companion's own recurrence instead, so it returns the limiting normal's
-    integrals.  These are not the skewed ones: the hidden coordinate's
-    truncated mean sits a Mills-ratio offset ~1/|tau_tilde| from tau_tilde,
-    which moves the law by about ``Delta / |tau_tilde|`` (3% of |Delta| at
-    the switch point) and widens it along Delta; where Gamma is narrow along
-    Delta, box probabilities and moments can be off by O(1).
+    edge sessions.  Where the law has no hidden coordinate
+    (``EsnDerived.hidden``) the session runs the companion's own recurrence
+    instead.  At lam = 0 the companion is the law itself and every delta_i
+    is 0, so this is exact.  Below the shift switch point it returns the
+    limiting normal's integrals, which are not the skewed ones: the hidden
+    coordinate's truncated mean sits a Mills-ratio offset ~1/|tau_tilde|
+    from tau_tilde, which moves the law by about ``Delta / |tau_tilde|`` (3%
+    of |Delta| at the switch point) and widens it along Delta; where Gamma
+    is narrow along Delta, box probabilities and moments can be off by O(1).
     """
 
     def __init__(self, box: TruncationBox, params: EsnParams,
@@ -127,15 +129,14 @@ class TesnSession(RecurrenceSession):
         super().__init__(box, params, cfg)
         self.derived = esn_derive(params)
         self.normal = TnSession(box, esn_limit_params(params, self.derived), cfg)
-        self.at_limit = self.derived.tau_tilde < settings.tau_tilde_limit
-        if self.at_limit:
+        if not self.derived.hidden:
             self.loc, self.scale = self.normal.params.mu, self.normal.params.sigma
 
     def _prob(self) -> float:
         return tesn_prob(self.box, self.params, self.cfg, derived=self.derived)
 
     def _edge_at(self, j: int, t: float):
-        if self.at_limit:
+        if not self.derived.hidden:
             return self.normal._edge_at(j, t)
         ec = edge_conditional(self.params, j, self.derived)
         child = None
@@ -145,7 +146,7 @@ class TesnSession(RecurrenceSession):
         return ec.edge_density(t), child
 
     def _companion(self, i: int, low: MultiIndex) -> float:
-        if self.at_limit:
+        if not self.derived.hidden:
             return 0.0
         return self.derived.delta[i] * self.normal.fk(low)
 
@@ -282,12 +283,16 @@ def tesn_mean_cov(box: TruncationBox, p: EsnParams,
                   cfg: QmcConfig = DEFAULT_QMC, method: str = "auto") -> FirstTwoMoments:
     """Mean, raw second moment and covariance of the box-truncated law.
 
-    Default route: augment to a (p+1)-dimensional truncated normal and use
-    the corrected MGF path, then drop the augmented coordinate.  All extreme
-    cases (zero-mass boxes, infinite shifts) are therefore handled by the
-    truncated-normal corrections; ``corrections`` on the result records what
-    fired.  ``method='recurrence'`` uses the direct skewed-integral
-    assembly instead (no corrections; raises on degenerate boxes).
+    Default route: the corrected MGF path on the normal of
+    :func:`reduce_to_normal`, then drop the hidden coordinate if it has
+    one.  All extreme cases (zero-mass boxes, infinite shifts) are therefore
+    handled by the truncated-normal corrections; ``corrections`` on the
+    result records what fired, after the reduction's own approximation.
+    ``method='recurrence'`` uses the direct skewed-integral assembly instead
+    (no corrections; raises on degenerate boxes) wherever the reduction is
+    exact: with the hidden coordinate, and at lam = 0, where it runs the
+    normal recurrence.  Below the shift switch point it takes the default
+    route.
     """
     if box.dim != p.dim:
         raise DimensionMismatchError("box and parameter dimensions differ")
@@ -296,12 +301,12 @@ def tesn_mean_cov(box: TruncationBox, p: EsnParams,
     if method not in ("recurrence", "normal-reduction"):
         raise ValueError(f"unknown method {method!r}")
     red = reduce_to_normal(box, p)
-    if red.hidden and method == "recurrence":
+    if method == "recurrence" and not red.corrections:
         return _mean_cov_direct(box, p, cfg)
     full = tn_first_two_corrected(red.box, red.params, cfg)
     if not red.hidden:
         return FirstTwoMoments(mean=full.mean, raw2=full.raw2, cov=full.cov,
-                               corrections=("limit-tau",) + full.corrections)
+                               corrections=red.corrections + full.corrections)
     n = p.dim
     # the augmented coordinate is internal: pinning it is the deep-shift limit
     notes = tuple(

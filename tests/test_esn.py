@@ -71,6 +71,18 @@ class TestPdf:
             x = rng.normal(size=2)
             assert esn_pdf(x, pr) == pytest.approx(mvn_pdf(x, norm), rel=1e-12)
 
+    def test_lambda_zero_is_the_normal_bitwise(self, rng):
+        # at lam = 0 the selection factor's two log terms are the same double
+        differ = 0
+        for _ in range(200):
+            p = int(rng.integers(1, 5))
+            tau = float(rng.normal() * 3.0) if rng.random() < 0.5 else 0.0
+            pr = EsnParams(mu=rng.normal(size=p), sigma=random_spd(rng, p),
+                           lam=np.zeros(p), tau=tau)
+            x = pr.mu + 2.0 * rng.normal(size=p)
+            differ += esn_pdf(x, pr) != mvn_pdf(x, NormalParams(pr.mu, pr.sigma))
+        assert differ == 0
+
     def test_skew_normal_at_center(self, rng):
         pr = EsnParams(mu=[0.4, -0.2], sigma=random_spd(rng, 2),
                        lam=[1.0, -2.0], tau=0.0)

@@ -10,6 +10,7 @@ from truncskew import (
     TesnSession,
     TnSession,
     TruncationBox,
+    count_integrals,
     edge_conditional,
     esn_derive,
     esn_limit_params,
@@ -145,6 +146,31 @@ class TestNormalReduction:
         box, pr = random_instance_with_mass(rng, 2)
         v = tesn_fk_via_normal(box, pr, (0, 0), cfg=FAST_QMC)
         assert v == pytest.approx(tesn_prob(box, pr, FAST_QMC), abs=1e-12)
+
+    @pytest.mark.parametrize("tau", [0.0, -3.0, -40.0])
+    def test_lambda_zero_drops_the_hidden_coordinate(self, rng, tau):
+        # at lam = 0 the hidden coordinate is independent of Y with mass xi,
+        # so dropping it is exact on either side of the switch point
+        pr = EsnParams(mu=rng.normal(size=3), sigma=random_spd(rng, 3),
+                       lam=np.zeros(3), tau=tau)
+        box = TruncationBox(pr.mu - 1.0, pr.mu + 2.0)
+        red = reduce_to_normal(box, pr)
+        assert red.hidden is False
+        assert red.xi == 1.0
+        assert red.corrections == ()
+        assert red.box is box
+        assert red.params.mu.tobytes() == pr.mu.tobytes()
+        assert red.params.sigma.tobytes() == pr.sigma.tobytes()
+
+    def test_normal_moment_stays_p_dimensional(self, rng):
+        pr = EsnParams.normal(rng.normal(size=3) * 0.5, random_spd(rng, 3))
+        sd = np.sqrt(np.diag(pr.sigma))
+        box = TruncationBox(pr.mu - sd, pr.mu + 1.5 * sd)
+        with count_integrals() as counter:
+            value = tesn_moment(box, pr, (1, 1, 1), FAST_QMC)
+        assert max(counter.by_dim) == 3
+        session = TnSession(box, NormalParams(pr.mu, pr.sigma), FAST_QMC)
+        assert value == pytest.approx(session.fk((1, 1, 1)) / session.prob(), abs=1e-12)
 
 
 class TestMoment:
