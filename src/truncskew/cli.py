@@ -28,21 +28,9 @@ from .errors import TruncskewError
 from .esn import EsnParams, esn_pdf
 from .folded import fesn_mean_cov, fesn_mean_cov_orthant, fesn_moment
 from .moments import FirstTwoMoments, as_multi_index
-from .mvn import (
-    DEFAULT_QMC,
-    NormalParams,
-    QmcConfig,
-    TruncationBox,
-    count_integrals,
-)
+from .mvn import DEFAULT_QMC, QmcConfig, TruncationBox, count_integrals
 from .oracle import mc_fesn_moment, mc_tesn_moment
-from .tesn import (
-    _mean_cov_nr_uncorrected,
-    tesn_mean_cov,
-    tesn_moment,
-    tesn_prob_with_error,
-)
-from .tn import tn_first_two_mgf
+from .tesn import tesn_mean_cov, tesn_moment, tesn_prob_with_error
 
 SCHEMA_VERSION = 1
 
@@ -234,10 +222,7 @@ def _execute(req: dict) -> dict:
         if req.get("verify"):
             oracle = dataclasses.asdict(mc_tesn_moment(b, params, arg, n_mc, cfg.seed))
     elif task == "mean-cov":
-        if method == "mgf":
-            res = tn_first_two_mgf(b, NormalParams(params.mu, params.sigma), cfg)
-        else:
-            res = tesn_mean_cov(b, params, cfg, method=method)
+        res = tesn_mean_cov(b, params, cfg, method=method)
         if req.get("verify"):
             oracle = _mean_oracle(b, params, n_mc, cfg.seed)
     elif task == "folded-moment":
@@ -294,6 +279,8 @@ def run_benchmark(dims, repetitions: int = 3, seed: int = 20240101,
 
     Prints CSV ``p,method,integral_count,median_ms``; integral counts are
     exact kernel-call counts, times are medians over ``repetitions`` runs.
+    The ``normal-reduction`` row runs ``method="mgf"``, the reduction
+    without extreme-case screening, to isolate the method's own count.
     """
     if any(p > 10 for p in dims):
         raise RequestError("benchmark dimensions are capped at 10")
@@ -303,7 +290,7 @@ def run_benchmark(dims, repetitions: int = 3, seed: int = 20240101,
         cfg = QmcConfig(sample_count=2048, replicates=8, seed=seed)
         runners = {
             "recurrence": lambda: tesn_mean_cov(box, params, cfg, method="recurrence"),
-            "normal-reduction": lambda: _mean_cov_nr_uncorrected(box, params, cfg),
+            "normal-reduction": lambda: tesn_mean_cov(box, params, cfg, method="mgf"),
         }
         for method, runner in runners.items():
             times = []

@@ -195,7 +195,8 @@ class NormalReduction(NamedTuple):
     """A normal rectangle task that carries an ESN one: the ESN integral of
     ``y^kappa`` over the ESN box is the normal integral of ``lift(kappa)``
     over ``box`` divided by ``xi``, up to the approximations named in
-    ``corrections``."""
+    ``corrections``.  :meth:`prob` is the one round trip of a box
+    probability; moments map back by keeping the first p coordinates."""
 
     box: TruncationBox
     params: NormalParams
@@ -205,6 +206,12 @@ class NormalReduction(NamedTuple):
 
     def lift(self, kappa: MultiIndex) -> MultiIndex:
         return kappa + (0,) if self.hidden else kappa
+
+    def prob(self, cfg: QmcConfig = DEFAULT_QMC) -> tuple[float, float]:
+        """The ESN box probability, capped at 1, and its absolute error
+        estimate: the normal rectangle and its estimate divided by xi."""
+        prob, err = mvn_prob(self.box, self.params, cfg)
+        return min(1.0, prob / self.xi), err / self.xi
 
 
 def reduce_to_normal(box: TruncationBox, p: EsnParams,
@@ -251,11 +258,10 @@ def esn_pdf(x, p: EsnParams, derived: EsnDerived | None = None) -> float:
 
 def esn_cdf(y, p: EsnParams, cfg: QmcConfig = DEFAULT_QMC,
             derived: EsnDerived | None = None) -> float:
-    """P(Y <= y): the rectangle probability over (-inf, y], i.e. one normal
-    rectangle of :func:`reduce_to_normal` divided by its xi."""
+    """P(Y <= y): the rectangle probability over (-inf, y], i.e.
+    :meth:`NormalReduction.prob` of that box's reduction."""
     y = as_vector(y, dim=p.dim)
-    red = reduce_to_normal(TruncationBox(np.full(p.dim, -np.inf), y), p, derived)
-    return min(1.0, mvn_prob(red.box, red.params, cfg)[0] / red.xi)
+    return reduce_to_normal(TruncationBox(np.full(p.dim, -np.inf), y), p, derived).prob(cfg)[0]
 
 
 # ----------------------------------------------------------------------------

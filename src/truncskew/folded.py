@@ -38,6 +38,7 @@ from .esn import (
     esn_limit_params,
     esn_logpdf,
     esn_marginal,
+    esn_mean_cov,
     reduce_to_normal,
 )
 from .moments import FirstTwoMoments, as_multi_index
@@ -358,17 +359,18 @@ def _abs_cross_moment(pair: EsnParams, cfg: QmcConfig) -> float:
 def fesn_mean_cov(p: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> FirstTwoMoments:
     """Mean and covariance of |X| without a 2^p sum.
 
-    Diagonal entries come from the univariate marginal folds; each
-    off-diagonal entry from the collapsed bivariate formula applied to the
-    corresponding marginal pair.
+    The means come from the univariate marginal folds.  The diagonal raw
+    second moments need no fold, since |X_i|^2 = X_i^2: they are those of
+    the unfolded law (:func:`esn_mean_cov`).  Each off-diagonal entry comes
+    from the collapsed bivariate formula applied to the corresponding
+    marginal pair.
     """
     n = p.dim
     mean = np.zeros(n)
-    raw2 = np.zeros((n, n))
+    raw2 = np.diag(np.diag(esn_mean_cov(p).raw2))
     for i in range(n):
         marg = esn_marginal(p, PartitionIndex.dropping(n, [k for k in range(n) if k != i]))
         mean[i] = fesn_moment(marg, (1,), cfg=cfg)
-        raw2[i, i] = fesn_moment(marg, (2,), cfg=cfg)
     for i in range(n):
         for j in range(i + 1, n):
             keep = PartitionIndex.dropping(n, [k for k in range(n) if k not in (i, j)])

@@ -17,7 +17,9 @@ Two interchangeable engines:
 
 Conditional moments are the ratio F_kappa / F_0; both engines are exposed
 and cross-checked, the normal reduction being the default (fewer and
-simpler integrals).
+simpler integrals).  :func:`tesn_mean_cov` gives one route per method, each
+running the engine it names in every regime; its two MGF routes map back
+from the reduction's normal in one place (:func:`_from_normal`).
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ from .errors import DegenerateBoxError, DimensionMismatchError
 from .esn import (
     EsnDerived,
     EsnParams,
-    augment,
+    NormalReduction,
     esn_conditional,
     esn_derive,
     esn_limit_params,
@@ -38,7 +40,7 @@ from .esn import (
     reduce_to_normal,
 )
 from .moments import FirstTwoMoments, MultiIndex, as_multi_index
-from .mvn import DEFAULT_QMC, QmcConfig, TruncationBox, mvn_prob
+from .mvn import DEFAULT_QMC, QmcConfig, TruncationBox
 from .tn import (
     RecurrenceSession,
     TnSession,
@@ -94,11 +96,8 @@ def tesn_prob_with_error(box: TruncationBox, p: EsnParams,
                          cfg: QmcConfig = DEFAULT_QMC,
                          derived: EsnDerived | None = None) -> tuple[float, float]:
     """Rectangle probability of the extended skew-normal law and an absolute
-    error estimate: the normal rectangle of :func:`reduce_to_normal` divided
-    by its xi."""
-    red = reduce_to_normal(box, p, derived)
-    prob, err = mvn_prob(red.box, red.params, cfg)
-    return min(1.0, prob / red.xi), err / red.xi
+    error estimate: :meth:`NormalReduction.prob` of the box's reduction."""
+    return reduce_to_normal(box, p, derived).prob(cfg)
 
 
 def tesn_prob(box: TruncationBox, p: EsnParams, cfg: QmcConfig = DEFAULT_QMC,
@@ -232,87 +231,70 @@ def tesn_moments(box: TruncationBox, p: EsnParams, kappas,
 # first two moments
 
 
-def _mean_cov_direct(box: TruncationBox, p: EsnParams,
-                     cfg: QmcConfig) -> FirstTwoMoments:
-    """First two moments assembled from the recurrence quantities: the
-    probability, the companion normal rectangle, the edge vector (the
-    d-vector at order zero), the companion normal's unnormalized first
-    moments, and the d-vectors at the unit indices."""
+def _mean_cov_direct(box: TruncationBox, p: EsnParams, cfg: QmcConfig,
+                     corrections: tuple[str, ...]) -> FirstTwoMoments:
+    """First two moments assembled from the recurrence quantities around the
+    session's own loc and scale: the probability, the edge vector (the
+    d-vector at order zero) and the d-vectors at the unit indices.  With a
+    hidden coordinate the companion normal enters too, weighted by delta:
+    its rectangle and its unnormalized first moments.  Without one (lam = 0,
+    or the limiting normal below the shift switch point) the session runs
+    the normal recurrence and there is no companion term."""
     session = TesnSession(box, p, cfg)
-    d = session.derived
     LL = session.prob()
     if LL <= 0.0 or not np.isfinite(LL) or LL < 1e-280:
         raise DegenerateBoxError("box probability is numerically zero")
-    L_w = session.normal.prob()
-    zero = (0,) * p.dim
-    q = session.dvec(zero)
-    mean = p.mu + (L_w * d.delta + p.sigma @ q) / LL
-    w_first = _tn_first_moments(box, session.normal.params, cfg)
-    cols = []
-    for m in range(p.dim):
-        e_m = tuple(1 if k == m else 0 for k in range(p.dim))
-        cols.append(session.dvec(e_m))
-    D = np.column_stack(cols)
-    raw2 = np.outer(p.mu, mean) + (np.outer(d.delta, w_first) + p.sigma @ D) / LL
-    raw2 = symmetrize(raw2)
+    w_mean = w_raw2 = 0.0
+    if session.derived.hidden:
+        delta = session.derived.delta
+        w_mean = session.normal.prob() * delta
+        w_raw2 = np.outer(delta, _tn_first_moments(box, session.normal.params, cfg))
+    mean = session.loc + (w_mean + session.scale @ session.dvec((0,) * p.dim)) / LL
+    units = [tuple(int(k == m) for k in range(p.dim)) for m in range(p.dim)]
+    D = np.column_stack([session.dvec(e_m) for e_m in units])
+    raw2 = symmetrize(np.outer(session.loc, mean) + (w_raw2 + session.scale @ D) / LL)
     mean = np.clip(mean, box.lower, box.upper)
     cov = symmetrize(raw2 - np.outer(mean, mean))
-    return FirstTwoMoments(mean=mean, raw2=raw2, cov=cov)
+    return FirstTwoMoments(mean=mean, raw2=raw2, cov=cov, corrections=corrections)
 
 
-def _drop_hidden(full: FirstTwoMoments, box: TruncationBox,
-                 corrections: tuple[str, ...] = ()) -> FirstTwoMoments:
-    """Moments of the ESN coordinates from those of the augmented normal:
-    the hidden last coordinate dropped, the mean clipped into the box."""
-    n = box.dim
-    mean = np.clip(full.mean[:n], box.lower, box.upper)
-    raw2 = full.raw2[:n, :n]
-    return FirstTwoMoments(mean=mean, raw2=raw2, cov=raw2 - np.outer(mean, mean),
-                           corrections=corrections)
-
-
-def _mean_cov_nr_uncorrected(box: TruncationBox, p: EsnParams,
-                             cfg: QmcConfig) -> FirstTwoMoments:
-    """Normal reduction straight into the MGF formulas, no extreme-case
-    screening.  Benchmark-only: isolates the method's own integral count."""
-    aug = augment(p, box)
-    return _drop_hidden(tn_first_two_mgf(aug.box, aug.params, cfg), box)
+def _from_normal(red: NormalReduction, full: FirstTwoMoments) -> FirstTwoMoments:
+    """Moments of the ESN law from those of its reduction's normal: the
+    first p coordinates, after the reduction's own corrections.  Pinning
+    the hidden coordinate is the deep-shift limit, so it is reported as
+    such."""
+    n = red.box.dim - red.hidden
+    hidden_pins = (f"out-of-bounds coord {n + 1}", f"jointly-degenerate, pinned coord {n + 1}")
+    notes = tuple("limit-tau (augmented coordinate pinned)" if c in hidden_pins else c
+                  for c in full.corrections)
+    return FirstTwoMoments(mean=full.mean[:n], raw2=full.raw2[:n, :n], cov=full.cov[:n, :n],
+                           corrections=red.corrections + notes)
 
 
 def tesn_mean_cov(box: TruncationBox, p: EsnParams,
                   cfg: QmcConfig = DEFAULT_QMC, method: str = "auto") -> FirstTwoMoments:
     """Mean, raw second moment and covariance of the box-truncated law.
 
-    Default route: the corrected MGF path on the normal of
-    :func:`reduce_to_normal`, then drop the hidden coordinate if it has
-    one.  All extreme cases (zero-mass boxes, infinite shifts) are therefore
-    handled by the truncated-normal corrections; ``corrections`` on the
-    result records what fired, after the reduction's own approximation.
-    ``method='recurrence'`` uses the direct skewed-integral assembly instead
-    (no corrections; raises on degenerate boxes) wherever the reduction is
-    exact: with the hidden coordinate, and at lam = 0, where it runs the
-    normal recurrence.  Below the shift switch point it takes the default
-    route.
+    Each method runs the engine it names in every regime; ``corrections``
+    records the reduction's approximation (``limit-tau`` below the shift
+    switch point), then what the engine's own extreme-case handling did.
+
+    * ``'normal-reduction'`` (and ``'auto'``): the corrected MGF path on the
+      normal of :func:`reduce_to_normal`, which handles zero-mass boxes and
+      infinite limits; ``'mgf'``: the plain MGF formulas on that normal,
+      raising :class:`DegenerateBoxError` where its mass is not resolved.
+      Both keep the normal's first p coordinates (:func:`_from_normal`).
+    * ``'recurrence'``: the direct skewed-integral assembly, on the normal
+      recurrence where the law has no hidden coordinate (exactly at lam = 0,
+      the limiting normal below the switch point); no corrections of its
+      own, raises on degenerate boxes.
     """
-    if box.dim != p.dim:
-        raise DimensionMismatchError("box and parameter dimensions differ")
     if method == "auto":
         method = "normal-reduction"
-    if method not in ("recurrence", "normal-reduction"):
+    if method not in ("recurrence", "normal-reduction", "mgf"):
         raise ValueError(f"unknown method {method!r}")
     red = reduce_to_normal(box, p)
-    if method == "recurrence" and not red.corrections:
-        return _mean_cov_direct(box, p, cfg)
-    full = tn_first_two_corrected(red.box, red.params, cfg)
-    if not red.hidden:
-        return FirstTwoMoments(mean=full.mean, raw2=full.raw2, cov=full.cov,
-                               corrections=red.corrections + full.corrections)
-    n = p.dim
-    # the augmented coordinate is internal: pinning it is the deep-shift limit
-    notes = tuple(
-        "limit-tau (augmented coordinate pinned)"
-        if c in (f"out-of-bounds coord {n + 1}",
-                 f"jointly-degenerate, pinned coord {n + 1}") else c
-        for c in full.corrections
-    )
-    return _drop_hidden(full, box, notes)
+    if method == "recurrence":
+        return _mean_cov_direct(box, p, cfg, red.corrections)
+    engine = tn_first_two_corrected if method == "normal-reduction" else tn_first_two_mgf
+    return _from_normal(red, engine(red.box, red.params, cfg))

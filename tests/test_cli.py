@@ -11,7 +11,7 @@ import pytest
 
 from truncskew import EsnParams
 from truncskew.cli import main, run_benchmark
-from truncskew.esn import esn_pdf
+from truncskew.esn import esn_limit_params, esn_pdf
 from truncskew.oracle import quad_oracle_2d
 
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "examples"
@@ -283,6 +283,26 @@ class TestMethodTable:
         rc, out, err = _run_inprocess(_method_request(task, family, method, p))
         assert rc == 0, err
         assert json.loads(out)["method_used"] == label
+
+
+class TestMeanCovRoute:
+    def test_recurrence_below_switch_point_runs_the_recurrence(self):
+        # tau_tilde = -40; the box is 9-10 sd above the limiting law's mean
+        lam, sigma = 1.5, 2.0
+        params = EsnParams(mu=[0.3], sigma=[[sigma]], lam=[lam],
+                           tau=-40.0 * math.sqrt(1.0 + lam * lam))
+        lim = esn_limit_params(params)
+        loc, sd = float(lim.mu[0]), math.sqrt(lim.sigma[0, 0])
+        req = {"task": "mean-cov", "family": "esn", "method": "recurrence",
+               "params": {"mu": [0.3], "sigma": [[sigma]], "lambda": [lam],
+                          "tau": params.tau},
+               "box": [[loc + 9.0 * sd], [loc + 10.0 * sd]]}
+        rc, out, err = _run_inprocess(req)
+        assert rc == 0, err
+        response = json.loads(out)
+        assert response["method_used"] == "recurrence"
+        assert response["corrections_applied"] == ["limit-tau"]
+        assert response["value"]["cov"]["data"][0][0] > 0.0
 
 
 class TestDeterminism:

@@ -21,8 +21,10 @@ from truncskew import (
     mvn_prob,
     quad_oracle_1d,
     quad_oracle_2d,
+    reduce_to_normal,
     tesn_mean_cov,
     tesn_prob,
+    tesn_prob_with_error,
 )
 
 from conftest import FAST_QMC, random_esn_params, random_spd
@@ -347,3 +349,21 @@ class TestTinyNormalizer:
         y = esn_limit_params(pr).mu + 0.3
         box = TruncationBox(np.full(2, -np.inf), y)
         assert esn_cdf(y, pr, FAST_QMC) == tesn_prob(box, pr, FAST_QMC)
+
+
+class TestProbRoundTrip:
+    """Every box probability goes through ``NormalReduction.prob``."""
+
+    @pytest.mark.parametrize("tau_tilde, lam", [
+        (0.4, [0.9, -0.6]), (-20.0, [0.9, -0.6]), (-40.0, [0.9, -0.6]), (-3.0, [0.0, 0.0]),
+    ])
+    def test_cdf_is_the_prob_of_the_lower_orthant(self, tau_tilde, lam):
+        lam = np.array(lam)
+        pr = EsnParams(mu=[0.3, -0.2], sigma=[[1.2, 0.5], [0.5, 0.8]], lam=lam,
+                       tau=tau_tilde * math.sqrt(1.0 + lam @ lam))
+        y = esn_mean_cov(pr).mean + np.array([0.4, -0.3])
+        box = TruncationBox(np.full(2, -np.inf), y)
+        via_box = tesn_prob_with_error(box, pr, FAST_QMC)
+        assert esn_cdf(y, pr, FAST_QMC) == via_box[0]
+        assert reduce_to_normal(box, pr).prob(FAST_QMC) == via_box
+        assert 0.0 < via_box[0] < 1.0

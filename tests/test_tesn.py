@@ -19,6 +19,7 @@ from truncskew import (
     esn_sample,
     mvn_prob,
     quad_oracle_1d,
+    quad_oracle_2d,
     reduce_to_normal,
     tesn_fk,
     tesn_fk_univariate,
@@ -28,6 +29,7 @@ from truncskew import (
     tesn_prob,
     tesn_prob_with_error,
     tn_first_two_corrected,
+    tn_first_two_mgf,
     tn_fk,
 )
 
@@ -338,3 +340,113 @@ class TestEdgeConditional:
                 child = ec.child_params(pr, x[j], d)
                 prod = ec.edge_density(x[j]) * esn_pdf(np.delete(x, j), child)
                 assert prod == pytest.approx(joint, rel=1e-12)
+
+
+def _limit_regime_law(mu, sigma, lam, tau_tilde=-40.0) -> EsnParams:
+    lam = np.asarray(lam, dtype=float)
+    return EsnParams(mu=mu, sigma=sigma, lam=lam,
+                     tau=tau_tilde * math.sqrt(1.0 + lam @ lam))
+
+
+class TestMeanCovRoutes:
+    """Each mean/cov method runs the engine it names in every regime."""
+
+    def test_recurrence_below_switch_point_p1(self):
+        # a box 9-10 sd above the limiting law's mean: the corrected MGF path
+        # would pin the coordinate at its bound with variance 0
+        from scipy.stats import truncnorm
+
+        pr = _limit_regime_law([0.3], [[2.0]], [1.5])
+        lim = esn_limit_params(pr)
+        loc, sd = lim.mu[0], math.sqrt(lim.sigma[0, 0])
+        box = TruncationBox([loc + 9.0 * sd], [loc + 10.0 * sd])
+        m = tesn_mean_cov(box, pr, method="recurrence")
+        ref = truncnorm(9.0, 10.0, loc=loc, scale=sd)
+        assert m.corrections == ("limit-tau",)
+        assert abs(m.mean[0] - ref.mean()) <= 1e-9
+        assert abs(m.cov[0, 0] - ref.var()) <= 1e-9
+
+    def test_recurrence_below_switch_point_p2_out_of_bounds(self):
+        pr = _limit_regime_law([0.2, -0.1], [[1.5, 0.4], [0.4, 1.0]], [1.0, -0.7])
+        lim = esn_limit_params(pr)
+        sd = np.sqrt(np.diag(lim.sigma))
+        lo = lim.mu + np.array([9.0, -3.0]) * sd
+        hi = lim.mu + np.array([10.0, 6.0]) * sd
+        m = tesn_mean_cov(TruncationBox(lo, hi), pr, method="recurrence")
+        assert m.corrections == ("limit-tau",)
+        # the limiting normal's density, rescaled to order one on the box
+        prec = np.linalg.inv(lim.sigma)
+        near = np.array([lo[0], lim.mu[1] + lim.sigma[0, 1] / lim.sigma[0, 0] * 9.0 * sd[0]])
+
+        def log_dens(x):
+            return -0.5 * (x - lim.mu) @ prec @ (x - lim.mu)
+
+        shift, mid = log_dens(near), 0.5 * (lo + hi)
+
+        def integral(g):
+            # moments of u = x - mid, v = y - mid[1], which stay of order one
+            return quad_oracle_2d(
+                lambda u, v: g(u, v) * math.exp(log_dens(mid + [u, v]) - shift),
+                lo[0] - mid[0], hi[0] - mid[0], lo[1] - mid[1], hi[1] - mid[1],
+                tol=1e-12)
+
+        mass = integral(lambda u, v: 1.0)
+        first = np.array([integral(lambda u, v: u), integral(lambda u, v: v)]) / mass
+        second = np.array([[integral(lambda u, v: u * u), integral(lambda u, v: u * v)],
+                           [0.0, integral(lambda u, v: v * v)]]) / mass
+        second[1, 0] = second[0, 1]
+        np.testing.assert_allclose(m.mean, mid + first, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(m.cov, second - np.outer(first, first), rtol=0, atol=1e-9)
+
+    def test_recurrence_below_switch_point_p2_healthy(self):
+        pr = _limit_regime_law([0.2, -0.1], [[1.5, 0.4], [0.4, 1.0]], [1.0, -0.7])
+        lim = esn_limit_params(pr)
+        sd = np.sqrt(np.diag(lim.sigma))
+        box = TruncationBox(lim.mu - 0.8 * sd, lim.mu + 1.1 * sd)
+        m = tesn_mean_cov(box, pr, method="recurrence")
+        ref = tn_first_two_mgf(box, lim)
+        assert m.corrections == ("limit-tau",)
+        np.testing.assert_allclose(m.mean, ref.mean, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(m.cov, ref.cov, rtol=0, atol=1e-10)
+
+    def test_mgf_on_a_normal_is_tn_first_two_mgf(self, rng):
+        pr = EsnParams.normal(rng.normal(size=3) * 0.5, random_spd(rng, 3))
+        sd = np.sqrt(np.diag(pr.sigma))
+        box = TruncationBox(pr.mu - sd, pr.mu + 1.5 * sd)
+        m = tesn_mean_cov(box, pr, FAST_QMC, method="mgf")
+        ref = tn_first_two_mgf(box, NormalParams(pr.mu, pr.sigma), FAST_QMC)
+        for field in ("mean", "raw2", "cov"):
+            assert getattr(m, field).tobytes() == getattr(ref, field).tobytes()
+        assert m.corrections == ()
+        far = TruncationBox(pr.mu + 40.0 * sd, pr.mu + 41.0 * sd)
+        with pytest.raises(DegenerateBoxError):
+            tesn_mean_cov(far, pr, FAST_QMC, method="mgf")
+
+    def test_recurrence_at_lambda_zero_skips_the_companion(self, rng):
+        pr = EsnParams(mu=rng.normal(size=3) * 0.5, sigma=random_spd(rng, 3),
+                       lam=np.zeros(3), tau=0.7)
+        sd = np.sqrt(np.diag(pr.sigma))
+        box = TruncationBox(pr.mu - sd, pr.mu + 1.5 * sd)
+        with count_integrals() as counter:
+            m = tesn_mean_cov(box, pr, FAST_QMC, method="recurrence")
+        assert counter.by_dim[3] == 1
+        assert counter.total == 31
+        ref = tn_first_two_corrected(box, NormalParams(pr.mu, pr.sigma), FAST_QMC)
+        np.testing.assert_allclose(m.mean, ref.mean, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(m.cov, ref.cov, rtol=0, atol=1e-9)
+
+    def test_pinned_hidden_coordinate_is_the_deep_shift_limit(self):
+        # at tau_tilde = -20 the hidden coordinate's interval has mass
+        # Phi(-20) ~ 3e-89, so the corrected path pins it at its bound
+        pr = _limit_regime_law([0.2, -0.1], [[1.5, 0.4], [0.4, 1.0]], [1.0, -0.7],
+                               tau_tilde=-20.0)
+        closed = esn_mean_cov(pr)
+        sd = np.sqrt(np.diag(closed.cov))
+        box = TruncationBox(closed.mean - 2.0 * sd, closed.mean + 1.5 * sd)
+        m = tesn_mean_cov(box, pr, FAST_QMC)
+        red = reduce_to_normal(box, pr)
+        full = tn_first_two_corrected(red.box, red.params, FAST_QMC)
+        assert m.corrections == ("limit-tau (augmented coordinate pinned)",)
+        assert m.mean.tobytes() == full.mean[:2].tobytes()
+        assert m.raw2.tobytes() == np.ascontiguousarray(full.raw2[:2, :2]).tobytes()
+        assert m.cov.tobytes() == np.ascontiguousarray(full.cov[:2, :2]).tobytes()
