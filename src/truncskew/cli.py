@@ -8,7 +8,9 @@ method-comparison harness and emits CSV instead.
 
 ``_METHODS`` lists, per task, the request methods it accepts and the
 ``method_used`` each reports; the schema's ``method`` enum is built from it,
-and any other method is a request error.
+and any other method is a request error.  Requests are checked against the
+published ``REQUEST_SCHEMA`` by a small built-in interpreter of the JSON
+Schema keywords it uses (``_SCHEMA_KEYWORDS``).
 
 Exit codes: 0 success, 1 request validation error, 2 numerical failure.
 """
@@ -16,12 +18,12 @@ Exit codes: 0 success, 1 request validation error, 2 numerical failure.
 import argparse
 import dataclasses
 import json
+import math
 import statistics
 import sys
 import time
 
 import numpy as np
-import jsonschema
 
 from .core import as_vector
 from .errors import TruncskewError
@@ -139,6 +141,89 @@ REQUEST_SCHEMA = {
 }
 
 
+# the JSON Schema keywords _schema_error interprets: REQUEST_SCHEMA uses no
+# others ("$schema" is an annotation)
+_SCHEMA_KEYWORDS = frozenset({
+    "$schema", "type", "enum", "const", "required", "properties",
+    "additionalProperties", "items", "minItems", "maxItems", "minimum",
+    "exclusiveMinimum", "anyOf", "not", "allOf", "if", "then",
+})
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# JSON types of decoded values: a boolean is not a number, and 1.0 is an integer
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+
+def _json_equal(a, b) -> bool:
+    """Equality of JSON values: a boolean equals only a boolean, 1 == 1.0."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_json_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_json_equal(a[k], b[k]) for k in a)
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _schema_error(value, schema) -> str | None:
+    """Why ``value`` does not match ``schema``, or None if it does."""
+    if schema is True:
+        return None
+    if schema is False:
+        return f"{value!r} is not allowed"
+    if "type" in schema and not _JSON_TYPES[schema["type"]](value):
+        return f"{value!r} is not of type {schema['type']!r}"
+    if "const" in schema and not _json_equal(value, schema["const"]):
+        return f"{schema['const']!r} was expected"
+    if "enum" in schema and not any(_json_equal(value, v) for v in schema["enum"]):
+        return f"{value!r} is not one of {schema['enum']!r}"
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                return f"{key!r} is a required property"
+        props, extra = schema.get("properties", {}), schema.get("additionalProperties", True)
+        for key, item in value.items():
+            if key not in props and extra is False:
+                return f"additional property {key!r} is not allowed"
+            err = _schema_error(item, props.get(key, extra))
+            if err is not None:
+                return err
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return f"{value!r} has fewer than {schema['minItems']} items"
+        if len(value) > schema.get("maxItems", math.inf):
+            return f"{value!r} has more than {schema['maxItems']} items"
+        for item in value:
+            err = _schema_error(item, schema.get("items", True))
+            if err is not None:
+                return err
+    if _is_number(value):
+        if "minimum" in schema and value < schema["minimum"]:
+            return f"{value!r} is less than the minimum of {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return f"{value!r} is not above {schema['exclusiveMinimum']!r}"
+    if "anyOf" in schema and all(_schema_error(value, s) is not None for s in schema["anyOf"]):
+        return f"{value!r} is not valid under any of the given schemas"
+    if "not" in schema and _schema_error(value, schema["not"]) is None:
+        return f"{value!r} must not match {schema['not']!r}"
+    for sub in schema.get("allOf", ()):
+        err = _schema_error(value, sub)
+        if err is not None:
+            return err
+    if "if" in schema and _schema_error(value, schema["if"]) is None:
+        return _schema_error(value, schema.get("then", True))
+    return None
+
+
 class RequestError(ValueError):
     """Invalid request (exit code 1)."""
 
@@ -146,10 +231,9 @@ class RequestError(ValueError):
 def _parse_request(req: dict):
     """Validated parameters, box (or None), QMC settings and the task's
     point or multi-index (or None)."""
-    try:
-        jsonschema.validate(req, REQUEST_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise RequestError(f"request does not match schema: {exc.message}") from exc
+    err = _schema_error(req, REQUEST_SCHEMA)
+    if err is not None:
+        raise RequestError(f"request does not match schema: {err}")
     field = _ARGUMENT.get(req["task"])
     if field is not None and field not in req:
         raise RequestError(f"task {req['task']!r} requires field {field!r}")

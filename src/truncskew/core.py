@@ -23,7 +23,7 @@ __all__ = [
     "as_sym_matrix",
     "symmetrize",
     "sym_sqrt",
-    "sym_inv_sqrt",
+    "sym_roots",
     "delete_index",
     "delete_row_col",
     "row_without",
@@ -137,6 +137,18 @@ def row_without(S, i: int, j: int) -> np.ndarray:
     return np.delete(arr[i, :], j)
 
 
+def _psd_eigh(S) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a symmetric matrix;
+    raises :class:`NotPSDError` if it is indefinite beyond the PSD
+    tolerance."""
+    S = as_sym_matrix(S)
+    w, V = np.linalg.eigh(S)
+    wmax = max(float(w[-1]), 0.0)
+    if float(w[0]) < -settings.psd_rel_tol * max(wmax, 1e-300):
+        raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} (max {wmax:.3e})")
+    return w, V
+
+
 def sym_sqrt(S) -> np.ndarray:
     """Unique symmetric PSD square root, by eigendecomposition.
 
@@ -144,22 +156,18 @@ def sym_sqrt(S) -> np.ndarray:
     nearly singular scale matrices remain usable; a genuinely indefinite
     input raises :class:`NotPSDError`.
     """
-    S = as_sym_matrix(S)
-    w, V = np.linalg.eigh(S)
-    wmax = max(float(w[-1]), 0.0)
-    if float(w[0]) < -settings.psd_rel_tol * max(wmax, 1e-300):
-        raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} (max {wmax:.3e})")
-    w = np.clip(w, 0.0, None)
-    return symmetrize((V * np.sqrt(w)) @ V.T)
+    w, V = _psd_eigh(S)
+    return symmetrize((V * np.sqrt(np.clip(w, 0.0, None))) @ V.T)
 
 
-def sym_inv_sqrt(S) -> np.ndarray:
-    """Symmetric inverse square root of a positive definite matrix."""
-    S = as_sym_matrix(S)
-    w, V = np.linalg.eigh(S)
+def sym_roots(S) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sym_sqrt` and the symmetric inverse square root of a positive
+    definite matrix, both from one eigendecomposition."""
+    w, V = _psd_eigh(S)
     if float(w[0]) <= 0.0:
         raise NotPSDError("matrix is not positive definite")
-    return symmetrize((V / np.sqrt(w)) @ V.T)
+    root = np.sqrt(w)
+    return symmetrize((V * root) @ V.T), symmetrize((V / root) @ V.T)
 
 
 def conditional_normal(mu, S, given: PartitionIndex, value) -> tuple[np.ndarray, np.ndarray]:

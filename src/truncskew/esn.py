@@ -18,14 +18,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri_exp
 
 from .config import settings
 from .core import (
     PartitionIndex,
     as_sym_matrix,
     as_vector,
-    sym_inv_sqrt,
+    sym_roots,
     sym_sqrt,
     symmetrize,
 )
@@ -36,6 +35,7 @@ from .mvn import (
     NormalParams,
     QmcConfig,
     TruncationBox,
+    log_std_cdf,
     mvn_logpdf,
     mvn_prob,
 )
@@ -121,13 +121,12 @@ def esn_derive(p: EsnParams) -> EsnDerived:
     far-left-tail regime stays finite."""
     lam_norm2 = 1.0 + float(p.lam @ p.lam)
     tau_tilde = p.tau / math.sqrt(lam_norm2)
-    log_xi = float(log_ndtr(tau_tilde))
+    log_xi = log_std_cdf(tau_tilde)
     xi = math.exp(log_xi)
     # eta = phi(tau; 0, lam_norm2) / xi, formed in log space
     log_phi_tau = -0.5 * (math.log(2.0 * math.pi * lam_norm2) + p.tau * p.tau / lam_norm2)
     eta = math.exp(log_phi_tau - log_xi)
-    sigma_sqrt = sym_sqrt(p.sigma)
-    sigma_inv_sqrt = sym_inv_sqrt(p.sigma)
+    sigma_sqrt, sigma_inv_sqrt = sym_roots(p.sigma)
     root_lam = sigma_sqrt @ p.lam
     Delta = root_lam / math.sqrt(lam_norm2)
     return EsnDerived(
@@ -249,7 +248,7 @@ def esn_logpdf(x, p: EsnParams, derived: EsnDerived | None = None) -> float:
     d = derived if derived is not None else esn_derive(p)
     x = as_vector(x, dim=p.dim)
     arg = p.tau + float(p.lam @ (d.sigma_inv_sqrt @ (x - p.mu)))
-    return mvn_logpdf(x, NormalParams(p.mu, p.sigma)) + (float(log_ndtr(arg)) - d.log_xi)
+    return mvn_logpdf(x, NormalParams(p.mu, p.sigma)) + (log_std_cdf(arg) - d.log_xi)
 
 
 def esn_pdf(x, p: EsnParams, derived: EsnDerived | None = None) -> float:
@@ -376,6 +375,8 @@ def esn_sample(p: EsnParams, n: int, seed: int) -> np.ndarray:
 def sample_with_rng(p: EsnParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` variates advancing the caller's generator (lets several
     chunks share one deterministic stream)."""
+    from scipy.special import ndtri_exp
+
     d = esn_derive(p)
     x2 = ndtri_exp(d.log_xi + np.log(rng.random(n)))
     z = rng.standard_normal((n, p.dim))

@@ -14,8 +14,12 @@ integrated by a randomized rank-1 lattice rule.  The lattice comes from fast
 component-by-component construction with a fixed tie rule, so its generating
 vector is a pure function of (dimension, number of points), whatever the FFT
 library's rounding.  Identical :class:`QmcConfig` (including seed) gives
-bit-identical results.  Neither ``scipy.integrate`` nor ``scipy.fft`` is
-imported: only ``scipy.special``.
+bit-identical results.
+
+The module imports numpy only.  The normal cdf and its logarithm run on
+``math.erf`` / ``math.erfc`` (:func:`std_cdf`, :func:`log_std_cdf`); the
+lattice kernel imports ``scipy.special``'s array ufuncs ``ndtr`` and
+``ndtri`` on its first call, since it spends its time in them.
 """
 
 import heapq
@@ -27,7 +31,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.fft import fft, ifft
-from scipy.special import log_ndtr, ndtr, ndtri
 
 from .core import as_sym_matrix, as_vector, symmetrize
 from .errors import (
@@ -59,6 +62,7 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT1_2 = math.sqrt(0.5)
 
 # Correlations within this distance of +-1 are taken as exactly +-1.
 _RHO_ONE = 1e-15
@@ -202,13 +206,39 @@ def norm_pdf(x: float, mean: float, var: float) -> float:
 
 
 def std_cdf(x: float) -> float:
-    """Standard normal cdf Phi, with Phi(-inf)=0 and Phi(+inf)=1."""
-    return float(ndtr(x))
+    """Standard normal cdf Phi, with Phi(-inf)=0 and Phi(+inf)=1.
+
+    Cephes' ``ndtr``: ``erf`` near 0, and ``erfc`` of ``|x| / sqrt(2)``
+    elsewhere, reflected for ``x > 0``, so the left tail keeps its relative
+    precision down to underflow."""
+    t = x * _SQRT1_2
+    if -_SQRT1_2 < t < _SQRT1_2:
+        return 0.5 + 0.5 * math.erf(t)
+    if t > 0.0:
+        return 1.0 - 0.5 * math.erfc(t)
+    return 0.5 * math.erfc(-t)  # also NaN
 
 
 def log_std_cdf(x: float) -> float:
-    """log Phi(x), finite far into the left tail (~ -x^2/2 - log|x|...)."""
-    return float(log_ndtr(x))
+    """log Phi(x), finite far into the left tail (~ -x^2/2 - log|x|...).
+
+    ``log1p(-Phi(-x))`` above x = -1, ``log`` of the ``erfc`` form down to
+    x = -20, and below that the asymptotic series of the Mills ratio,
+    ``log phi(x) - log|x| + log(1 - 1/x^2 + 3/x^4 - ...)``, summed until a
+    term no longer moves it (cephes' ``log_ndtr``)."""
+    if not x <= -1.0:  # also NaN
+        return math.log1p(-0.5 * math.erfc(x * _SQRT1_2))
+    if x > -20.0:
+        return math.log(0.5 * math.erfc(-x * _SQRT1_2))
+    inv_x2 = 1.0 / (x * x)
+    total, term, i = 1.0, 1.0, 0
+    while True:
+        i += 1
+        term *= -(2 * i - 1) * inv_x2
+        if total + term == total:
+            break
+        total += term
+    return -0.5 * x * x - math.log(-x) - 0.5 * _LOG_2PI + math.log(total)
 
 
 def _interval_log_prob(lo: float, hi: float) -> float:
@@ -218,10 +248,10 @@ def _interval_log_prob(lo: float, hi: float) -> float:
     # work on the side where the cdf is small: P(lo<X<hi) = P(-hi<X<-lo)
     if lo + hi > 0.0:
         lo, hi = -hi, -lo
-    la, lb = log_ndtr(lo), log_ndtr(hi)
+    la, lb = log_std_cdf(lo), log_std_cdf(hi)
     if la == -np.inf:
-        return float(lb)
-    return float(lb + math.log1p(-math.exp(la - lb)))
+        return lb
+    return lb + math.log1p(-math.exp(la - lb))
 
 
 # ----------------------------------------------------------------------------
@@ -484,13 +514,10 @@ def _tvn_cdf(h, R: np.ndarray) -> tuple[float, float]:
             # hz om - (b - a r23) hx - (r23 - a b) hy, and its variance
             num = hz * om - gx * c - hy * r23 + gy * cc
             var = om * (s23 - gq * cc)
-            if var.min() > 0.0:
-                return dens * ndtr(num / np.sqrt(var))
             # Phi(num / sqrt(var)), and the step at 0 where the variance vanishes
-            pos = var > 0.0
-            cdf = (num >= 0.0).astype(float)
-            cdf[pos] = ndtr(num[pos] / np.sqrt(var[pos]))
-            return dens * cdf
+            cdf = [std_cdf(n / math.sqrt(v)) if v > 0.0 else float(n >= 0.0)
+                   for n, v in zip(num.tolist(), var.tolist())]
+            return dens * np.array(cdf)
 
         val, err = _angle_quad(integrand, rxy)
         return sign * val, err
@@ -664,6 +691,8 @@ def _reordered_cholesky(R: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
 def _qmc_prob(R: np.ndarray, lo: np.ndarray, hi: np.ndarray, cfg: QmcConfig):
     """Randomized lattice integration of the reordered SOV integrand."""
+    from scipy.special import ndtr, ndtri
+
     L, lo, hi = _reordered_cholesky(R, lo, hi)
     n = R.shape[0]
     if L[0, 0] > 0:

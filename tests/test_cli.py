@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import copy
 import io
 import json
 import math
@@ -391,3 +393,117 @@ class TestBenchmark:
         m_nr = tesn_mean_cov(box, params, FAST_QMC, method="normal-reduction")
         np.testing.assert_allclose(m_rec.mean, m_nr.mean, rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(m_rec.cov, m_nr.cov, rtol=1e-6, atol=1e-8)
+
+
+def _literal_requests():
+    """Every request written out as a dict literal in this file."""
+    tree = ast.parse(Path(__file__).read_text())
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict) and any(
+                isinstance(k, ast.Constant) and k.value == "task" for k in node.keys):
+            try:
+                out.append(ast.literal_eval(node))
+            except ValueError:  # built from variables
+                pass
+    return out
+
+
+_DROP = object()
+
+
+def _mutations(req):
+    """Copies of ``req`` that each change one thing."""
+    def edit(path, value):
+        new = copy.deepcopy(req)
+        *parents, last = path
+        node = new
+        for key in parents:
+            node = node.setdefault(key, {})
+        if value is _DROP:
+            del node[last]
+        else:
+            node[last] = value
+        return new
+
+    out = [edit((key,), _DROP) for key in req]
+    out += [edit((key, sub), _DROP) for key in ("params", "box", "qmc")
+            if isinstance(req.get(key), dict) for sub in req[key]]
+    out += [edit(("schema_version",), v) for v in (True, 1.0, 2, 1, "1")]
+    out += [edit(("kappa",), v) for v in ([1.0, 2], [True, 1], [-1, 0], [1, 0])]
+    out += [edit(("mc_samples",), v) for v in (999, 1000, 1000.0, True)]
+    out += [edit(("qmc", "target_abs_error"), v) for v in (0, 1e-9, False)]
+    out += [edit(("qmc", "sample_count"), v) for v in (1, 2.0, 4096.5)]
+    out += [edit(("qmc", "replicates"), v) for v in (7, True)]
+    out += [edit(("box",), [[0.0], [1.0], [2.0]]),
+            edit(("box",), {"lower": [0.0], "upper": ["inf"], "middle": [0.5]}),
+            edit(("box",), [[None], [1.0]]),
+            edit(("params", "lambda"), [0.5] * len(req["params"]["mu"])),
+            edit(("params", "tau"), 0.5),
+            edit(("params", "mu"), []),
+            edit(("params", "sigma"), [[True]]),
+            edit(("verify",), 1),
+            edit(("unknown",), 1)]
+    return out
+
+
+class TestBuiltInValidator:
+    """The CLI's schema interpreter makes jsonschema's accept/reject
+    decision on the published ``REQUEST_SCHEMA``."""
+
+    def corpus(self):
+        bases = [json.loads(p.read_text()) for p in sorted(DOCS.glob("*.json"))
+                 if not p.name.endswith(".expected.json")]
+        bases += _literal_requests()
+        bases += [_method_request(task, family, "auto")
+                  for task in sorted({t for t, _ in EXPECTED_METHODS})
+                  for family in ("normal", "sn", "esn")]
+        assert len(bases) > 30
+        return [req for base in bases for req in [base, *_mutations(base)]]
+
+    def test_same_decision_as_jsonschema(self):
+        import jsonschema
+
+        from truncskew.cli import REQUEST_SCHEMA, _schema_error
+
+        validator = jsonschema.Draft202012Validator(REQUEST_SCHEMA)
+        corpus = self.corpus()
+        decisions = [(validator.is_valid(req), _schema_error(req, REQUEST_SCHEMA) is None)
+                     for req in corpus]
+        disagree = [req for req, (a, b) in zip(corpus, decisions) if a != b]
+        assert not disagree, disagree[:3]
+        accepted = sum(a for a, _ in decisions)
+        assert 100 < accepted < len(corpus) - 500
+
+    def test_schema_uses_only_interpreted_keywords(self):
+        from truncskew.cli import REQUEST_SCHEMA, _SCHEMA_KEYWORDS
+
+        def keywords(schema):
+            if isinstance(schema, bool):
+                return set()
+            found = set(schema)
+            for key, value in schema.items():
+                if key == "properties":
+                    subs = value.values()
+                elif key in ("anyOf", "allOf"):
+                    subs = value
+                elif key in ("items", "not", "if", "then", "additionalProperties"):
+                    subs = [value]
+                else:
+                    subs = []
+                for sub in subs:
+                    found |= keywords(sub)
+            return found
+
+        used = keywords(REQUEST_SCHEMA)
+        assert used <= _SCHEMA_KEYWORDS, used - _SCHEMA_KEYWORDS
+
+    @pytest.mark.parametrize("field, value", [
+        ("schema_version", True), ("schema_version", 2), ("mc_samples", 999),
+        ("kappa", [True, 1]), ("unknown", 1),
+    ])
+    def test_rejection_message_and_exit_code(self, field, value):
+        req = {**_method_request("moment", "sn", "auto"), field: value}
+        rc, out, err = _run_inprocess(req)
+        assert rc == 1 and out == ""
+        assert "request error: request does not match schema:" in err

@@ -14,6 +14,7 @@ from truncskew import (
     sym_sqrt,
 )
 from truncskew.config import settings
+from truncskew.core import sym_roots, symmetrize
 
 from conftest import random_spd
 
@@ -61,6 +62,28 @@ class TestSymSqrt:
             assert root[1, 1] == 0.0
         finally:
             settings.psd_rel_tol = old
+
+
+class TestSymRoots:
+    """Both roots from one eigendecomposition, bit for bit what the root and
+    the inverse root computed from separate ones were."""
+
+    def test_bitwise_the_separate_roots(self, rng):
+        for p in (1, 2, 3, 5, 8):
+            s = random_spd(rng, p)
+            root, inv_root = sym_roots(s)
+            w, V = np.linalg.eigh(s)
+            np.testing.assert_array_equal(root, sym_sqrt(s))
+            np.testing.assert_array_equal(inv_root, symmetrize((V / np.sqrt(w)) @ V.T))
+
+    def test_indefinite_rejected_first(self):
+        with pytest.raises(NotPSDError, match="eigenvalue"):
+            sym_roots(np.diag([1.0, -0.5]))
+
+    def test_singular_rejected(self):
+        # PSD within tolerance passes the square root, not the inverse root
+        with pytest.raises(NotPSDError, match="not positive definite"):
+            sym_roots(np.diag([1.0, 0.0]))
 
 
 class TestIndexCalculus:

@@ -1,6 +1,9 @@
-"""Importing the package or its command line loads neither ``scipy.integrate``
-nor ``scipy.fft``: the kernels run their own quadrature rule and numpy's FFT,
-and only the quadrature oracles import ``scipy.integrate``, when called."""
+"""Importing the package or its command line loads numpy only: no module of
+``scipy`` and no ``jsonschema``.  The scalar normal cdfs run on ``math.erf``
+/ ``math.erfc``, the kernels on their own quadrature rule and numpy's FFT,
+and requests are checked by the CLI's own schema interpreter.  Three callers
+import from scipy when first called: the lattice kernel (dim >= 4) and the
+sampler load ``scipy.special``, the quadrature oracles ``scipy.integrate``."""
 
 import json
 import os
@@ -31,3 +34,45 @@ def test_import_loads_no_integrate_or_fft(module):
     # the oracle imports scipy.integrate on its first call and still works
     assert out["integrate_after"]
     assert out["value"] == pytest.approx(2.718281828459045 - 1.0, abs=1e-12)
+
+
+_FIRST_CALL = """
+import json, sys
+import {module}
+loaded = sorted(m for m in sys.modules if m.startswith(("scipy", "jsonschema")))
+import numpy as np
+import truncskew as ts
+{call}
+print(json.dumps({{"loaded": loaded, "value": np.ravel(value).tolist(),
+                  "special_after": "scipy.special" in sys.modules}}))
+"""
+
+_MVN_PROB_DIM4 = """
+box = ts.TruncationBox([-1.0, -0.5, -2.0, -np.inf], [1.0, 1.5, 0.5, 1.0])
+value = ts.mvn_prob(box, ts.NormalParams(np.zeros(4), 0.5 * np.eye(4) + 0.5))
+"""
+
+_ESN_SAMPLE = """
+par = ts.EsnParams(mu=[0.1, -0.2], sigma=[[1.0, 0.3], [0.3, 1.5]],
+                   lam=[0.8, -0.5], tau=-0.3)
+value = ts.esn_sample(par, 3, 7)
+"""
+
+
+@pytest.mark.parametrize("call, expected", [
+    # the values returned when scipy.special was imported with the package
+    (_MVN_PROB_DIM4, [0.2641912666165027, 2.2314659368523805e-08]),
+    (_ESN_SAMPLE, [0.5410582016255587, 1.5223702927692306, -0.3309867254750388,
+                   -1.9601519088241945, 0.771572759137834, -0.16255420757599437]),
+], ids=["mvn_prob-dim4", "esn_sample"])
+@pytest.mark.parametrize("module", ["truncskew", "truncskew.cli"])
+def test_import_is_numpy_only_until_special_is_needed(module, call, expected):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FIRST_CALL.format(module=module, call=call)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["loaded"] == []
+    assert out["special_after"]
+    assert out["value"] == pytest.approx(expected, rel=1e-12, abs=0.0)

@@ -62,6 +62,35 @@ class TestScalarNormal:
         assert std_pdf(np.inf) == 0.0
 
 
+class TestInHouseCdfs:
+    """``std_cdf`` and ``log_std_cdf`` run on ``math.erf`` / ``math.erfc``;
+    scipy's ``ndtr`` and ``log_ndtr`` are the reference."""
+
+    GRID = np.concatenate([
+        np.linspace(-40.0, 40.0, 8001),
+        -np.logspace(0.0, 6.0, 601),
+        np.logspace(0.0, 2.0, 201),
+    ])
+
+    @pytest.mark.parametrize("name, reference", [
+        ("std_cdf", "ndtr"), ("log_std_cdf", "log_ndtr"),
+    ])
+    def test_matches_scipy_where_normal(self, name, reference):
+        import scipy.special
+
+        ref = getattr(scipy.special, reference)(self.GRID)
+        got = np.array([getattr(mvn, name)(float(x)) for x in self.GRID])
+        normal = np.abs(ref) >= np.finfo(float).tiny
+        assert normal.sum() > 8000
+        rel = np.abs(got[normal] - ref[normal]) / np.abs(ref[normal])
+        assert rel.max() <= 1e-13, self.GRID[normal][np.argmax(rel)]
+
+    def test_infinities_exact_and_nan_passes(self):
+        assert std_cdf(-np.inf) == 0.0 and std_cdf(np.inf) == 1.0
+        assert log_std_cdf(-np.inf) == -np.inf and log_std_cdf(np.inf) == 0.0
+        assert math.isnan(std_cdf(np.nan)) and math.isnan(log_std_cdf(np.nan))
+
+
 class TestMvnPdf:
     def test_standard_univariate(self):
         p = NormalParams([0.0], [[1.0]])
