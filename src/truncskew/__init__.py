@@ -10,9 +10,6 @@ from .config import settings
 from .core import (
     PartitionIndex,
     conditional_normal,
-    delete_index,
-    delete_row_col,
-    row_without,
     sym_sqrt,
 )
 from .errors import (
@@ -27,10 +24,8 @@ from .errors import (
     SingularBlockError,
     SingularMatrixError,
     TruncskewError,
-    UnderflowError,
 )
 from .esn import (
-    AugmentedNormal,
     EsnDerived,
     EsnParams,
     NormalReduction,
@@ -77,7 +72,6 @@ from .mvn import (
 )
 from .oracle import McEstimate, mc_fesn_moment, mc_tesn_moment, quad_oracle_1d, quad_oracle_2d
 from .tesn import (
-    EdgeConditional,
     TesnSession,
     edge_conditional,
     tesn_fk,

@@ -24,9 +24,6 @@ __all__ = [
     "symmetrize",
     "sym_sqrt",
     "sym_roots",
-    "delete_index",
-    "delete_row_col",
-    "row_without",
     "conditional_normal",
 ]
 
@@ -43,12 +40,15 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def as_sym_matrix(S, dim: int | None = None, *, tol: float = 1e-8) -> np.ndarray:
+_SYMMETRY_TOL = 1e-8
+
+
+def as_sym_matrix(S, dim: int | None = None) -> np.ndarray:
     """Coerce to a float symmetric 2-d array (scalars become 1x1).
 
     Raises if the input is not square or departs from symmetry by more
-    than ``tol`` relative to its largest entry; small asymmetries are
-    averaged away so downstream code sees exact symmetry.
+    than ``_SYMMETRY_TOL`` relative to its largest entry (at least 1); small
+    asymmetries are averaged away so downstream code sees exact symmetry.
     """
     arr = np.asarray(S, dtype=float)
     if arr.ndim == 0:
@@ -60,7 +60,7 @@ def as_sym_matrix(S, dim: int | None = None, *, tol: float = 1e-8) -> np.ndarray
     if arr.size == 0:
         return arr
     scale = max(1.0, float(np.max(np.abs(arr))))
-    if np.max(np.abs(arr - arr.T)) > tol * scale:
+    if np.max(np.abs(arr - arr.T)) > _SYMMETRY_TOL * scale:
         raise DimensionMismatchError("matrix is not symmetric")
     return symmetrize(arr)
 
@@ -106,35 +106,6 @@ class PartitionIndex:
                 raise IndexOutOfRangeError(f"index {i} out of range for dim {dim}")
         kept = tuple(i for i in range(dim) if i not in removed)
         return cls(kept=kept, removed=removed)
-
-
-def _check_index(i: int, dim: int) -> int:
-    i = int(i)
-    if not 0 <= i < dim:
-        raise IndexOutOfRangeError(f"index {i} out of range for dim {dim}")
-    return i
-
-
-def delete_index(v, i: int) -> np.ndarray:
-    """Vector with entry ``i`` removed."""
-    arr = as_vector(v)
-    return np.delete(arr, _check_index(i, arr.shape[0]))
-
-
-def delete_row_col(S, i: int, j: int) -> np.ndarray:
-    """Matrix with row ``i`` and column ``j`` removed."""
-    arr = np.asarray(S, dtype=float)
-    i = _check_index(i, arr.shape[0])
-    j = _check_index(j, arr.shape[1])
-    return np.delete(np.delete(arr, i, axis=0), j, axis=1)
-
-
-def row_without(S, i: int, j: int) -> np.ndarray:
-    """Row ``i`` of the matrix with its ``j``-th entry removed."""
-    arr = np.asarray(S, dtype=float)
-    i = _check_index(i, arr.shape[0])
-    j = _check_index(j, arr.shape[1])
-    return np.delete(arr[i, :], j)
 
 
 def _psd_eigh(S) -> tuple[np.ndarray, np.ndarray]:

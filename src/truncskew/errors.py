@@ -36,10 +36,6 @@ class DegenerateBoxError(TruncskewError, ArithmeticError):
     requested operation has no corrected fallback."""
 
 
-class UnderflowError(TruncskewError, ArithmeticError):
-    """A normalizing constant fell below the log-space floor."""
-
-
 class RejectionTooHighError(TruncskewError, ArithmeticError):
     """Monte Carlo rejection sampling cannot reach the target region."""
 

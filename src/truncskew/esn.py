@@ -4,6 +4,10 @@ Density, cdf, derived constants, marginal / conditional parameter maps,
 closed-form untruncated moments, the limiting normal parameters for large
 negative shift, and seeded sampling.
 
+Every skewed rectangle task is carried by one normal task, the
+:class:`NormalReduction` of :func:`reduce_to_normal`: :func:`augment` where
+the law keeps its hidden coordinate, N(mu - mu_b, Gamma) where it does not.
+
 The density is the normal density times a shifted normal-cdf factor,
 
     f(y) = xi^{-1} phi_p(y; mu, Sigma) Phi(tau + lam' Sigma^{-1/2} (y - mu)),
@@ -43,7 +47,6 @@ from .mvn import (
 __all__ = [
     "EsnParams",
     "EsnDerived",
-    "AugmentedNormal",
     "NormalReduction",
     "esn_derive",
     "esn_pdf",
@@ -146,50 +149,6 @@ def esn_derive(p: EsnParams) -> EsnDerived:
     )
 
 
-@dataclass(frozen=True)
-class AugmentedNormal:
-    """The (p+1)-dimensional normal carrying an ESN quantity.
-
-    ``omega`` is the block matrix [[sigma, -Delta], [-Delta', 1]]; the last
-    coordinate is integrated over (-inf, tau_tilde] and never appears in the
-    moment index.
-    """
-
-    mu_star: np.ndarray
-    omega: np.ndarray
-    a_star: np.ndarray
-    b_star: np.ndarray
-
-    @property
-    def params(self) -> NormalParams:
-        return NormalParams(mu=self.mu_star, sigma=self.omega)
-
-    @property
-    def box(self) -> TruncationBox:
-        return TruncationBox(lower=self.a_star, upper=self.b_star)
-
-
-def augment(p: EsnParams, box: TruncationBox | None = None,
-            derived: EsnDerived | None = None) -> AugmentedNormal:
-    """Build the normal-reduction representation of an ESN rectangle task."""
-    d = derived if derived is not None else esn_derive(p)
-    if box is None:
-        box = TruncationBox.unbounded(p.dim)
-    if box.dim != p.dim:
-        raise DimensionMismatchError("box and parameter dimensions differ")
-    omega = np.empty((p.dim + 1, p.dim + 1))
-    omega[: p.dim, : p.dim] = p.sigma
-    omega[: p.dim, p.dim] = -d.Delta
-    omega[p.dim, : p.dim] = -d.Delta
-    omega[p.dim, p.dim] = 1.0
-    return AugmentedNormal(
-        mu_star=np.append(p.mu, 0.0),
-        omega=symmetrize(omega),
-        a_star=np.append(box.lower, -np.inf),
-        b_star=np.append(box.upper, d.tau_tilde),
-    )
-
-
 class NormalReduction(NamedTuple):
     """A normal rectangle task that carries an ESN one: the ESN integral of
     ``y^kappa`` over the ESN box is the normal integral of ``lift(kappa)``
@@ -213,28 +172,44 @@ class NormalReduction(NamedTuple):
         return min(1.0, prob / self.xi), err / self.xi
 
 
+def augment(p: EsnParams, box: TruncationBox | None = None,
+            derived: EsnDerived | None = None) -> NormalReduction:
+    """The reduction that keeps the hidden coordinate: the normal with
+    location (mu, 0) and scale [[sigma, -Delta], [-Delta', 1]] on the box
+    (the whole space by default) times (-inf, tau_tilde] in the last
+    coordinate, which no moment index raises, and xi = Phi(tau_tilde)."""
+    d = derived if derived is not None else esn_derive(p)
+    if box is None:
+        box = TruncationBox.unbounded(p.dim)
+    if box.dim != p.dim:
+        raise DimensionMismatchError("box and parameter dimensions differ")
+    omega = np.empty((p.dim + 1, p.dim + 1))
+    omega[:-1, :-1] = p.sigma
+    omega[:-1, -1] = omega[-1, :-1] = -d.Delta
+    omega[-1, -1] = 1.0
+    params = NormalParams(np.append(p.mu, 0.0), omega)
+    box = TruncationBox(np.append(box.lower, -np.inf), np.append(box.upper, d.tau_tilde))
+    return NormalReduction(box, params, True, d.xi, ())
+
+
 def reduce_to_normal(box: TruncationBox, p: EsnParams,
                      derived: EsnDerived | None = None) -> NormalReduction:
     """The ESN-to-normal reduction behind every skewed rectangle task.
 
-    With the hidden coordinate (``EsnDerived.hidden``): the
-    (p+1)-dimensional augmented normal of :func:`augment`, hidden coordinate
-    cut at tau_tilde, and xi = Phi(tau_tilde) >= Phi(-35) ~ 1e-268, a
-    normal double, so the division by xi needs no log channel.  Without it,
-    the p-dimensional normal N(mu - mu_b, Gamma) on the same box with
-    xi = 1: at lam = 0 this is N(mu, sigma) itself, exactly, whatever tau
-    is (``corrections`` is empty); below the shift switch point, where xi
-    underflows, it is the limiting normal (``corrections`` is
+    With the hidden coordinate (``EsnDerived.hidden``) it is :func:`augment`,
+    whose xi >= Phi(-35) ~ 1e-268 is a normal double.  Without it, the
+    p-dimensional normal N(mu - mu_b, Gamma) on the same box with xi = 1:
+    N(mu, sigma) exactly at lam = 0, whatever tau is; the limiting normal
+    below the shift switch point, where xi underflows (``corrections`` is
     ``("limit-tau",)``).
     """
     d = derived if derived is not None else esn_derive(p)
-    if not d.hidden:
-        if box.dim != p.dim:
-            raise DimensionMismatchError("box and parameter dimensions differ")
-        corrections = ("limit-tau",) if np.any(p.lam) else ()
-        return NormalReduction(box, esn_limit_params(p, d), False, 1.0, corrections)
-    aug = augment(p, box, derived=d)
-    return NormalReduction(aug.box, aug.params, True, d.xi, ())
+    if d.hidden:
+        return augment(p, box, d)
+    if box.dim != p.dim:
+        raise DimensionMismatchError("box and parameter dimensions differ")
+    corrections = ("limit-tau",) if np.any(p.lam) else ()
+    return NormalReduction(box, esn_limit_params(p, d), False, 1.0, corrections)
 
 
 # ----------------------------------------------------------------------------

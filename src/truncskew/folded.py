@@ -295,10 +295,8 @@ def folded_cross_work(pair: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> FoldedCr
     m = pair.mu - d.mu_b
     g_ii, g_ij, g_jj = d.Gamma[0, 0], d.Gamma[0, 1], d.Gamma[1, 1]
 
-    ec_i = edge_conditional(pair, 0, d)
-    ec_j = edge_conditional(pair, 1, d)
-    cond_given_i = ec_i.child_params(pair, 0.0, d)
-    cond_given_j = ec_j.child_params(pair, 0.0, d)
+    dens_i, cond_given_i = edge_conditional(pair, 0, 0.0, d)
+    dens_j, cond_given_j = edge_conditional(pair, 1, 0.0, d)
 
     flip_i = flip_params(pair, SignPattern((-1, 1)))
     flip_j = flip_params(pair, SignPattern((1, -1)))
@@ -309,8 +307,8 @@ def folded_cross_work(pair: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> FoldedCr
         pair=pair,
         m=m,
         gamma=d.Gamma,
-        dens_i=ec_i.edge_density(0.0),
-        dens_j=ec_j.edge_density(0.0),
+        dens_i=dens_i,
+        dens_j=dens_j,
         cond_given_i=cond_given_i,
         cond_given_j=cond_given_j,
         cdf_ji=esn_cdf([0.0], cond_given_i, cfg),

@@ -8,7 +8,7 @@ from .config import settings
 from .core import as_sym_matrix, as_vector, symmetrize
 from .errors import DimensionMismatchError, DimensionTooLargeError
 
-__all__ = ["MultiIndex", "as_multi_index", "index_order", "FirstTwoMoments"]
+__all__ = ["MultiIndex", "as_multi_index", "FirstTwoMoments"]
 
 # A product-moment multi-index kappa is a tuple of nonnegative ints, usable
 # directly as a memoization key.
@@ -27,10 +27,6 @@ def as_multi_index(kappa, dim: int) -> MultiIndex:
             f"per-coordinate moment order capped at {settings.max_moment_order}"
         )
     return k
-
-
-def index_order(kappa: MultiIndex) -> int:
-    return sum(kappa)
 
 
 @dataclass(frozen=True)

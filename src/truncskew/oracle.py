@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import QuadratureNonConvergenceError, RejectionTooHighError
 from .esn import EsnParams, sample_with_rng
-from .moments import as_multi_index, index_order
+from .moments import as_multi_index
 from .mvn import TruncationBox
 
 __all__ = [
@@ -78,7 +78,7 @@ def mc_tesn_moment(box: TruncationBox, p: EsnParams, kappa, n: int,
         accepted.append(draws[keep])
         n_acc += int(keep.sum())
         n_total += chunk
-    if index_order(kappa) == 0:
+    if not any(kappa):
         rate = n_acc / n_total
         se = math.sqrt(max(rate * (1.0 - rate), 1e-300) / n_total)
         return McEstimate(value=rate, std_error=se, n_effective=n_total, seed=seed)

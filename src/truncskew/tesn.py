@@ -6,28 +6,24 @@ Two interchangeable engines:
   integrals directly.  Raising one index mixes the current level, the
   companion normal integrals at the limiting parameters (mu - mu_b, Gamma),
   and per-coordinate boundary terms that factor into a univariate edge
-  density times a (p-1)-dimensional problem with conditional parameters:
-  :func:`~truncskew.esn.esn_marginal` gives the edge law and
-  :func:`~truncskew.esn.esn_conditional` the child law.
-* :func:`tesn_fk_via_normal` -- one truncated-normal moment of
-  :func:`~truncskew.esn.reduce_to_normal` divided by its xi: the augmented
-  pair (mu*, Omega) with the last coordinate cut at tau_tilde, or the
-  p-dimensional normal where the reduction drops the hidden coordinate
-  (exactly at lam = 0, as the limiting normal below the shift switch point).
+  density times a (p-1)-dimensional problem with conditional parameters,
+  both from :func:`edge_conditional`.
+* :func:`tesn_fk_via_normal` -- one truncated-normal moment of the normal
+  of :func:`~truncskew.esn.reduce_to_normal`, divided by its xi.
 
 Conditional moments are the ratio F_kappa / F_0; both engines are exposed
 and cross-checked, the normal reduction being the default (fewer and
 simpler integrals).  :func:`tesn_mean_cov` gives one route per method, each
 running the engine it names in every regime; its two MGF routes map back
-from the reduction's normal in one place (:func:`_from_normal`).
+from the reduction's normal in one place (:func:`_from_normal`).  Every
+normalizer passes one gate on the reduction's normal box,
+:func:`~truncskew.tn._check_normalizer`.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import PartitionIndex, symmetrize
-from .errors import DegenerateBoxError, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .esn import (
     EsnDerived,
     EsnParams,
@@ -40,17 +36,17 @@ from .esn import (
     reduce_to_normal,
 )
 from .moments import FirstTwoMoments, MultiIndex, as_multi_index
-from .mvn import DEFAULT_QMC, QmcConfig, TruncationBox
+from .mvn import DEFAULT_QMC, QmcConfig, TruncationBox, mvn_prob
 from .tn import (
     RecurrenceSession,
     TnSession,
+    _check_normalizer,
     _tn_first_moments,
     tn_first_two_corrected,
     tn_first_two_mgf,
 )
 
 __all__ = [
-    "EdgeConditional",
     "edge_conditional",
     "TesnSession",
     "tesn_prob",
@@ -64,32 +60,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EdgeConditional:
-    """Factorization of the p-dim density on the slice x_j = t: the
-    marginal density of x_j at t (:func:`esn_marginal`) times the (p-1)-dim
-    extended skew-normal of the other coordinates given x_j = t
-    (:func:`esn_conditional`)."""
-
-    j: int
-    edge_params: EsnParams         # univariate law of coordinate j
-
-    def child_params(self, full: EsnParams, t: float,
-                     derived: EsnDerived | None = None) -> EsnParams:
-        """Parameters of the remaining coordinates given x_j = t."""
-        return esn_conditional(full, PartitionIndex.dropping(full.dim, [self.j]), [t], derived)
-
-    def edge_density(self, t: float) -> float:
-        if np.isinf(t):
-            return 0.0
-        return esn_pdf([t], self.edge_params)
-
-
-def edge_conditional(p: EsnParams, j: int,
-                     derived: EsnDerived | None = None) -> EdgeConditional:
+def edge_conditional(p: EsnParams, j: int, t: float,
+                     derived: EsnDerived | None = None) -> tuple[float, EsnParams | None]:
+    """The p-dim density on the slice x_j = t as the marginal density of x_j
+    at t (:func:`esn_marginal`) and the (p-1)-dim law of the other
+    coordinates given x_j = t (:func:`esn_conditional`; None at p = 1).  A
+    slice at +-inf carries no mass: (0.0, None)."""
+    if np.isinf(t):
+        return 0.0, None
     others = [k for k in range(p.dim) if k != j]
-    return EdgeConditional(j=j, edge_params=esn_marginal(
-        p, PartitionIndex.dropping(p.dim, others), derived))
+    density = esn_pdf([t], esn_marginal(p, PartitionIndex.dropping(p.dim, others), derived))
+    law = esn_conditional(p, PartitionIndex.dropping(p.dim, [j]), [t], derived) if others else None
+    return density, law
 
 
 def tesn_prob_with_error(box: TruncationBox, p: EsnParams,
@@ -137,12 +119,8 @@ class TesnSession(RecurrenceSession):
     def _edge_at(self, j: int, t: float):
         if not self.derived.hidden:
             return self.normal._edge_at(j, t)
-        ec = edge_conditional(self.params, j, self.derived)
-        child = None
-        if self.dim > 1:
-            child = TesnSession(self.box.drop(j),
-                                ec.child_params(self.params, t, self.derived), self.cfg)
-        return ec.edge_density(t), child
+        density, law = edge_conditional(self.params, j, t, self.derived)
+        return density, None if law is None else TesnSession(self.box.drop(j), law, self.cfg)
 
     def _companion(self, i: int, low: MultiIndex) -> float:
         if not self.derived.hidden:
@@ -214,17 +192,27 @@ def tesn_moments(box: TruncationBox, p: EsnParams, kappas,
     if method == "auto":
         method = "recurrence" if p.dim == 1 else "normal-reduction"
     if method == "recurrence":
-        session, lift = TesnSession(box, p, cfg), (lambda k: k)
+        session = TesnSession(box, p, cfg)
+        red, lift = reduce_to_normal(box, p, session.derived), (lambda k: k)
     elif method == "normal-reduction":
         red = reduce_to_normal(box, p)
         session, lift = TnSession(red.box, red.params, cfg), red.lift
     else:
         raise ValueError(f"unknown method {method!r}")
-    denom = session.prob()
-    if denom <= 0.0:
-        raise DegenerateBoxError("box probability is numerically zero")
+    denom = _seed_normalizer(session, red, cfg)
     # xi cancels in each ratio
     return {k: session.fk(lift(k)) / denom for k in kappas}
+
+
+def _seed_normalizer(session: RecurrenceSession, red: NormalReduction,
+                     cfg: QmcConfig) -> float:
+    """The session's F_0, as ``session.prob()`` computes it, from one
+    gated kernel call on the reduction's normal box."""
+    L, L_err = mvn_prob(red.box, red.params, cfg)
+    _check_normalizer(L, L_err)
+    zero = (0,) * session.dim
+    session.table[zero] = min(1.0, L / red.xi) if isinstance(session, TesnSession) else L
+    return session.table[zero]
 
 
 # ----------------------------------------------------------------------------
@@ -232,18 +220,17 @@ def tesn_moments(box: TruncationBox, p: EsnParams, kappas,
 
 
 def _mean_cov_direct(box: TruncationBox, p: EsnParams, cfg: QmcConfig,
-                     corrections: tuple[str, ...]) -> FirstTwoMoments:
+                     red: NormalReduction) -> FirstTwoMoments:
     """First two moments assembled from the recurrence quantities around the
     session's own loc and scale: the probability, the edge vector (the
     d-vector at order zero) and the d-vectors at the unit indices.  With a
     hidden coordinate the companion normal enters too, weighted by delta:
     its rectangle and its unnormalized first moments.  Without one (lam = 0,
     or the limiting normal below the shift switch point) the session runs
-    the normal recurrence and there is no companion term."""
+    the normal recurrence and there is no companion term.  ``red`` is the
+    box's reduction, whose normal box the normalizer gate checks."""
     session = TesnSession(box, p, cfg)
-    LL = session.prob()
-    if LL <= 0.0 or not np.isfinite(LL) or LL < 1e-280:
-        raise DegenerateBoxError("box probability is numerically zero")
+    LL = _seed_normalizer(session, red, cfg)
     w_mean = w_raw2 = 0.0
     if session.derived.hidden:
         delta = session.derived.delta
@@ -255,7 +242,7 @@ def _mean_cov_direct(box: TruncationBox, p: EsnParams, cfg: QmcConfig,
     raw2 = symmetrize(np.outer(session.loc, mean) + (w_raw2 + session.scale @ D) / LL)
     mean = np.clip(mean, box.lower, box.upper)
     cov = symmetrize(raw2 - np.outer(mean, mean))
-    return FirstTwoMoments(mean=mean, raw2=raw2, cov=cov, corrections=corrections)
+    return FirstTwoMoments(mean=mean, raw2=raw2, cov=cov, corrections=red.corrections)
 
 
 def _from_normal(red: NormalReduction, full: FirstTwoMoments) -> FirstTwoMoments:
@@ -287,7 +274,8 @@ def tesn_mean_cov(box: TruncationBox, p: EsnParams,
     * ``'recurrence'``: the direct skewed-integral assembly, on the normal
       recurrence where the law has no hidden coordinate (exactly at lam = 0,
       the limiting normal below the switch point); no corrections of its
-      own, raises on degenerate boxes.
+      own, raising :class:`DegenerateBoxError` where the reduction's normal
+      box mass is not resolved, by the same gate as ``'mgf'``.
     """
     if method == "auto":
         method = "normal-reduction"
@@ -295,6 +283,6 @@ def tesn_mean_cov(box: TruncationBox, p: EsnParams,
         raise ValueError(f"unknown method {method!r}")
     red = reduce_to_normal(box, p)
     if method == "recurrence":
-        return _mean_cov_direct(box, p, cfg, red.corrections)
+        return _mean_cov_direct(box, p, cfg, red)
     engine = tn_first_two_corrected if method == "normal-reduction" else tn_first_two_mgf
     return _from_normal(red, engine(red.box, red.params, cfg))

@@ -265,10 +265,11 @@ def tn_mgf_work(box: TruncationBox, p: NormalParams,
 _BVN_NORMALIZER_ERR = 1e-14
 
 
-def _check_normalizer(L: float, L_err: float, dim: int) -> None:
-    if dim == 2:
-        L_err = max(L_err, _BVN_NORMALIZER_ERR)
-    if L <= 0.0 or L < max(1e-290, 20.0 * L_err):
+def _check_normalizer(L: float, L_err: float) -> None:
+    """The one gate on a normalizer: every moment route that divides by a
+    rectangle probability L refuses it unless L is at least twenty times
+    its error estimate (and above 1e-290)."""
+    if not L >= max(1e-290, 20.0 * L_err):
         raise DegenerateBoxError(
             f"rectangle probability {L:.3e} is numerically zero "
             f"(error estimate {L_err:.1e}); use the corrected path"
@@ -284,7 +285,7 @@ def tn_first_two_mgf(box: TruncationBox, p: NormalParams,
     them before delegating here.
     """
     w = tn_mgf_work(box, p, cfg)
-    _check_normalizer(w.L, w.L_err, p.dim)
+    _check_normalizer(w.L, max(w.L_err, _BVN_NORMALIZER_ERR) if p.dim == 2 else w.L_err)
     mean_x = w.R @ w.q / w.L
     raw2_x = w.R + (w.R @ w.H @ w.R) / w.L
     cov_x = symmetrize(raw2_x - np.outer(mean_x, mean_x))

@@ -52,6 +52,26 @@ def random_instance_with_mass(rng: np.random.Generator, p: int,
             return box, params
 
 
+def unresolved_limit_box():
+    """A p = 3 box whose mass is below the kernel's error estimate: the
+    benchmark's p = 3 law at tau_tilde = -40, the box at the limiting
+    mean +- 1 sd except coordinate 1, which sits 9-10 sd above it (mass
+    1.6e-32, trivariate estimate 1.1e-30)."""
+    import math
+
+    from truncskew.cli import _benchmark_instance
+    from truncskew.esn import esn_limit_params
+
+    _, base = _benchmark_instance(3, 20240101)
+    pr = EsnParams(base.mu, base.sigma, base.lam,
+                   tau=-40.0 * math.sqrt(1.0 + base.lam @ base.lam))
+    lim = esn_limit_params(pr)
+    sd = np.sqrt(np.diag(lim.sigma))
+    lo, hi = lim.mu - sd, lim.mu + sd
+    lo[0], hi[0] = lim.mu[0] + 9.0 * sd[0], lim.mu[0] + 10.0 * sd[0]
+    return TruncationBox(lo, hi), pr
+
+
 def unit_index(p: int, i: int) -> tuple:
     return tuple(1 if k == i else 0 for k in range(p))
 

@@ -16,6 +16,8 @@ from truncskew.cli import main, run_benchmark
 from truncskew.esn import esn_limit_params, esn_pdf
 from truncskew.oracle import quad_oracle_2d
 
+from conftest import unresolved_limit_box
+
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
@@ -305,6 +307,29 @@ class TestMeanCovRoute:
         assert response["method_used"] == "recurrence"
         assert response["corrections_applied"] == ["limit-tau"]
         assert response["value"]["cov"]["data"][0][0] > 0.0
+
+    @pytest.mark.parametrize("task, method, code", [
+        ("mean-cov", "recurrence", 2), ("moment", "recurrence", 2),
+        ("moment", "normal-reduction", 2), ("mean-cov", "normal-reduction", 0),
+    ])
+    def test_unresolved_box_exits_2(self, task, method, code):
+        # a box whose mass is below the kernel's error estimate: only the
+        # corrected path answers, by pinning coordinate 1
+        box, pr = unresolved_limit_box()
+        req = {"task": task, "family": "esn", "method": method,
+               "params": {"mu": pr.mu.tolist(), "sigma": pr.sigma.tolist(),
+                          "lambda": pr.lam.tolist(), "tau": pr.tau},
+               "box": [box.lower.tolist(), box.upper.tolist()]}
+        if task == "moment":
+            req["kappa"] = [2, 0, 0]
+        rc, out, err = _run_inprocess(req)
+        assert rc == code, err
+        if code == 2:
+            assert out == "" and "numerically zero" in err
+        else:
+            response = json.loads(out)
+            assert response["corrections_applied"] == ["limit-tau", "out-of-bounds coord 1"]
+            assert response["value"]["cov"]["data"][0][0] == 0.0
 
 
 class TestDeterminism:

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
 
 from truncskew import (
     IndexOutOfRangeError,
@@ -8,9 +7,6 @@ from truncskew import (
     PartitionIndex,
     SingularBlockError,
     conditional_normal,
-    delete_index,
-    delete_row_col,
-    row_without,
     sym_sqrt,
 )
 from truncskew.config import settings
@@ -87,33 +83,6 @@ class TestSymRoots:
 
 
 class TestIndexCalculus:
-    def test_delete_index(self):
-        np.testing.assert_array_equal(delete_index([1.0, 2.0, 3.0], 1), [1.0, 3.0])
-
-    def test_delete_row_col(self):
-        np.testing.assert_array_equal(delete_row_col(np.eye(3), 1, 1), np.eye(2))
-
-    def test_row_without(self):
-        s = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
-        np.testing.assert_array_equal(row_without(s, 1, 1), [2.0, 5.0])
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexOutOfRangeError):
-            delete_index([1.0, 2.0], 2)
-        with pytest.raises(IndexOutOfRangeError):
-            delete_row_col(np.eye(2), 0, -3)
-        with pytest.raises(IndexOutOfRangeError):
-            row_without(np.eye(2), 5, 0)
-
-    @hyp_settings(max_examples=30, deadline=None, derandomize=True)
-    @given(st.integers(2, 8), st.data())
-    def test_delete_reinsert_roundtrip(self, dim, data):
-        i = data.draw(st.integers(0, dim - 1))
-        v = np.arange(dim, dtype=float) + 1.0
-        shortened = delete_index(v, i)
-        restored = np.insert(shortened, i, v[i])
-        np.testing.assert_array_equal(restored, v)
-
     def test_partition_index_validation(self):
         pi = PartitionIndex(kept=(0, 2), removed=(1,))
         assert pi.dim == 3

@@ -367,3 +367,25 @@ class TestProbRoundTrip:
         assert esn_cdf(y, pr, FAST_QMC) == via_box[0]
         assert reduce_to_normal(box, pr).prob(FAST_QMC) == via_box
         assert 0.0 < via_box[0] < 1.0
+
+
+class TestSingleContainer:
+    """``augment`` returns the reduction itself, not a second container."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_augment_is_the_hidden_reduction(self, rng, p):
+        pr = random_esn_params(rng, p)
+        d = esn_derive(pr)
+        assert d.hidden
+        box = TruncationBox(pr.mu - 1.0, pr.mu + rng.uniform(0.5, 2.0, size=p))
+        aug, red = augment(pr, box), reduce_to_normal(box, pr)
+        assert aug.box.lower.tobytes() == red.box.lower.tobytes()
+        assert aug.box.upper.tobytes() == red.box.upper.tobytes()
+        assert aug.params.mu.tobytes() == red.params.mu.tobytes()
+        assert aug.params.sigma.tobytes() == red.params.sigma.tobytes()
+        assert aug.hidden is red.hidden is True
+        assert aug.xi == red.xi == d.xi
+        assert aug.corrections == red.corrections == ()
+        assert aug.lift((1,) * p) == red.lift((1,) * p) == (1,) * p + (0,)
+        prob, err = mvn_prob(aug.box, aug.params, FAST_QMC)
+        assert aug.prob(FAST_QMC) == (min(1.0, prob / d.xi), err / d.xi)

@@ -39,6 +39,7 @@ from conftest import (
     random_instance_with_mass,
     random_spd,
     unit_index,
+    unresolved_limit_box,
 )
 
 
@@ -336,10 +337,16 @@ class TestEdgeConditional:
             x = pr.mu + rng.normal(size=p)
             joint = esn_pdf(x, pr)
             for j in range(p):
-                ec = edge_conditional(pr, j, d)
-                child = ec.child_params(pr, x[j], d)
-                prod = ec.edge_density(x[j]) * esn_pdf(np.delete(x, j), child)
+                density, child = edge_conditional(pr, j, x[j], d)
+                prod = density * esn_pdf(np.delete(x, j), child)
                 assert prod == pytest.approx(joint, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_slice_carries_no_mass(self, rng):
+        pr = random_esn_params(rng, 3)
+        for j in range(3):
+            assert edge_conditional(pr, j, np.inf) == (0.0, None)
+            assert edge_conditional(pr, j, -np.inf) == (0.0, None)
 
 
 def _limit_regime_law(mu, sigma, lam, tau_tilde=-40.0) -> EsnParams:
@@ -450,3 +457,38 @@ class TestMeanCovRoutes:
         assert m.mean.tobytes() == full.mean[:2].tobytes()
         assert m.raw2.tobytes() == np.ascontiguousarray(full.raw2[:2, :2]).tobytes()
         assert m.cov.tobytes() == np.ascontiguousarray(full.cov[:2, :2]).tobytes()
+
+
+class TestNormalizerGate:
+    """Every ratio and the recurrence mean/cov refuse a box whose mass is
+    below the kernel's error estimate, as the MGF path does."""
+
+    def test_recurrence_mean_cov_raises(self):
+        box, pr = unresolved_limit_box()
+        with pytest.raises(DegenerateBoxError):
+            tesn_mean_cov(box, pr, method="recurrence")
+
+    @pytest.mark.parametrize("method", ["recurrence", "normal-reduction"])
+    @pytest.mark.parametrize("kappa", [(1, 0, 0), (2, 0, 0)])
+    def test_moment_raises(self, method, kappa):
+        box, pr = unresolved_limit_box()
+        with pytest.raises(DegenerateBoxError):
+            tesn_moment(box, pr, kappa, method=method)
+
+    def test_corrected_path_still_pins(self):
+        box, pr = unresolved_limit_box()
+        m = tesn_mean_cov(box, pr, method="normal-reduction")
+        assert m.corrections == ("limit-tau", "out-of-bounds coord 1")
+        assert m.mean[0] == box.lower[0]
+        assert m.cov[0, 0] == 0.0
+        assert np.all(np.diag(m.cov)[1:] > 0.0)
+
+    def test_gate_seeds_the_session_without_a_call(self, rng):
+        # the gate's kernel call is the session's F_0: no call is added
+        box, pr = random_instance_with_mass(rng, 2, min_prob=0.05)
+        with count_integrals() as counter:
+            value = tesn_moment(box, pr, (1, 1), FAST_QMC, method="recurrence")
+        session = TesnSession(box, pr, FAST_QMC)
+        with count_integrals() as direct:
+            assert value == session.fk((1, 1)) / session.prob()
+        assert counter.by_dim == direct.by_dim
