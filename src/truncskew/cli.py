@@ -228,6 +228,11 @@ class RequestError(ValueError):
     """Invalid request (exit code 1)."""
 
 
+def _reject_constant(name: str):
+    """``json.loads`` hook for NaN, Infinity and -Infinity, which JSON lacks."""
+    raise RequestError(f"invalid JSON: {name} is not a JSON value")
+
+
 def _parse_request(req: dict):
     """Validated parameters, box (or None), QMC settings and the task's
     point or multi-index (or None)."""
@@ -259,7 +264,12 @@ def _parse_request(req: dict):
             raise RequestError(f"invalid box: {exc}") from exc
         if box.dim != params.dim:
             raise RequestError("box dimension does not match parameters")
-    cfg = dataclasses.replace(DEFAULT_QMC, **req.get("qmc", {}))
+    # the schema lets 8.0 through as an integer; the kernels need an int
+    qmc = {k: v if k == "target_abs_error" else int(v) for k, v in req.get("qmc", {}).items()}
+    try:
+        cfg = dataclasses.replace(DEFAULT_QMC, **qmc)
+    except ValueError as exc:
+        raise RequestError(f"invalid qmc settings: {exc}") from exc
     return params, box, cfg, arg
 
 
@@ -284,7 +294,7 @@ def _execute(req: dict) -> dict:
         raise RequestError(f"method {method!r} is not valid for task {task!r}")
     method_used = accepted[method]
     b = box if box is not None else TruncationBox.unbounded(params.dim)
-    n_mc = req.get("mc_samples", 1_000_000)
+    n_mc = int(req.get("mc_samples", 1_000_000))
     err = cfg.target_abs_error
     res = oracle = None
 
@@ -368,10 +378,13 @@ def run_benchmark(dims, repetitions: int = 3, seed: int = 20240101,
     """
     if any(p > 10 for p in dims):
         raise RequestError("benchmark dimensions are capped at 10")
+    try:
+        cfg = QmcConfig(sample_count=2048, replicates=8, seed=seed)
+    except ValueError as exc:
+        raise RequestError(f"invalid seed: {exc}") from exc
     out.write("p,method,integral_count,median_ms\n")
     for p in dims:
         box, params = _benchmark_instance(p, seed)
-        cfg = QmcConfig(sample_count=2048, replicates=8, seed=seed)
         runners = {
             "recurrence": lambda: tesn_mean_cov(box, params, cfg, method="recurrence"),
             "normal-reduction": lambda: tesn_mean_cov(box, params, cfg, method="mgf"),
@@ -426,7 +439,7 @@ def main(argv=None) -> int:
             with open(args.input) as fh:
                 text = fh.read()
         try:
-            req = json.loads(text)
+            req = json.loads(text, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise RequestError(f"invalid JSON: {exc}") from exc
         if not isinstance(req, dict):

@@ -3,9 +3,12 @@
 A single mutable instance, :data:`settings`, is consulted by the numeric
 modules, and every field is read somewhere as ``settings.<field>``.  The
 switch point is read only by :func:`~truncskew.esn.esn_derive`, which
-decides there whether a law keeps its hidden coordinate.  Tests that need
-to probe edge behaviour may temporarily override fields; production callers
-normally never touch it.
+decides there whether a law keeps its hidden coordinate.  A law runs
+``esn_derive`` once, on first use of ``EsnParams.derived``, so the fields it
+reads (``tau_tilde_limit``, and ``psd_rel_tol`` through the matrix roots)
+apply to laws first derived after a change.  Tests that need to probe edge
+behaviour may temporarily override fields; production callers normally
+never touch it.
 """
 
 from dataclasses import dataclass

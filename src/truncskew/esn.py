@@ -4,6 +4,9 @@ Density, cdf, derived constants, marginal / conditional parameter maps,
 closed-form untruncated moments, the limiting normal parameters for large
 negative shift, and seeded sampling.
 
+Each law derives its constants (:class:`EsnDerived`) once, on first use, as
+:attr:`EsnParams.derived`, where every routine reads them.
+
 Every skewed rectangle task is carried by one normal task, the
 :class:`NormalReduction` of :func:`reduce_to_normal`: :func:`augment` where
 the law keeps its hidden coordinate, N(mu - mu_b, Gamma) where it does not.
@@ -19,6 +22,7 @@ skew-normal (with the factor-2 normalization).
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -64,7 +68,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EsnParams:
-    """Location ``mu``, PD scale ``sigma``, skewness ``lam``, shift ``tau``."""
+    """Location ``mu``, PD scale ``sigma``, skewness ``lam``, shift ``tau``.
+
+    The arrays are read-only copies, so :attr:`derived` never goes stale."""
 
     mu: np.ndarray
     sigma: np.ndarray
@@ -72,17 +78,22 @@ class EsnParams:
     tau: float = 0.0
 
     def __post_init__(self):
-        mu = as_vector(self.mu)
+        mu = as_vector(self.mu).copy()
         sigma = as_sym_matrix(self.sigma, dim=mu.shape[0])
-        lam = as_vector(self.lam, dim=mu.shape[0])
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "lam", lam)
+        lam = as_vector(self.lam, dim=mu.shape[0]).copy()
+        for name, arr in (("mu", mu), ("sigma", sigma), ("lam", lam)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "tau", float(self.tau))
 
     @property
     def dim(self) -> int:
         return self.mu.shape[0]
+
+    @cached_property
+    def derived(self) -> "EsnDerived":
+        """The law's constants, derived once on first use (:func:`esn_derive`)."""
+        return esn_derive(self)
 
     @classmethod
     def normal(cls, mu, sigma) -> "EsnParams":
@@ -172,13 +183,12 @@ class NormalReduction(NamedTuple):
         return min(1.0, prob / self.xi), err / self.xi
 
 
-def augment(p: EsnParams, box: TruncationBox | None = None,
-            derived: EsnDerived | None = None) -> NormalReduction:
+def augment(p: EsnParams, box: TruncationBox | None = None) -> NormalReduction:
     """The reduction that keeps the hidden coordinate: the normal with
     location (mu, 0) and scale [[sigma, -Delta], [-Delta', 1]] on the box
     (the whole space by default) times (-inf, tau_tilde] in the last
     coordinate, which no moment index raises, and xi = Phi(tau_tilde)."""
-    d = derived if derived is not None else esn_derive(p)
+    d = p.derived
     if box is None:
         box = TruncationBox.unbounded(p.dim)
     if box.dim != p.dim:
@@ -192,8 +202,7 @@ def augment(p: EsnParams, box: TruncationBox | None = None,
     return NormalReduction(box, params, True, d.xi, ())
 
 
-def reduce_to_normal(box: TruncationBox, p: EsnParams,
-                     derived: EsnDerived | None = None) -> NormalReduction:
+def reduce_to_normal(box: TruncationBox, p: EsnParams) -> NormalReduction:
     """The ESN-to-normal reduction behind every skewed rectangle task.
 
     With the hidden coordinate (``EsnDerived.hidden``) it is :func:`augment`,
@@ -203,51 +212,48 @@ def reduce_to_normal(box: TruncationBox, p: EsnParams,
     below the shift switch point, where xi underflows (``corrections`` is
     ``("limit-tau",)``).
     """
-    d = derived if derived is not None else esn_derive(p)
-    if d.hidden:
-        return augment(p, box, d)
+    if p.derived.hidden:
+        return augment(p, box)
     if box.dim != p.dim:
         raise DimensionMismatchError("box and parameter dimensions differ")
     corrections = ("limit-tau",) if np.any(p.lam) else ()
-    return NormalReduction(box, esn_limit_params(p, d), False, 1.0, corrections)
+    return NormalReduction(box, esn_limit_params(p), False, 1.0, corrections)
 
 
 # ----------------------------------------------------------------------------
 # density and cdf
 
 
-def esn_logpdf(x, p: EsnParams, derived: EsnDerived | None = None) -> float:
+def esn_logpdf(x, p: EsnParams) -> float:
     """The normal log-density plus the log selection factor.  At lam = 0 the
     factor's two terms are the same double, so the result is the normal
     log-density bit for bit."""
-    d = derived if derived is not None else esn_derive(p)
+    d = p.derived
     x = as_vector(x, dim=p.dim)
     arg = p.tau + float(p.lam @ (d.sigma_inv_sqrt @ (x - p.mu)))
     return mvn_logpdf(x, NormalParams(p.mu, p.sigma)) + (log_std_cdf(arg) - d.log_xi)
 
 
-def esn_pdf(x, p: EsnParams, derived: EsnDerived | None = None) -> float:
-    return math.exp(esn_logpdf(x, p, derived))
+def esn_pdf(x, p: EsnParams) -> float:
+    return math.exp(esn_logpdf(x, p))
 
 
-def esn_cdf(y, p: EsnParams, cfg: QmcConfig = DEFAULT_QMC,
-            derived: EsnDerived | None = None) -> float:
+def esn_cdf(y, p: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> float:
     """P(Y <= y): the rectangle probability over (-inf, y], i.e.
     :meth:`NormalReduction.prob` of that box's reduction."""
     y = as_vector(y, dim=p.dim)
-    return reduce_to_normal(TruncationBox(np.full(p.dim, -np.inf), y), p, derived).prob(cfg)[0]
+    return reduce_to_normal(TruncationBox(np.full(p.dim, -np.inf), y), p).prob(cfg)[0]
 
 
 # ----------------------------------------------------------------------------
 # marginal / conditional parameter maps
 
 
-def _partition_quantities(p: EsnParams, one: list[int], two: list[int],
-                          derived: EsnDerived | None = None):
+def _partition_quantities(p: EsnParams, one: list[int], two: list[int]):
     """Blocks used by both the marginal and the conditional map, with the
     conventions of the closure property: block 'one' is kept / conditioned
     on, block 'two' is the complement."""
-    varphi = (derived if derived is not None else esn_derive(p)).varphi
+    varphi = p.derived.varphi
     S11 = p.sigma[np.ix_(one, one)]
     S12 = p.sigma[np.ix_(one, two)]
     S22 = p.sigma[np.ix_(two, two)]
@@ -260,8 +266,7 @@ def _partition_quantities(p: EsnParams, one: list[int], two: list[int],
     return S11, S12, S22_1, phi1_tilde, phi2, c12, S11_inv_S12
 
 
-def esn_marginal(p: EsnParams, keep: PartitionIndex,
-                 derived: EsnDerived | None = None) -> EsnParams:
+def esn_marginal(p: EsnParams, keep: PartitionIndex) -> EsnParams:
     """Parameters of the kept sub-vector (the family is closed under
     marginalization)."""
     if keep.dim != p.dim:
@@ -270,13 +275,12 @@ def esn_marginal(p: EsnParams, keep: PartitionIndex,
     two = list(keep.removed)
     if not two:
         return p
-    S11, _, _, phi1_tilde, _, c12, _ = _partition_quantities(p, one, two, derived)
+    S11, _, _, phi1_tilde, _, c12, _ = _partition_quantities(p, one, two)
     lam1 = c12 * (sym_sqrt(S11) @ phi1_tilde)
     return EsnParams(mu=p.mu[one], sigma=S11, lam=lam1, tau=c12 * p.tau)
 
 
-def esn_conditional(p: EsnParams, given: PartitionIndex, value,
-                    derived: EsnDerived | None = None) -> EsnParams:
+def esn_conditional(p: EsnParams, given: PartitionIndex, value) -> EsnParams:
     """Parameters of the kept sub-vector given ``x[removed] = value``."""
     if given.dim != p.dim:
         raise DimensionMismatchError("partition does not match dimension")
@@ -285,7 +289,7 @@ def esn_conditional(p: EsnParams, given: PartitionIndex, value,
     value = as_vector(value, dim=len(one))
     if not one:
         return p
-    _, S12, S22_1, phi1_tilde, phi2, _, S11_inv_S12 = _partition_quantities(p, one, two, derived)
+    _, S12, S22_1, phi1_tilde, phi2, _, S11_inv_S12 = _partition_quantities(p, one, two)
     dev = value - p.mu[one]
     mu_cond = p.mu[two] + S11_inv_S12.T @ dev
     tau_cond = p.tau + float(phi1_tilde @ dev)
@@ -306,9 +310,9 @@ def esn_mean_cov(p: EsnParams) -> FirstTwoMoments:
     mu and sigma exactly at lam = 0, the limiting normal's below the shift
     switch point (the closed form degrades by cancellation there).
     """
-    d = esn_derive(p)
+    d = p.derived
     if not d.hidden:
-        red = reduce_to_normal(TruncationBox.unbounded(p.dim), p, d)
+        red = reduce_to_normal(TruncationBox.unbounded(p.dim), p)
         return FirstTwoMoments.from_mean_cov(red.params.mu, red.params.sigma,
                                              corrections=red.corrections)
     mean_z = d.eta * p.lam
@@ -321,11 +325,10 @@ def esn_mean_cov(p: EsnParams) -> FirstTwoMoments:
     return FirstTwoMoments.from_mean_cov(mean, cov)
 
 
-def esn_limit_params(p: EsnParams, derived: EsnDerived | None = None) -> NormalParams:
+def esn_limit_params(p: EsnParams) -> NormalParams:
     """Normal parameters the family collapses to as the shift goes to -inf:
     location mu - mu_b, scale Gamma."""
-    d = derived if derived is not None else esn_derive(p)
-    return NormalParams(mu=p.mu - d.mu_b, sigma=d.Gamma)
+    return NormalParams(mu=p.mu - p.derived.mu_b, sigma=p.derived.Gamma)
 
 
 # ----------------------------------------------------------------------------
@@ -352,7 +355,7 @@ def sample_with_rng(p: EsnParams, n: int, rng: np.random.Generator) -> np.ndarra
     chunks share one deterministic stream)."""
     from scipy.special import ndtri_exp
 
-    d = esn_derive(p)
+    d = p.derived
     x2 = ndtri_exp(d.log_xi + np.log(rng.random(n)))
     z = rng.standard_normal((n, p.dim))
     return p.mu - np.outer(x2, d.Delta) + z @ _psd_factor(d.Gamma).T

@@ -34,7 +34,6 @@ from .errors import (
 from .esn import (
     EsnParams,
     esn_cdf,
-    esn_derive,
     esn_limit_params,
     esn_logpdf,
     esn_marginal,
@@ -219,11 +218,10 @@ def _pattern_fks(p: EsnParams, method: str, cfg: QmcConfig, kappas):
     n = p.dim
     zero = (0,) * n
     orthant = TruncationBox.orthant(n)
-    d = esn_derive(p)
-    red = reduce_to_normal(orthant, p, d)
+    red = reduce_to_normal(orthant, p)
     masses = _orthant_masses(red.box, red.params, n, cfg, kappas)
     if method == "orthant-sum":
-        companion = (_orthant_masses(orthant, esn_limit_params(p, d), n, cfg, kappas)
+        companion = (_orthant_masses(orthant, esn_limit_params(p), n, cfg, kappas)
                      if red.hidden else masses)
     fks = []
     for s in sign_patterns(n):
@@ -291,12 +289,12 @@ class FoldedCrossWork:
 def folded_cross_work(pair: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> FoldedCrossWork:
     """Assemble the ingredients of the explicit E|V_i V_j| formula for a
     bivariate law (coordinate 0 = i, coordinate 1 = j)."""
-    d = esn_derive(pair)
+    d = pair.derived
     m = pair.mu - d.mu_b
     g_ii, g_ij, g_jj = d.Gamma[0, 0], d.Gamma[0, 1], d.Gamma[1, 1]
 
-    dens_i, cond_given_i = edge_conditional(pair, 0, 0.0, d)
-    dens_j, cond_given_j = edge_conditional(pair, 1, 0.0, d)
+    dens_i, cond_given_i = edge_conditional(pair, 0, 0.0)
+    dens_j, cond_given_j = edge_conditional(pair, 1, 0.0)
 
     flip_i = flip_params(pair, SignPattern((-1, 1)))
     flip_j = flip_params(pair, SignPattern((1, -1)))
@@ -334,7 +332,7 @@ def _abs_cross_moment(pair: EsnParams, cfg: QmcConfig) -> float:
     conditional law.
     """
     w = folded_cross_work(pair, cfg)
-    d = esn_derive(pair)
+    d = pair.derived
     mu_i, mu_j = pair.mu
     s_ii, s_ij, s_jj = pair.sigma[0, 0], pair.sigma[0, 1], pair.sigma[1, 1]
     delta_i, delta_j = d.delta

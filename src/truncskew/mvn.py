@@ -136,7 +136,8 @@ class QmcConfig:
 
     ``sample_count`` points per replicate (rounded down to a prime), at least
     8 replicates so a spread-based error estimate exists, and a seed that
-    fully determines the random shifts.
+    fully determines the random shifts, in [0, 2^128) so that it is also a
+    Philox 4x64 key for the Monte Carlo oracle.
     """
 
     sample_count: int = 8192
@@ -149,6 +150,8 @@ class QmcConfig:
             raise ValueError("sample_count must be at least 2")
         if self.replicates < 8:
             raise ValueError("at least 8 replicates are needed for an error estimate")
+        if not 0 <= self.seed < 2**128:
+            raise ValueError("seed must be in [0, 2^128)")
 
 
 DEFAULT_QMC = QmcConfig()

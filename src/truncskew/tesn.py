@@ -7,7 +7,9 @@ Two interchangeable engines:
   companion normal integrals at the limiting parameters (mu - mu_b, Gamma),
   and per-coordinate boundary terms that factor into a univariate edge
   density times a (p-1)-dimensional problem with conditional parameters,
-  both from :func:`edge_conditional`.
+  both from :func:`edge_conditional`.  Every constant of a law (delta, the
+  limiting parameters, the hidden-coordinate decision) is read from
+  ``EsnParams.derived``, derived once per law.
 * :func:`tesn_fk_via_normal` -- one truncated-normal moment of the normal
   of :func:`~truncskew.esn.reduce_to_normal`, divided by its xi.
 
@@ -25,11 +27,9 @@ import numpy as np
 from .core import PartitionIndex, symmetrize
 from .errors import DimensionMismatchError
 from .esn import (
-    EsnDerived,
     EsnParams,
     NormalReduction,
     esn_conditional,
-    esn_derive,
     esn_limit_params,
     esn_marginal,
     esn_pdf,
@@ -60,8 +60,7 @@ __all__ = [
 ]
 
 
-def edge_conditional(p: EsnParams, j: int, t: float,
-                     derived: EsnDerived | None = None) -> tuple[float, EsnParams | None]:
+def edge_conditional(p: EsnParams, j: int, t: float) -> tuple[float, EsnParams | None]:
     """The p-dim density on the slice x_j = t as the marginal density of x_j
     at t (:func:`esn_marginal`) and the (p-1)-dim law of the other
     coordinates given x_j = t (:func:`esn_conditional`; None at p = 1).  A
@@ -69,22 +68,20 @@ def edge_conditional(p: EsnParams, j: int, t: float,
     if np.isinf(t):
         return 0.0, None
     others = [k for k in range(p.dim) if k != j]
-    density = esn_pdf([t], esn_marginal(p, PartitionIndex.dropping(p.dim, others), derived))
-    law = esn_conditional(p, PartitionIndex.dropping(p.dim, [j]), [t], derived) if others else None
+    density = esn_pdf([t], esn_marginal(p, PartitionIndex.dropping(p.dim, others)))
+    law = esn_conditional(p, PartitionIndex.dropping(p.dim, [j]), [t]) if others else None
     return density, law
 
 
 def tesn_prob_with_error(box: TruncationBox, p: EsnParams,
-                         cfg: QmcConfig = DEFAULT_QMC,
-                         derived: EsnDerived | None = None) -> tuple[float, float]:
+                         cfg: QmcConfig = DEFAULT_QMC) -> tuple[float, float]:
     """Rectangle probability of the extended skew-normal law and an absolute
     error estimate: :meth:`NormalReduction.prob` of the box's reduction."""
-    return reduce_to_normal(box, p, derived).prob(cfg)
+    return reduce_to_normal(box, p).prob(cfg)
 
 
-def tesn_prob(box: TruncationBox, p: EsnParams, cfg: QmcConfig = DEFAULT_QMC,
-              derived: EsnDerived | None = None) -> float:
-    return tesn_prob_with_error(box, p, cfg, derived)[0]
+def tesn_prob(box: TruncationBox, p: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> float:
+    return tesn_prob_with_error(box, p, cfg)[0]
 
 
 class TesnSession(RecurrenceSession):
@@ -108,24 +105,23 @@ class TesnSession(RecurrenceSession):
     def __init__(self, box: TruncationBox, params: EsnParams,
                  cfg: QmcConfig = DEFAULT_QMC):
         super().__init__(box, params, cfg)
-        self.derived = esn_derive(params)
-        self.normal = TnSession(box, esn_limit_params(params, self.derived), cfg)
-        if not self.derived.hidden:
+        self.normal = TnSession(box, esn_limit_params(params), cfg)
+        if not self.params.derived.hidden:
             self.loc, self.scale = self.normal.params.mu, self.normal.params.sigma
 
     def _prob(self) -> float:
-        return tesn_prob(self.box, self.params, self.cfg, derived=self.derived)
+        return tesn_prob(self.box, self.params, self.cfg)
 
     def _edge_at(self, j: int, t: float):
-        if not self.derived.hidden:
+        if not self.params.derived.hidden:
             return self.normal._edge_at(j, t)
-        density, law = edge_conditional(self.params, j, t, self.derived)
+        density, law = edge_conditional(self.params, j, t)
         return density, None if law is None else TesnSession(self.box.drop(j), law, self.cfg)
 
     def _companion(self, i: int, low: MultiIndex) -> float:
-        if not self.derived.hidden:
+        if not self.params.derived.hidden:
             return 0.0
-        return self.derived.delta[i] * self.normal.fk(low)
+        return self.params.derived.delta[i] * self.normal.fk(low)
 
 
 def tesn_fk(box: TruncationBox, p: EsnParams, kappa,
@@ -191,14 +187,13 @@ def tesn_moments(box: TruncationBox, p: EsnParams, kappas,
     kappas = [as_multi_index(k, p.dim) for k in kappas]
     if method == "auto":
         method = "recurrence" if p.dim == 1 else "normal-reduction"
-    if method == "recurrence":
-        session = TesnSession(box, p, cfg)
-        red, lift = reduce_to_normal(box, p, session.derived), (lambda k: k)
-    elif method == "normal-reduction":
-        red = reduce_to_normal(box, p)
-        session, lift = TnSession(red.box, red.params, cfg), red.lift
-    else:
+    if method not in ("recurrence", "normal-reduction"):
         raise ValueError(f"unknown method {method!r}")
+    red = reduce_to_normal(box, p)
+    if method == "recurrence":
+        session, lift = TesnSession(box, p, cfg), (lambda k: k)
+    else:
+        session, lift = TnSession(red.box, red.params, cfg), red.lift
     denom = _seed_normalizer(session, red, cfg)
     # xi cancels in each ratio
     return {k: session.fk(lift(k)) / denom for k in kappas}
@@ -232,8 +227,8 @@ def _mean_cov_direct(box: TruncationBox, p: EsnParams, cfg: QmcConfig,
     session = TesnSession(box, p, cfg)
     LL = _seed_normalizer(session, red, cfg)
     w_mean = w_raw2 = 0.0
-    if session.derived.hidden:
-        delta = session.derived.delta
+    if p.derived.hidden:
+        delta = p.derived.delta
         w_mean = session.normal.prob() * delta
         w_raw2 = np.outer(delta, _tn_first_moments(box, session.normal.params, cfg))
     mean = session.loc + (w_mean + session.scale @ session.dvec((0,) * p.dim)) / LL

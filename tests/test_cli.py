@@ -207,6 +207,63 @@ class TestValidation:
         rc, out, err = _run_inprocess(req)
         assert rc == 1 and "request error" in err
 
+    @pytest.mark.parametrize("text", [
+        '{"task": "pdf", "family": "normal", "params": {"mu": [0], "sigma": [[1]]}, "x": [NaN]}',
+        '{"task": "prob", "family": "normal", "params": {"mu": [NaN], "sigma": [[1]]},'
+        ' "box": [[-1], [1]]}',
+        '{"task": "prob", "family": "normal", "params": {"mu": [0], "sigma": [[Infinity]]},'
+        ' "box": [[-1], [1]]}',
+        '{"task": "pdf", "family": "esn",'
+        ' "params": {"mu": [0], "sigma": [[1]], "lambda": [1], "tau": NaN}, "x": [0]}',
+        '{"task": "cdf", "family": "normal", "params": {"mu": [0], "sigma": [[1]]},'
+        ' "x": [-Infinity]}',
+    ])
+    def test_non_json_constants_rejected(self, text):
+        # Python's json reads NaN and +-Infinity; RFC 8259 has no such literals
+        rc, out, err = _run_inprocess(text)
+        assert rc == 1 and out == ""
+        assert err.startswith("request error: invalid JSON")
+
+    @pytest.mark.parametrize("field, value", [
+        ("sample_count", 1000), ("replicates", 8), ("seed", 5),
+    ])
+    def test_integral_float_qmc_field(self, field, value):
+        # a p = 4 ESN probability integrates a 5-dim normal by lattice QMC
+        req = {"task": "prob", "family": "esn",
+               "params": {"mu": [0.0] * 4, "sigma": np.eye(4).tolist(),
+                          "lambda": [0.5, 0.2, 0.0, 0.1], "tau": 0.3},
+               "box": [[-1.0] * 4, [1.0] * 4],
+               "qmc": {"sample_count": 1024, field: float(value)}}
+        as_float = _run_inprocess(req)  # first, so no cache holds the int's work
+        req["qmc"][field] = value
+        assert as_float[:2] == _run_inprocess(req)[:2]
+        assert as_float[0] == 0
+
+    def test_integral_float_mc_samples(self):
+        req = {"task": "folded-moment", "family": "sn",
+               "params": {"mu": [0.1], "sigma": [[1.0]], "lambda": [1.0]},
+               "kappa": [1], "verify": True, "mc_samples": 1000.0}
+        as_float = _run_inprocess(req)
+        req["mc_samples"] = 1000
+        assert as_float[:2] == _run_inprocess(req)[:2]
+        assert as_float[0] == 0
+
+    @pytest.mark.parametrize("seed", [-1, 2**128], ids=["negative", "2^128"])
+    def test_seed_outside_key_range_is_a_request_error(self, seed):
+        req = {"task": "prob", "family": "normal",
+               "params": {"mu": [0.0], "sigma": [[1.0]]}, "box": [[-1.0], [1.0]],
+               "qmc": {"seed": seed}}
+        rc, out, err = _run_inprocess(req)
+        assert rc == 1 and out == ""
+        assert err.startswith("request error:")
+
+    def test_negative_seed_flag_with_verify(self):
+        req = {"task": "prob", "family": "normal",
+               "params": {"mu": [0.0], "sigma": [[1.0]]}, "box": [[-1.0], [1.0]]}
+        proc = _run_cli(["--input", "-", "--seed", "-5", "--verify"], stdin_text=json.dumps(req))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("request error:")
+
 
 # (task, family kind) -> {accepted method: method_used} at p = 2
 _REDUCTION = {"auto": "normal-reduction", "normal-reduction": "normal-reduction"}
@@ -398,6 +455,10 @@ class TestBenchmark:
 
     def test_dimension_cap(self):
         assert main(["--benchmark", "11"]) == 1
+
+    def test_seed_outside_key_range(self, capsys):
+        assert main(["--benchmark", "1", "--seed", "-5"]) == 1
+        assert capsys.readouterr().err.startswith("request error:")
 
     def test_univariate_dimension(self):
         import io

@@ -1,8 +1,11 @@
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import truncskew.esn as esn_module
 from truncskew import (
     EsnParams,
     NormalParams,
@@ -17,6 +20,7 @@ from truncskew import (
     esn_mean_cov,
     esn_pdf,
     esn_sample,
+    fesn_mean_cov,
     mvn_pdf,
     mvn_prob,
     quad_oracle_1d,
@@ -63,6 +67,70 @@ class TestDerive:
         assert d.xi == 0.0  # linear channel underflows
         assert d.log_xi == pytest.approx(-804.6084420137538, abs=1e-9)
         assert math.isfinite(d.eta)
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """The laws passed to ``esn_derive``, in call order, from every module of
+    the package that binds the function."""
+    original = esn_module.esn_derive
+    laws = []
+
+    def counted(p):
+        laws.append(p)
+        return original(p)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "truncskew":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return laws
+
+
+def _derivations_per_law(laws) -> Counter:
+    return Counter(map(id, laws))  # ``laws`` keeps every object alive
+
+
+class TestDeriveOnce:
+    """Each law derives its constants once, on first use, as ``derived``."""
+
+    def test_recurrence_mean_cov_derives_the_law_once(self, rng, derivations):
+        pr = random_esn_params(rng, 2)
+        box = TruncationBox(pr.mu - 1.0, pr.mu + 1.5)
+        tesn_mean_cov(box, pr, FAST_QMC, method="recurrence")
+        assert pr.derived.hidden
+        per_law = _derivations_per_law(derivations)
+        assert per_law[id(pr)] == 1
+        assert max(per_law.values()) == 1
+
+    def test_folded_mean_cov_derives_each_law_once(self, rng, derivations):
+        pr = random_esn_params(rng, 3)
+        fesn_mean_cov(pr, FAST_QMC)
+        per_law = _derivations_per_law(derivations)
+        assert per_law[id(pr)] == 1
+        assert max(per_law.values()) == 1
+
+    def test_caller_arrays_are_copied(self, rng):
+        mu, sigma, lam = rng.normal(size=2), random_spd(rng, 2), np.array([0.7, -0.4])
+        saved = [a.copy() for a in (mu, sigma, lam)]
+        pr = EsnParams(mu=mu, sigma=sigma, lam=lam, tau=0.3)
+        d = pr.derived
+        for a in (mu, sigma, lam):
+            a[...] = 0.0
+        for kept, before in zip((pr.mu, pr.sigma, pr.lam), saved):
+            np.testing.assert_array_equal(kept, before)
+        assert pr.derived is d
+        fresh = esn_derive(pr)
+        for field in ("varphi", "Delta", "delta", "mu_b", "Gamma", "sigma_sqrt"):
+            np.testing.assert_array_equal(getattr(d, field), getattr(fresh, field))
+        assert (d.xi, d.eta, d.hidden) == (fresh.xi, fresh.eta, fresh.hidden)
+
+    @pytest.mark.parametrize("field", ["mu", "sigma", "lam"])
+    def test_law_arrays_are_read_only(self, rng, field):
+        pr = random_esn_params(rng, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(pr, field)[0] = 1.0
 
 
 class TestPdf:

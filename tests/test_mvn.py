@@ -293,6 +293,12 @@ class TestContainers:
         with pytest.raises(ValueError):
             QmcConfig(replicates=4)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128], ids=["negative", "2^128"])
+    def test_qmc_seed_outside_philox_key_range(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            QmcConfig(seed=seed)
+        QmcConfig(seed=2**128 - 1)
+
     def test_default_config(self):
         assert DEFAULT_QMC.sample_count == 8192
         assert DEFAULT_QMC.replicates == 12

@@ -3,7 +3,9 @@ through ``reduce_to_normal``: the command line imports nothing from the
 truncated-normal module, and only ``esn.py`` builds the augmented normal.
 Every normalizer passes one gate, the only place that raises
 ``DegenerateBoxError``, and no ``__all__`` lists a name its module lost.
-The package source is parsed, not imported."""
+Each law derives its constants once, as ``EsnParams.derived``: no function
+takes a derivation as a parameter.  The package source is parsed, not
+imported."""
 
 import ast
 from pathlib import Path
@@ -67,3 +69,34 @@ def test_every_exported_name_is_defined():
                 defined.update(names)
         stale += [f"{path.name}:{name}" for name in exported if name not in defined]
     assert stale == []
+
+
+def test_no_function_takes_a_derivation():
+    takers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                if "derived" in {a.arg for a in args}:
+                    takers.append((path.name, getattr(node, "name", "<lambda>")))
+    assert takers == []
+
+
+def test_only_the_law_property_calls_esn_derive():
+    callers = []
+
+    def visit(node, scope, module):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "esn_derive":
+                    callers.append((module, ".".join(scope)))
+            visit(child, inner, module)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), [], path.name)
+    assert callers == [("esn.py", "EsnParams.derived")]
