@@ -233,12 +233,30 @@ def _reject_constant(name: str):
     raise RequestError(f"invalid JSON: {name} is not a JSON value")
 
 
+def _is_finite(v) -> bool:
+    """Whether every number in a JSON value is a finite double: ``json``
+    reads a number beyond the double range as an infinity (1e400) or as an
+    int that no double holds (a 400-digit integer)."""
+    if isinstance(v, list):
+        return all(map(_is_finite, v))
+    try:
+        return not _is_number(v) or math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _parse_request(req: dict):
     """Validated parameters, box (or None), QMC settings and the task's
     point or multi-index (or None)."""
     err = _schema_error(req, REQUEST_SCHEMA)
     if err is not None:
         raise RequestError(f"request does not match schema: {err}")
+    fields = {**req["params"], **req.get("qmc", {})}
+    if "x" in req:
+        fields["x"] = req["x"]
+    for name, value in fields.items():
+        if not _is_finite(value):
+            raise RequestError(f"{name}: a number is beyond the double range")
     field = _ARGUMENT.get(req["task"])
     if field is not None and field not in req:
         raise RequestError(f"task {req['task']!r} requires field {field!r}")
@@ -260,7 +278,7 @@ def _parse_request(req: dict):
         try:
             # float() reads every spelling of infinity: "inf", "+Infinity", " -INF "
             box = TruncationBox([float(v) for v in lower], [float(v) for v in upper])
-        except (TruncskewError, ValueError) as exc:
+        except (TruncskewError, ValueError, OverflowError) as exc:
             raise RequestError(f"invalid box: {exc}") from exc
         if box.dim != params.dim:
             raise RequestError("box dimension does not match parameters")
@@ -453,7 +471,12 @@ def main(argv=None) -> int:
         elapsed_ms = 1e3 * (time.perf_counter() - t0)
         if args.timing:
             response["timing_ms"] = elapsed_ms
-        sys.stdout.write(json.dumps(response, sort_keys=True) + "\n")
+        try:
+            text = json.dumps(response, sort_keys=True, allow_nan=False)
+        except ValueError:
+            sys.stderr.write("numerical failure: the result is not finite\n")
+            return 2
+        sys.stdout.write(text + "\n")
         sys.stderr.write(f"timing_ms={elapsed_ms:.2f}\n")
         return 0
     except RequestError as exc:

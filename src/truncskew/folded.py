@@ -17,9 +17,17 @@ normal: C(p, k) rectangle calls of dimension k + 1 for k = 0..p (k below
 the switch point, where k = 0 needs none), so one (p+1)-dimensional call
 where one call per pattern made 2^p.  The masses sum to one by
 construction.
+
+The edge terms share one slice cache per sum (:func:`_pattern_fks`).  Every
+edge of a positive orthant lies at x_j = 0, which reflecting x_j leaves in
+place, so pattern s and pattern s with coordinate j flipped have the same
+child law on that slice: the law of the free coordinates given the fixed
+ones, reflected by the free signs.  Their sessions, at every depth, take
+that child and its memo table from the cache instead of building their own.
 """
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -211,7 +219,10 @@ def _pattern_fks(p: EsnParams, method: str, cfg: QmcConfig, kappas):
 
     'orthant-sum' runs a :class:`TesnSession` on each reflected law;
     'normal-reduction' a :class:`TnSession` on its :func:`reduce_to_normal`,
-    whose F_0 is the unnormalized mass (the result is divided by xi).
+    whose F_0 is the unnormalized mass (the result is divided by xi).  All
+    of them, and the companion normals of the 'orthant-sum' sessions, take
+    their edge children from one slice cache
+    (:class:`~truncskew.tn.RecurrenceSession`).
     """
     if method not in ("orthant-sum", "normal-reduction"):
         raise ValueError(f"unknown method {method!r}")
@@ -224,16 +235,23 @@ def _pattern_fks(p: EsnParams, method: str, cfg: QmcConfig, kappas):
         companion = (_orthant_masses(orthant, esn_limit_params(p), n, cfg, kappas)
                      if red.hidden else masses)
     fks = []
+    # weak: every session holds the cache, and each child is held by the
+    # session that built it, so the trees are freed without a cycle
+    slices = weakref.WeakValueDictionary()
     for s in sign_patterns(n):
         flipped = flip_params(p, s)
         if method == "orthant-sum":
             session = TesnSession(orthant, flipped, cfg)
+            session._share(slices, "main", (), tuple(range(n)), s.s)
             session.table[zero] = masses[s][0] / red.xi
             session.normal.table[zero] = companion[s][0]
             fks.append(session.fk)
         else:
             red_s = reduce_to_normal(orthant, flipped)
             session = TnSession(red_s.box, red_s.params, cfg)
+            # the hidden coordinate is never reflected
+            session._share(slices, "main", (), tuple(range(red_s.box.dim)),
+                           s.s + (1,) * red_s.hidden)
             session.table[red_s.lift(zero)] = masses[s][0]
             fks.append(lambda kappa, session=session, red_s=red_s:
                        session.fk(red_s.lift(kappa)) / red_s.xi)
@@ -250,8 +268,10 @@ def fesn_moment(p: EsnParams, kappa, method: str = "orthant-sum",
     :func:`~truncskew.tesn.tesn_fk_via_normal`).  Either way the orthant
     masses come from one table (:func:`_orthant_masses`) and sum to one
     exactly: at p = 3 one dim-4, three dim-3, three dim-2 and one dim-1
-    call where one call per pattern made eight dim-4 calls.  Edge terms
-    stay one session per pattern.
+    call where one call per pattern made eight dim-4 calls.  The edge terms
+    of all patterns share their slice children (:func:`_pattern_fks`), so
+    each slice law is integrated once per fixing order, not once per
+    pattern.
     """
     kappa = as_multi_index(kappa, p.dim)
     return float(sum(fk(kappa) for fk in _pattern_fks(p, method, cfg, [kappa])))

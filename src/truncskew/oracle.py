@@ -56,12 +56,14 @@ def mc_tesn_moment(box: TruncationBox, p: EsnParams, kappa, n: int,
     """Rejection estimate of E[Y^kappa | box] (or of the box probability
     itself when kappa = 0, from the acceptance rate).
 
-    A pilot of 10^4 draws guards against hopeless rejection regimes, which
-    is exactly where the corrected analytic paths must be used instead.
+    A pilot of the first min(n, 10^4) draws guards against hopeless
+    rejection regimes, which is exactly where the corrected analytic paths
+    must be used instead.
     """
     kappa = as_multi_index(kappa, p.dim)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    pilot = sample_with_rng(p, _PILOT, rng)
+    n_total = min(n, _PILOT)
+    pilot = sample_with_rng(p, n_total, rng)
     in_pilot = np.all((pilot >= box.lower) & (pilot <= box.upper), axis=1)
     if in_pilot.mean() < _MIN_ACCEPT:
         raise RejectionTooHighError(
@@ -69,7 +71,6 @@ def mc_tesn_moment(box: TruncationBox, p: EsnParams, kappa, n: int,
             "use the corrected analytic path"
         )
     accepted = [pilot[in_pilot]]
-    n_total = _PILOT
     n_acc = int(in_pilot.sum())
     while n_total < n:
         chunk = min(_CHUNK, n - n_total)

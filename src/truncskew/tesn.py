@@ -112,11 +112,16 @@ class TesnSession(RecurrenceSession):
     def _prob(self) -> float:
         return tesn_prob(self.box, self.params, self.cfg)
 
+    def _share(self, cache, space, path: tuple, coords: tuple, signs: tuple) -> None:
+        super()._share(cache, space, path, coords, signs)
+        self.normal._share(cache, ("companion", path), (), coords, signs)
+
     def _edge_at(self, j: int, t: float):
         if not self.params.derived.hidden:
             return self.normal._edge_at(j, t)
         density, law = edge_conditional(self.params, j, t)
-        return density, None if law is None else TesnSession(self.box.drop(j), law, self.cfg)
+        return density, None if law is None else (
+            lambda: TesnSession(self.box.drop(j), law, self.cfg))
 
     def _companion(self, i: int, low: MultiIndex) -> float:
         if not self.params.derived.hidden:

@@ -65,8 +65,19 @@ class RecurrenceSession:
     lazily and shared by all recurrence steps.  A family supplies three
     hooks: the rectangle probability ``_prob()``; ``_edge_at(j, t)``, the
     factorization of the density on the slice ``x_j = t`` into a density
-    value and a (p-1)-dimensional child session (None in dimension 1); and
-    ``_companion(i, low)``, 0 unless overridden.
+    value and a maker of the (p-1)-dimensional child session (None in
+    dimension 1); and ``_companion(i, low)``, 0 unless overridden.
+
+    Inside a folded sum (:func:`~truncskew.folded._pattern_fks`) the
+    sessions of all sign patterns share one slice cache (``_share``): a
+    child is keyed by its namespace (the main tree, or the companion normal
+    of a main-tree session), the ordered path of fixed (original
+    coordinate, side) pairs and the signs of the coordinates still free, so
+    two patterns that agree on the free signs get the same child and its
+    memo table.  The key determines the child law there because every
+    reflected coordinate is fixed at 0, which reflection leaves in place
+    (the hidden coordinate is never reflected).  The path stays ordered: slices fixed in different orders
+    are not shared, and a session outside a folded sum has no cache.
     """
 
     def __init__(self, box: TruncationBox, params, cfg: QmcConfig = DEFAULT_QMC):
@@ -81,6 +92,8 @@ class RecurrenceSession:
         self.table: dict[MultiIndex, float] = {}
         self._dvec: dict[MultiIndex, np.ndarray] = {}
         self._edges: dict[tuple[int, int], tuple[float, "RecurrenceSession | None"]] = {}
+        # (cache, namespace, path, original coordinates, signs) in a folded sum
+        self._slices = None
 
     def _companion(self, i: int, low: MultiIndex) -> float:
         return 0.0
@@ -96,8 +109,32 @@ class RecurrenceSession:
         key = (j, side)
         if key not in self._edges:
             bound = (self.box.lower if side == 0 else self.box.upper)[j]
-            self._edges[key] = (0.0, None) if np.isinf(bound) else self._edge_at(j, float(bound))
+            if np.isinf(bound):
+                self._edges[key] = (0.0, None)
+            else:
+                dens, make = self._edge_at(j, float(bound))
+                self._edges[key] = dens, None if make is None else self._child(j, side, make)
         return self._edges[key]
+
+    def _child(self, j: int, side: int, make) -> "RecurrenceSession":
+        """The child on the slice (j, side): built by ``make``, or taken from
+        the folded sum's slice cache, where it joins the cache itself."""
+        if self._slices is None:
+            return make()
+        cache, space, path, coords, signs = self._slices
+        path += ((coords[j], side),)
+        coords, signs = coords[:j] + coords[j + 1:], signs[:j] + signs[j + 1:]
+        child = cache.get((space, path, signs))
+        if child is None:
+            child = cache[space, path, signs] = make()
+            child._share(cache, space, path, coords, signs)
+        return child
+
+    def _share(self, cache, space, path: tuple, coords: tuple, signs: tuple) -> None:
+        """Join a folded sum's slice cache as the session at ``path`` in
+        namespace ``space``, whose coordinates are the original ``coords``
+        with reflection ``signs``."""
+        self._slices = (cache, space, path, coords, signs)
 
     def dvec(self, kappa: MultiIndex) -> np.ndarray:
         """The boundary/differentiation vector d_kappa of the recurrence."""
@@ -149,13 +186,14 @@ class TnSession(RecurrenceSession):
 
     def _edge_at(self, j: int, t: float):
         mu, sigma = self.params.mu, self.params.sigma
-        child = None
-        if self.dim > 1:
+
+        def make():
             cmu, csig = conditional_normal(
                 mu, sigma, PartitionIndex.dropping(self.dim, [j]), [t]
             )
-            child = TnSession(self.box.drop(j), NormalParams(cmu, csig), self.cfg)
-        return norm_pdf(t, mu[j], sigma[j, j]), child
+            return TnSession(self.box.drop(j), NormalParams(cmu, csig), self.cfg)
+
+        return norm_pdf(t, mu[j], sigma[j, j]), make if self.dim > 1 else None
 
 
 def tn_fk(box: TruncationBox, p: NormalParams, kappa,

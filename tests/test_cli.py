@@ -264,6 +264,53 @@ class TestValidation:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("request error:")
 
+    @pytest.mark.parametrize("text", [
+        '{"task": "pdf", "family": "normal", "params": {"mu": [1e400], "sigma": [[1]]},'
+        ' "x": [0]}',
+        '{"task": "prob", "family": "normal", "params": {"mu": [0], "sigma": [[1e400]]},'
+        ' "box": [[-1], [1]]}',
+        '{"task": "pdf", "family": "esn",'
+        ' "params": {"mu": [0], "sigma": [[1]], "lambda": [-1e400], "tau": 0}, "x": [0]}',
+        '{"task": "pdf", "family": "esn",'
+        ' "params": {"mu": [0], "sigma": [[1]], "lambda": [1], "tau": 1e400}, "x": [0]}',
+        '{"task": "cdf", "family": "normal", "params": {"mu": [0], "sigma": [[1]]},'
+        ' "x": [-1e400]}',
+        '{"task": "prob", "family": "normal", "params": {"mu": [0], "sigma": [[1]]},'
+        ' "box": [[-1], [1]], "qmc": {"target_abs_error": 1e400}}',
+        '{"task": "pdf", "family": "normal", "params": {"mu": [1' + '0' * 400 + '],'
+        ' "sigma": [[1]]}, "x": [0]}',
+    ], ids=["mu", "sigma", "lambda", "tau", "x", "qmc", "long-integer"])
+    def test_number_beyond_double_range_rejected(self, text):
+        # json reads 1e400 as inf and a 400-digit integer as an int no double holds
+        rc, out, err = _run_inprocess(text)
+        assert rc == 1 and out == ""
+        assert err.startswith("request error:")
+
+    def test_box_limits_beyond_double_range_are_infinite(self):
+        rc, out, err = _run_inprocess(
+            '{"task": "prob", "family": "normal", "params": {"mu": [0], "sigma": [[1]]},'
+            ' "box": [[-1e400], [1e400]]}')
+        assert rc == 0, err
+        assert json.loads(out)["value"] == 1.0
+
+    def test_non_finite_result_is_a_numerical_failure(self):
+        # E[X^4] = 3e600 overflows; the response would not be JSON
+        req = {"task": "moment", "family": "normal",
+               "params": {"mu": [0.0], "sigma": [[1e300]]}, "kappa": [4]}
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc, out, err = _run_inprocess(req)
+        assert rc == 2 and out == ""
+        assert err.startswith("numerical failure:")
+
+    def test_verify_draws_mc_samples(self):
+        req = {"task": "prob", "family": "sn",
+               "params": {"mu": [0.0, 0.0], "sigma": [[1.0, 0.3], [0.3, 1.0]],
+                          "lambda": [1.0, -0.5]},
+               "box": [[-1.0, -1.0], [1.0, 1.0]], "verify": True, "mc_samples": 1000}
+        rc, out, err = _run_inprocess(req)
+        assert rc == 0, err
+        assert json.loads(out)["oracle"]["n_effective"] == 1000
+
 
 # (task, family kind) -> {accepted method: method_used} at p = 2
 _REDUCTION = {"auto": "normal-reduction", "normal-reduction": "normal-reduction"}

@@ -1,3 +1,4 @@
+import gc
 import math
 import time
 
@@ -32,8 +33,11 @@ from truncskew import (
     tesn_prob_with_error,
 )
 import truncskew.folded as folded_module
+from truncskew.cli import _benchmark_instance
 from truncskew.esn import reduce_to_normal
 from truncskew.folded import _orthant_masses
+from truncskew.tesn import tesn_mean_cov
+from truncskew.tn import RecurrenceSession
 
 from conftest import FAST_QMC, random_esn_params, random_spd, unit_index
 
@@ -265,6 +269,76 @@ class TestOrthantTable:
             v_orth = fesn_moment(pr, kappa, method="orthant-sum", cfg=FAST_QMC)
             v_nr = fesn_moment(pr, kappa, method="normal-reduction", cfg=FAST_QMC)
             assert v_orth == pytest.approx(v_nr, rel=1e-8)
+
+
+@pytest.fixture
+def per_pattern(monkeypatch):
+    """Runs a callable with every session outside any slice cache: one
+    session tree per sign pattern, the reference the shared trees must match."""
+    def run(fn, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(RecurrenceSession, "_share", lambda self, *a: None)
+            return fn(*args, **kwargs)
+    return run
+
+
+class TestSliceSharing:
+    """The sign-pattern sessions of a folded sum share their edge children."""
+
+    @pytest.mark.parametrize("method", ["orthant-sum", "normal-reduction"])
+    @pytest.mark.parametrize("tau_tilde", SHIFT_REGIMES)
+    @pytest.mark.parametrize("p, kappas", [
+        (2, [(2, 1), (1, 1)]),
+        (3, [(1, 1, 1), (2, 0, 1)]),
+        (4, [(1, 1, 1, 1), (2, 0, 1, 0)]),
+    ], ids=["p2", "p3", "p4"])
+    def test_equals_one_tree_per_pattern(self, rng, per_pattern, method, tau_tilde,
+                                         p, kappas):
+        pr = _at_shift(random_esn_params(rng, p), tau_tilde)
+        for kappa in kappas:
+            shared = fesn_moment(pr, kappa, method=method, cfg=FAST_QMC)
+            alone = per_pattern(fesn_moment, pr, kappa, method=method, cfg=FAST_QMC)
+            assert shared == pytest.approx(alone, rel=1e-13)
+
+    @pytest.mark.parametrize("method", ["orthant-sum", "normal-reduction"])
+    def test_fewer_kernel_calls(self, rng, per_pattern, method):
+        pr = random_esn_params(rng, 3)
+        with count_integrals() as shared:
+            fesn_moment(pr, (1, 1, 1), method=method, cfg=FAST_QMC)
+        with count_integrals() as alone:
+            per_pattern(fesn_moment, pr, (1, 1, 1), method=method, cfg=FAST_QMC)
+        assert shared.total <= 0.45 * alone.total
+        assert shared.by_dim[4] == alone.by_dim[4] == 1
+
+    def test_orthant_mean_cov_unchanged(self, rng, per_pattern):
+        pr = random_esn_params(rng, 3)
+        shared = fesn_mean_cov_orthant(pr, FAST_QMC)
+        alone = per_pattern(fesn_mean_cov_orthant, pr, FAST_QMC)
+        np.testing.assert_allclose(shared.mean, alone.mean, rtol=1e-13)
+        np.testing.assert_allclose(shared.cov, alone.cov, rtol=1e-13)
+
+    @pytest.mark.parametrize("method", ["orthant-sum", "normal-reduction"])
+    def test_trees_freed_without_the_cycle_collector(self, rng, method):
+        pr = random_esn_params(rng, 3)
+        fesn_moment(pr, (1, 1, 1), method=method, cfg=FAST_QMC)  # first-use imports
+        gc.collect()
+        gc.disable()
+        try:
+            fesn_moment(pr, (1, 1, 1), method=method, cfg=FAST_QMC)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_sessions_outside_a_fold_share_nothing(self):
+        # slices fixed in different orders stay apart: the p = 6 mean/cov
+        # counts of the method comparison do not move
+        box, pr = _benchmark_instance(6, 20240101)
+        with count_integrals() as reduction:
+            tesn_mean_cov(box, pr, FAST_QMC, method="normal-reduction")
+        with count_integrals() as recurrence:
+            tesn_mean_cov(box, pr, FAST_QMC, method="recurrence")
+        assert dict(reduction.by_dim) == {1: 7, 5: 72, 6: 13, 7: 1}
+        assert recurrence.total == 159
 
 
 class TestMeanCov:

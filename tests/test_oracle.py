@@ -17,6 +17,8 @@ from truncskew import (
     tesn_prob_with_error,
 )
 
+from truncskew.esn import sample_with_rng
+
 from conftest import FAST_QMC, random_esn_params, random_instance_with_mass
 
 
@@ -32,6 +34,29 @@ class TestReproducibility:
         a = mc_tesn_moment(box, pr, (1, 0), 200_000, seed=99)
         b = mc_tesn_moment(box, pr, (1, 0), 200_000, seed=100)
         assert a.value != b.value
+
+
+class TestPilot:
+    """The pilot is the first min(n, 10^4) draws of the stream."""
+
+    @staticmethod
+    def _rate(box, pr, seed, chunks):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        hits = sum(int(np.all((x >= box.lower) & (x <= box.upper), axis=1).sum())
+                   for x in (sample_with_rng(pr, n, rng) for n in chunks))
+        return hits / sum(chunks)
+
+    def test_small_n_draws_n(self, rng):
+        box, pr = random_instance_with_mass(rng, 2, min_prob=0.05)
+        est = mc_tesn_moment(box, pr, (0, 0), 1000, seed=11)
+        assert est.n_effective == 1000
+        assert est.value == self._rate(box, pr, 11, [1000])
+
+    def test_large_n_keeps_the_full_pilot(self, rng):
+        box, pr = random_instance_with_mass(rng, 2, min_prob=0.05)
+        est = mc_tesn_moment(box, pr, (0, 0), 25_000, seed=11)
+        assert est.n_effective == 25_000
+        assert est.value == self._rate(box, pr, 11, [10_000, 15_000])
 
 
 class TestTesnOracle:
