@@ -6,7 +6,6 @@ box truncation and componentwise folding, with extreme-case corrections and
 a seeded Monte Carlo oracle.
 """
 
-from .config import settings
 from .core import (
     PartitionIndex,
     conditional_normal,

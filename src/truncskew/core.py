@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import settings
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
@@ -41,6 +40,9 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
 
 
 _SYMMETRY_TOL = 1e-8
+
+_PSD_REL_TOL = 1e-10  # relative size of a negative eigenvalue clamped to 0, not rejected
+_MAX_BLOCK_CONDITION = 1e14  # condition-number cap for conditioned-on covariance blocks
 
 
 def as_sym_matrix(S, dim: int | None = None) -> np.ndarray:
@@ -115,7 +117,7 @@ def _psd_eigh(S) -> tuple[np.ndarray, np.ndarray]:
     S = as_sym_matrix(S)
     w, V = np.linalg.eigh(S)
     wmax = max(float(w[-1]), 0.0)
-    if float(w[0]) < -settings.psd_rel_tol * max(wmax, 1e-300):
+    if float(w[0]) < -_PSD_REL_TOL * max(wmax, 1e-300):
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} (max {wmax:.3e})")
     return w, V
 
@@ -164,7 +166,7 @@ def conditional_normal(mu, S, given: PartitionIndex, value) -> tuple[np.ndarray,
         return np.empty(0), np.empty((0, 0))
     # a finite non-zero 1x1 block has condition number exactly 1: skip the SVD
     well_conditioned = len(r) == 1 and S22[0, 0] != 0.0 and np.isfinite(S22[0, 0])
-    if not well_conditioned and np.linalg.cond(S22) > settings.max_block_condition:
+    if not well_conditioned and np.linalg.cond(S22) > _MAX_BLOCK_CONDITION:
         raise SingularBlockError("conditioned-on block is numerically singular")
     S12 = S[np.ix_(k, r)]
     sol = np.linalg.solve(S22, np.column_stack([(value - mu[r]), S12.T.reshape(len(r), -1)]))

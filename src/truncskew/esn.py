@@ -27,7 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import settings
 from .core import (
     PartitionIndex,
     as_sym_matrix,
@@ -64,6 +63,8 @@ __all__ = [
     "augment",
     "reduce_to_normal",
 ]
+
+_TAU_TILDE_LIMIT = -35.0  # below it, a law drops its hidden coordinate for the limiting normal
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ class EsnDerived:
 
     ``hidden`` is the one decision on the hidden coordinate of the
     hidden-truncation representation: it is kept only when lam != 0 and
-    tau_tilde is at or above ``settings.tau_tilde_limit``.  At lam = 0 it is
+    tau_tilde is at or above ``_TAU_TILDE_LIMIT``.  At lam = 0 it is
     independent of Y with mass exactly xi, so dropping it is exact; below
     the switch point dropping it is the limiting-normal approximation.
     """
@@ -156,7 +157,7 @@ def esn_derive(p: EsnParams) -> EsnDerived:
         Gamma=symmetrize(p.sigma - np.outer(Delta, Delta)),
         sigma_sqrt=sigma_sqrt,
         sigma_inv_sqrt=sigma_inv_sqrt,
-        hidden=bool(np.any(p.lam)) and tau_tilde >= settings.tau_tilde_limit,
+        hidden=bool(np.any(p.lam)) and tau_tilde >= _TAU_TILDE_LIMIT,
     )
 
 
@@ -183,14 +184,12 @@ class NormalReduction(NamedTuple):
         return min(1.0, prob / self.xi), err / self.xi
 
 
-def augment(p: EsnParams, box: TruncationBox | None = None) -> NormalReduction:
+def augment(p: EsnParams, box: TruncationBox) -> NormalReduction:
     """The reduction that keeps the hidden coordinate: the normal with
     location (mu, 0) and scale [[sigma, -Delta], [-Delta', 1]] on the box
-    (the whole space by default) times (-inf, tau_tilde] in the last
-    coordinate, which no moment index raises, and xi = Phi(tau_tilde)."""
+    times (-inf, tau_tilde] in the last coordinate, which no moment index
+    raises, and xi = Phi(tau_tilde)."""
     d = p.derived
-    if box is None:
-        box = TruncationBox.unbounded(p.dim)
     if box.dim != p.dim:
         raise DimensionMismatchError("box and parameter dimensions differ")
     omega = np.empty((p.dim + 1, p.dim + 1))

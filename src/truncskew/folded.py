@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import settings
 from .core import PartitionIndex, symmetrize
 from .errors import (
     DimensionMismatchError,
@@ -58,8 +57,8 @@ from .mvn import (
     norm_pdf,
     std_cdf,
 )
-from .tesn import TesnSession, edge_conditional, tesn_fk, tesn_prob
-from .tn import TnSession
+from .tesn import _session, edge_conditional, tesn_fk, tesn_prob
+from .tn import RecurrenceSession, TnSession
 
 __all__ = [
     "SignPattern",
@@ -74,6 +73,8 @@ __all__ = [
     "folded_cross_work",
     "fesn_mean_cov_orthant",
 ]
+
+_ORTHANT_SUM_MAX_DIM = 12  # cap on dimension for 2**p sign-pattern sums
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,9 @@ class SignPattern:
 def sign_patterns(dim: int):
     """All 2^dim sign patterns in Gray-code order (adjacent patterns differ
     in a single flip)."""
-    if dim > settings.orthant_sum_max_dim:
+    if dim > _ORTHANT_SUM_MAX_DIM:
         raise DimensionTooLargeError(
-            f"2^{dim} sign patterns exceed the cap of 2^{settings.orthant_sum_max_dim}"
+            f"2^{dim} sign patterns exceed the cap of 2^{_ORTHANT_SUM_MAX_DIM}"
         )
     for k in range(1 << dim):
         g = k ^ (k >> 1)
@@ -143,7 +144,7 @@ def fesn_cdf(y, p: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> float:
     return tesn_prob(TruncationBox(-y, y), p, cfg)
 
 
-def fesn_ik(p: EsnParams, kappa, session: TesnSession | None = None,
+def fesn_ik(p: EsnParams, kappa, session: RecurrenceSession | None = None,
             cfg: QmcConfig = DEFAULT_QMC) -> float:
     """Positive-orthant moment integral I_kappa: :func:`tesn_fk` with lower
     limits 0 and upper limits infinity (so the zero-power lower edge is the
@@ -217,11 +218,11 @@ def _pattern_fks(p: EsnParams, method: str, cfg: QmcConfig, kappas):
     memo (and its companion normal's) is seeded from :func:`_orthant_masses`
     for the indices ``kappas``.
 
-    'orthant-sum' runs a :class:`TesnSession` on each reflected law;
-    'normal-reduction' a :class:`TnSession` on its :func:`reduce_to_normal`,
-    whose F_0 is the unnormalized mass (the result is divided by xi).  All
-    of them, and the companion normals of the 'orthant-sum' sessions, take
-    their edge children from one slice cache
+    'orthant-sum' runs :func:`~truncskew.tesn._session` on each reflected
+    law; 'normal-reduction' a :class:`TnSession` on its
+    :func:`reduce_to_normal`, whose F_0 is the unnormalized mass (the result
+    is divided by xi).  All of them, and the companion normals of those that
+    are a ``TesnSession``, take their edge children from one slice cache
     (:class:`~truncskew.tn.RecurrenceSession`).
     """
     if method not in ("orthant-sum", "normal-reduction"):
@@ -231,9 +232,8 @@ def _pattern_fks(p: EsnParams, method: str, cfg: QmcConfig, kappas):
     orthant = TruncationBox.orthant(n)
     red = reduce_to_normal(orthant, p)
     masses = _orthant_masses(red.box, red.params, n, cfg, kappas)
-    if method == "orthant-sum":
-        companion = (_orthant_masses(orthant, esn_limit_params(p), n, cfg, kappas)
-                     if red.hidden else masses)
+    if method == "orthant-sum" and red.hidden:
+        companion = _orthant_masses(orthant, esn_limit_params(p), n, cfg, kappas)
     fks = []
     # weak: every session holds the cache, and each child is held by the
     # session that built it, so the trees are freed without a cycle
@@ -241,10 +241,11 @@ def _pattern_fks(p: EsnParams, method: str, cfg: QmcConfig, kappas):
     for s in sign_patterns(n):
         flipped = flip_params(p, s)
         if method == "orthant-sum":
-            session = TesnSession(orthant, flipped, cfg)
+            session = _session(orthant, flipped, cfg)
             session._share(slices, "main", (), tuple(range(n)), s.s)
             session.table[zero] = masses[s][0] / red.xi
-            session.normal.table[zero] = companion[s][0]
+            if red.hidden:
+                session.normal.table[zero] = companion[s][0]
             fks.append(session.fk)
         else:
             red_s = reduce_to_normal(orthant, flipped)

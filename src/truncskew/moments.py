@@ -4,7 +4,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import settings
 from .core import as_sym_matrix, as_vector, symmetrize
 from .errors import DimensionMismatchError, DimensionTooLargeError
 
@@ -14,6 +13,8 @@ __all__ = ["MultiIndex", "as_multi_index", "FirstTwoMoments"]
 # directly as a memoization key.
 MultiIndex = tuple[int, ...]
 
+_MAX_MOMENT_ORDER = 8  # per-coordinate cap on moment order in the recurrences
+
 
 def as_multi_index(kappa, dim: int) -> MultiIndex:
     """Validate and normalize a multi-index for a ``dim``-dimensional law."""
@@ -22,9 +23,9 @@ def as_multi_index(kappa, dim: int) -> MultiIndex:
         raise DimensionMismatchError(f"multi-index length {len(k)} != dim {dim}")
     if any(v < 0 for v in k):
         raise DimensionMismatchError("multi-index entries must be nonnegative")
-    if any(v > settings.max_moment_order for v in k):
+    if any(v > _MAX_MOMENT_ORDER for v in k):
         raise DimensionTooLargeError(
-            f"per-coordinate moment order capped at {settings.max_moment_order}"
+            f"per-coordinate moment order capped at {_MAX_MOMENT_ORDER}"
         )
     return k
 

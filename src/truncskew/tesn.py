@@ -7,9 +7,9 @@ Two interchangeable engines:
   companion normal integrals at the limiting parameters (mu - mu_b, Gamma),
   and per-coordinate boundary terms that factor into a univariate edge
   density times a (p-1)-dimensional problem with conditional parameters,
-  both from :func:`edge_conditional`.  Every constant of a law (delta, the
-  limiting parameters, the hidden-coordinate decision) is read from
-  ``EsnParams.derived``, derived once per law.
+  as in :func:`edge_conditional`; a law without a hidden coordinate gets
+  a :class:`TnSession` instead (:func:`_session`).  Every constant of a law
+  is read from ``EsnParams.derived``, derived once per law.
 * :func:`tesn_fk_via_normal` -- one truncated-normal moment of the normal
   of :func:`~truncskew.esn.reduce_to_normal`, divided by its xi.
 
@@ -65,12 +65,18 @@ def edge_conditional(p: EsnParams, j: int, t: float) -> tuple[float, EsnParams |
     at t (:func:`esn_marginal`) and the (p-1)-dim law of the other
     coordinates given x_j = t (:func:`esn_conditional`; None at p = 1).  A
     slice at +-inf carries no mass: (0.0, None)."""
+    density, law = _edge_factors(p, j, t)
+    return density, law() if law else None
+
+
+def _edge_factors(p: EsnParams, j: int, t: float):
+    """:func:`edge_conditional` with the slice law deferred to a maker."""
     if np.isinf(t):
         return 0.0, None
     others = [k for k in range(p.dim) if k != j]
     density = esn_pdf([t], esn_marginal(p, PartitionIndex.dropping(p.dim, others)))
-    law = esn_conditional(p, PartitionIndex.dropping(p.dim, [j]), [t]) if others else None
-    return density, law
+    return density, (lambda: esn_conditional(
+        p, PartitionIndex.dropping(p.dim, [j]), [t])) if others else None
 
 
 def tesn_prob_with_error(box: TruncationBox, p: EsnParams,
@@ -86,28 +92,22 @@ def tesn_prob(box: TruncationBox, p: EsnParams, cfg: QmcConfig = DEFAULT_QMC) ->
 
 class TesnSession(RecurrenceSession):
     """Memoized evaluator of the truncated skewed product moments
-    F_kappa = int_box x^kappa f_ESN(x) dx for one (box, params) pair.
+    F_kappa = int_box x^kappa f_ESN(x) dx for one (box, params) pair of a law
+    with a hidden coordinate (``EsnDerived.hidden``; see :func:`_session`).
+    A law without one raises :class:`ValueError`.
 
     Holds the companion normal session at the limiting parameters
     (mu - mu_b, Gamma), whose values enter every raising step through the
     term ``delta_i * normal.fk(low)``, and lazily built (p-1)-dimensional
-    edge sessions.  Where the law has no hidden coordinate
-    (``EsnDerived.hidden``) the session runs the companion's own recurrence
-    instead.  At lam = 0 the companion is the law itself and every delta_i
-    is 0, so this is exact.  Below the shift switch point it returns the
-    limiting normal's integrals, which are not the skewed ones: the hidden
-    coordinate's truncated mean sits a Mills-ratio offset ~1/|tau_tilde|
-    from tau_tilde, which moves the law by about ``Delta / |tau_tilde|`` (3%
-    of |Delta| at the switch point) and widens it along Delta; where Gamma
-    is narrow along Delta, box probabilities and moments can be off by O(1).
+    edge sessions from :func:`_session` on their slice laws.
     """
 
     def __init__(self, box: TruncationBox, params: EsnParams,
                  cfg: QmcConfig = DEFAULT_QMC):
+        if not params.derived.hidden:
+            raise ValueError("no hidden coordinate: use TnSession(box, esn_limit_params(p))")
         super().__init__(box, params, cfg)
         self.normal = TnSession(box, esn_limit_params(params), cfg)
-        if not self.params.derived.hidden:
-            self.loc, self.scale = self.normal.params.mu, self.normal.params.sigma
 
     def _prob(self) -> float:
         return tesn_prob(self.box, self.params, self.cfg)
@@ -117,25 +117,40 @@ class TesnSession(RecurrenceSession):
         self.normal._share(cache, ("companion", path), (), coords, signs)
 
     def _edge_at(self, j: int, t: float):
-        if not self.params.derived.hidden:
-            return self.normal._edge_at(j, t)
-        density, law = edge_conditional(self.params, j, t)
-        return density, None if law is None else (
-            lambda: TesnSession(self.box.drop(j), law, self.cfg))
+        # the slice law is built only on a slice-cache miss
+        density, law = _edge_factors(self.params, j, t)
+        return density, (lambda: _session(self.box.drop(j), law(), self.cfg)) if law else None
 
     def _companion(self, i: int, low: MultiIndex) -> float:
-        if not self.params.derived.hidden:
-            return 0.0
         return self.params.derived.delta[i] * self.normal.fk(low)
 
 
+def _session(box: TruncationBox, p: EsnParams,
+             cfg: QmcConfig = DEFAULT_QMC) -> RecurrenceSession:
+    """The recurrence session of a law: a :class:`TesnSession` where it keeps
+    its hidden coordinate, else a :class:`TnSession` on N(mu - mu_b, Gamma).
+
+    That normal is the law itself at lam = 0.  Below the shift switch point
+    it is the limiting normal, whose integrals are not the skewed ones: the
+    hidden coordinate's truncated mean sits a Mills-ratio offset
+    ~1/|tau_tilde| from tau_tilde, which moves the law by about
+    ``Delta / |tau_tilde|`` (3% of |Delta| at the switch point) and widens it
+    along Delta; where Gamma is narrow along Delta, box probabilities and
+    moments can be off by O(1).
+    """
+    if p.derived.hidden:
+        return TesnSession(box, p, cfg)
+    return TnSession(box, esn_limit_params(p), cfg)
+
+
 def tesn_fk(box: TruncationBox, p: EsnParams, kappa,
-            session: TesnSession | None = None,
+            session: RecurrenceSession | None = None,
             cfg: QmcConfig = DEFAULT_QMC) -> float:
     """Unnormalized skewed product moment over the box, by the direct
-    recurrence.  Pass a session to share memoization across indices."""
+    recurrence (:func:`_session`).  Pass a session to share memoization
+    across indices."""
     if session is None:
-        session = TesnSession(box, p, cfg)
+        session = _session(box, p, cfg)
     return session.fk(as_multi_index(kappa, p.dim))
 
 
@@ -143,13 +158,13 @@ def tesn_fk_univariate(a: float, b: float, p: EsnParams, k_max: int,
                        cfg: QmcConfig = DEFAULT_QMC) -> dict[MultiIndex, float]:
     """Table of univariate moments F_0 .. F_{k_max} over (a, b).
 
-    F_0 comes from the deterministic bivariate path; each step adds the two
-    boundary densities and one companion normal moment.  Infinite-limit
-    density terms are dropped.
+    F_0 comes from one deterministic kernel call (bivariate with a hidden
+    coordinate); each step adds the two boundary densities and, with a hidden
+    coordinate, one companion normal moment.  Infinite-limit terms drop.
     """
     if p.dim != 1:
         raise DimensionMismatchError("univariate recurrence requires dim 1")
-    session = TesnSession(TruncationBox([a], [b]), p, cfg)
+    session = _session(TruncationBox([a], [b]), p, cfg)
     for k in range(k_max + 1):
         session.fk((k,))
     return dict(session.table)
@@ -196,7 +211,7 @@ def tesn_moments(box: TruncationBox, p: EsnParams, kappas,
         raise ValueError(f"unknown method {method!r}")
     red = reduce_to_normal(box, p)
     if method == "recurrence":
-        session, lift = TesnSession(box, p, cfg), (lambda k: k)
+        session, lift = _session(box, p, cfg), (lambda k: k)
     else:
         session, lift = TnSession(red.box, red.params, cfg), red.lift
     denom = _seed_normalizer(session, red, cfg)
@@ -225,11 +240,10 @@ def _mean_cov_direct(box: TruncationBox, p: EsnParams, cfg: QmcConfig,
     session's own loc and scale: the probability, the edge vector (the
     d-vector at order zero) and the d-vectors at the unit indices.  With a
     hidden coordinate the companion normal enters too, weighted by delta:
-    its rectangle and its unnormalized first moments.  Without one (lam = 0,
-    or the limiting normal below the shift switch point) the session runs
-    the normal recurrence and there is no companion term.  ``red`` is the
+    its rectangle and its unnormalized first moments; without one the
+    session is a :class:`TnSession` with no companion term.  ``red`` is the
     box's reduction, whose normal box the normalizer gate checks."""
-    session = TesnSession(box, p, cfg)
+    session = _session(box, p, cfg)
     LL = _seed_normalizer(session, red, cfg)
     w_mean = w_raw2 = 0.0
     if p.derived.hidden:

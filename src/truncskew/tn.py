@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import settings
 from .core import PartitionIndex, conditional_normal, symmetrize
 from .errors import DegenerateBoxError, DimensionMismatchError
 from .moments import FirstTwoMoments, MultiIndex, as_multi_index
@@ -49,6 +48,10 @@ __all__ = [
     "tn_first_two_mgf",
     "tn_first_two_corrected",
 ]
+
+# A coordinate is "out of bounds" when its marginal interval probability
+# (evaluated in log space) falls below this.
+_OUT_OF_BOUNDS_EPS = 1e-12
 
 
 class RecurrenceSession:
@@ -380,7 +383,7 @@ def tn_first_two_corrected(box: TruncationBox, p: NormalParams,
     Reductions, in order: coordinates with two infinite limits are split off
     and recombined through the conditional-normal identities; a coordinate
     whose marginal interval probability is below
-    ``settings.out_of_bounds_eps`` is degenerated at its near bound with an
+    ``_OUT_OF_BOUNDS_EPS`` (1e-12) is degenerated at its near bound with an
     exactly-zero covariance row -- one coordinate at a time, worst first,
     re-screening the conditional remainder (a marginally hopeless coordinate
     can be perfectly probable given an already pinned one); a
@@ -446,7 +449,7 @@ def _corrected(box: TruncationBox, p: NormalParams, cfg: QmcConfig,
                                              corrections=notes + sub.corrections)
 
     # 2. out-of-bounds coordinate: pin the worst one, condition, re-screen
-    log_eps = math.log(settings.out_of_bounds_eps)
+    log_eps = math.log(_OUT_OF_BOUNDS_EPS)
     logs = [_marginal_interval_log_prob(box, p, i) for i in range(dim)]
     worst = int(np.argmin(logs))
     if logs[worst] < log_eps:

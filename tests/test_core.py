@@ -9,7 +9,7 @@ from truncskew import (
     conditional_normal,
     sym_sqrt,
 )
-from truncskew.config import settings
+from truncskew import core
 from truncskew.core import sym_roots, symmetrize
 
 from conftest import random_spd
@@ -47,17 +47,13 @@ class TestSymSqrt:
         with pytest.raises(NotPSDError):
             sym_sqrt(np.diag([1.0, -0.5]))
 
-    def test_tolerance_configurable(self):
+    def test_tolerance_configurable(self, monkeypatch):
         s = np.diag([1.0, -1e-8])
         with pytest.raises(NotPSDError):
             sym_sqrt(s)
-        old = settings.psd_rel_tol
-        settings.psd_rel_tol = 1e-6
-        try:
-            root = sym_sqrt(s)  # now inside tolerance, clamped to zero
-            assert root[1, 1] == 0.0
-        finally:
-            settings.psd_rel_tol = old
+        monkeypatch.setattr(core, "_PSD_REL_TOL", 1e-6)
+        root = sym_sqrt(s)  # now inside tolerance, clamped to zero
+        assert root[1, 1] == 0.0
 
 
 class TestSymRoots:

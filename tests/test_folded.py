@@ -33,6 +33,7 @@ from truncskew import (
     tesn_prob_with_error,
 )
 import truncskew.folded as folded_module
+import truncskew.tesn as tesn_module
 from truncskew.cli import _benchmark_instance
 from truncskew.esn import reduce_to_normal
 from truncskew.folded import _orthant_masses
@@ -309,6 +310,22 @@ class TestSliceSharing:
             per_pattern(fesn_moment, pr, (1, 1, 1), method=method, cfg=FAST_QMC)
         assert shared.total <= 0.45 * alone.total
         assert shared.by_dim[4] == alone.by_dim[4] == 1
+
+    def test_child_laws_built_only_on_a_cache_miss(self, rng, monkeypatch):
+        # one esn_conditional call per child session: a cache hit builds none
+        laws, children = [], []
+        conditional, init = tesn_module.esn_conditional, TesnSession.__init__
+
+        def counting_init(self, box, params, cfg):
+            if params.dim < 3:
+                children.append(self)
+            init(self, box, params, cfg)
+
+        monkeypatch.setattr(tesn_module, "esn_conditional",
+                            lambda *a: laws.append(a) or conditional(*a))
+        monkeypatch.setattr(TesnSession, "__init__", counting_init)
+        fesn_moment(random_esn_params(rng, 3), (1, 1, 1), method="orthant-sum", cfg=FAST_QMC)
+        assert len(laws) == len(children) == 24
 
     def test_orthant_mean_cov_unchanged(self, rng, per_pattern):
         pr = random_esn_params(rng, 3)

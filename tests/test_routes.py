@@ -4,8 +4,8 @@ truncated-normal module, and only ``esn.py`` builds the augmented normal.
 Every normalizer passes one gate, the only place that raises
 ``DegenerateBoxError``, and no ``__all__`` lists a name its module lost.
 Each law derives its constants once, as ``EsnParams.derived``: no function
-takes a derivation as a parameter.  The package source is parsed, not
-imported."""
+takes a derivation as a parameter, and only ``esn.py`` reads the shift
+switch point.  The package source is parsed, not imported."""
 
 import ast
 from pathlib import Path
@@ -100,3 +100,14 @@ def test_only_the_law_property_calls_esn_derive():
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text()), [], path.name)
     assert callers == [("esn.py", "EsnParams.derived")]
+
+
+def test_switch_point_is_read_in_one_module():
+    # whether a task keeps its hidden coordinate is decided in esn_derive
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                    and getattr(node, "id", getattr(node, "attr", None)) == "_TAU_TILDE_LIMIT"):
+                readers.add(path.name)
+    assert readers == {"esn.py"}

@@ -32,6 +32,8 @@ from truncskew import (
     tn_fk,
 )
 
+from truncskew import tesn
+
 from conftest import (
     FAST_QMC,
     random_esn_params,
@@ -351,6 +353,45 @@ def _limit_regime_law(mu, sigma, lam, tau_tilde=-40.0) -> EsnParams:
     lam = np.asarray(lam, dtype=float)
     return EsnParams(mu=mu, sigma=sigma, lam=lam,
                      tau=tau_tilde * math.sqrt(1.0 + lam @ lam))
+
+
+class TestSessionPerLaw:
+    """A law without a hidden coordinate runs a plain normal recurrence:
+    the same doubles as ``tn_fk`` on its limiting normal."""
+
+    @pytest.mark.parametrize("regime", ["lambda-zero", "below-switch-point"])
+    def test_recurrence_is_the_limiting_normal(self, rng, regime):
+        mu, sigma = rng.normal(size=3) * 0.5, random_spd(rng, 3)
+        if regime == "lambda-zero":
+            pr = EsnParams(mu=mu, sigma=sigma, lam=np.zeros(3), tau=0.7)
+        else:
+            pr = _limit_regime_law(mu, sigma, [0.6, -0.4, 0.3], tau_tilde=-41.0)
+        limit = esn_limit_params(pr)
+        sd = np.sqrt(np.diag(limit.sigma))
+        box = TruncationBox(limit.mu - sd, limit.mu + 1.5 * sd)
+        session = tesn._session(box, pr, FAST_QMC)
+        assert type(session) is TnSession
+        for kappa in ((1, 0, 0), (1, 1, 1), (2, 0, 1)):
+            normal = tn_fk(box, limit, kappa, cfg=FAST_QMC)
+            assert tesn_fk(box, pr, kappa, cfg=FAST_QMC) == normal
+            ratio = normal / tn_fk(box, limit, (0, 0, 0), cfg=FAST_QMC)
+            assert tesn_moment(box, pr, kappa, FAST_QMC, method="recurrence") == ratio
+
+    @pytest.mark.parametrize("regime", ["lambda-zero", "below-switch-point"])
+    def test_direct_skewed_session_refuses_the_law(self, rng, regime):
+        # at tau_tilde = -36 the skewed recurrence from the limiting F_0
+        # gives neither the skewed nor the limiting value
+        mu, sigma = rng.normal(size=2) * 0.5, random_spd(rng, 2)
+        if regime == "lambda-zero":
+            pr = EsnParams(mu=mu, sigma=sigma, lam=np.zeros(2), tau=0.7)
+        else:
+            pr = _limit_regime_law(mu, sigma, [0.6, -0.4], tau_tilde=-36.0)
+        with pytest.raises(ValueError, match="TnSession"):
+            TesnSession(TruncationBox.unbounded(2), pr, FAST_QMC)
+
+    def test_hidden_law_keeps_the_skewed_session(self, rng):
+        box, pr = random_instance_with_mass(rng, 2)
+        assert type(tesn._session(box, pr, FAST_QMC)) is TesnSession
 
 
 class TestMeanCovRoutes:
