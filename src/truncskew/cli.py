@@ -31,7 +31,7 @@ from .esn import EsnParams, esn_pdf
 from .folded import fesn_mean_cov, fesn_mean_cov_orthant, fesn_moment
 from .moments import FirstTwoMoments, as_multi_index
 from .mvn import DEFAULT_QMC, QmcConfig, TruncationBox, count_integrals
-from .oracle import mc_fesn_moment, mc_tesn_moment
+from .oracle import _mc_tesn_moments, mc_fesn_moment, mc_tesn_moment
 from .tesn import tesn_mean_cov, tesn_moment, tesn_prob_with_error
 
 SCHEMA_VERSION = 1
@@ -358,8 +358,7 @@ def _execute(req: dict) -> dict:
 
 
 def _mean_oracle(box, params, n, seed) -> dict:
-    ests = [mc_tesn_moment(box, params, tuple(int(i == j) for j in range(params.dim)),
-                           n, seed) for i in range(params.dim)]
+    ests = _mc_tesn_moments(box, params, np.eye(params.dim, dtype=int), n, seed)
     return {
         "mean": [e.value for e in ests],
         "std_error": [e.std_error for e in ests],
@@ -387,15 +386,17 @@ def _benchmark_instance(p: int, seed: int):
 
 def run_benchmark(dims, repetitions: int = 3, seed: int = 20240101,
                   out=sys.stdout) -> None:
-    """Method comparison on doubly truncated mean/cov tasks.
+    """Method comparison on doubly truncated mean/cov tasks at p = 1..10.
 
     Prints CSV ``p,method,integral_count,median_ms``; integral counts are
-    exact kernel-call counts, times are medians over ``repetitions`` runs.
+    exact kernel-call counts, times are medians over ``repetitions >= 1`` runs.
     The ``normal-reduction`` row runs ``method="mgf"``, the reduction
     without extreme-case screening, to isolate the method's own count.
     """
-    if any(p > 10 for p in dims):
-        raise RequestError("benchmark dimensions are capped at 10")
+    if not dims or not all(1 <= p <= 10 for p in dims):
+        raise RequestError("benchmark dimensions must be integers in 1..10")
+    if repetitions < 1:
+        raise RequestError("benchmark repetitions must be at least 1")
     try:
         cfg = QmcConfig(sample_count=2048, replicates=8, seed=seed)
     except ValueError as exc:
@@ -445,7 +446,10 @@ def main(argv=None) -> int:
 
     try:
         if args.benchmark is not None:
-            dims = [int(v) for v in args.benchmark.split(",") if v.strip()]
+            try:
+                dims = [int(v) for v in args.benchmark.split(",") if v.strip()]
+            except ValueError as exc:
+                raise RequestError(f"invalid benchmark dimensions {args.benchmark!r}") from exc
             run_benchmark(dims, repetitions=args.repetitions,
                           seed=args.seed if args.seed is not None else 20240101)
             return 0

@@ -58,7 +58,7 @@ from .mvn import (
     std_cdf,
 )
 from .tesn import _session, edge_conditional, tesn_fk, tesn_prob
-from .tn import RecurrenceSession, TnSession
+from .tn import TnSession
 
 __all__ = [
     "SignPattern",
@@ -144,12 +144,11 @@ def fesn_cdf(y, p: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> float:
     return tesn_prob(TruncationBox(-y, y), p, cfg)
 
 
-def fesn_ik(p: EsnParams, kappa, session: RecurrenceSession | None = None,
-            cfg: QmcConfig = DEFAULT_QMC) -> float:
+def fesn_ik(p: EsnParams, kappa, cfg: QmcConfig = DEFAULT_QMC) -> float:
     """Positive-orthant moment integral I_kappa: :func:`tesn_fk` with lower
     limits 0 and upper limits infinity (so the zero-power lower edge is the
-    only surviving boundary term)."""
-    return tesn_fk(TruncationBox.orthant(p.dim), p, kappa, session, cfg)
+    only surviving boundary term), on a fresh session."""
+    return tesn_fk(TruncationBox.orthant(p.dim), p, kappa, cfg)
 
 
 def _orthant_masses(box: TruncationBox, params: NormalParams, dim: int,
@@ -259,8 +258,8 @@ def _pattern_fks(p: EsnParams, method: str, cfg: QmcConfig, kappas):
     return fks
 
 
-def fesn_moment(p: EsnParams, kappa, method: str = "orthant-sum",
-                cfg: QmcConfig = DEFAULT_QMC) -> float:
+def fesn_moment(p: EsnParams, kappa, cfg: QmcConfig = DEFAULT_QMC,
+                method: str = "orthant-sum") -> float:
     """Raw folded moment E[|X|^kappa]: the sum over sign patterns of the
     positive-orthant integral of each reflected law.
 

@@ -60,7 +60,13 @@ def mc_tesn_moment(box: TruncationBox, p: EsnParams, kappa, n: int,
     rejection regimes, which is exactly where the corrected analytic paths
     must be used instead.
     """
-    kappa = as_multi_index(kappa, p.dim)
+    return _mc_tesn_moments(box, p, [kappa], n, seed)[0]
+
+
+def _mc_tesn_moments(box: TruncationBox, p: EsnParams, kappas, n: int,
+                     seed: int) -> list[McEstimate]:
+    """:func:`mc_tesn_moment` of each index in ``kappas``, from one sample."""
+    kappas = [as_multi_index(kappa, p.dim) for kappa in kappas]
     rng = np.random.Generator(np.random.Philox(key=seed))
     n_total = min(n, _PILOT)
     pilot = sample_with_rng(p, n_total, rng)
@@ -79,18 +85,18 @@ def mc_tesn_moment(box: TruncationBox, p: EsnParams, kappa, n: int,
         accepted.append(draws[keep])
         n_acc += int(keep.sum())
         n_total += chunk
-    if not any(kappa):
-        rate = n_acc / n_total
-        se = math.sqrt(max(rate * (1.0 - rate), 1e-300) / n_total)
-        return McEstimate(value=rate, std_error=se, n_effective=n_total, seed=seed)
-    x = np.concatenate(accepted, axis=0)
-    vals = _power_products(x, kappa)
-    return McEstimate(
-        value=float(vals.mean()),
-        std_error=float(vals.std(ddof=1) / math.sqrt(len(vals))),
-        n_effective=len(vals),
-        seed=seed,
-    )
+    x = np.concatenate(accepted, axis=0) if any(map(any, kappas)) else None
+
+    def estimate(kappa) -> McEstimate:
+        if not any(kappa):
+            rate = n_acc / n_total
+            se = math.sqrt(max(rate * (1.0 - rate), 1e-300) / n_total)
+            return McEstimate(value=rate, std_error=se, n_effective=n_total, seed=seed)
+        vals = _power_products(x, kappa)
+        return McEstimate(value=float(vals.mean()), n_effective=len(vals), seed=seed,
+                          std_error=float(vals.std(ddof=1) / math.sqrt(len(vals))))
+
+    return [estimate(kappa) for kappa in kappas]
 
 
 def mc_fesn_moment(p: EsnParams, kappa, n: int, seed: int) -> McEstimate:

@@ -143,15 +143,11 @@ def _session(box: TruncationBox, p: EsnParams,
     return TnSession(box, esn_limit_params(p), cfg)
 
 
-def tesn_fk(box: TruncationBox, p: EsnParams, kappa,
-            session: RecurrenceSession | None = None,
-            cfg: QmcConfig = DEFAULT_QMC) -> float:
+def tesn_fk(box: TruncationBox, p: EsnParams, kappa, cfg: QmcConfig = DEFAULT_QMC) -> float:
     """Unnormalized skewed product moment over the box, by the direct
-    recurrence (:func:`_session`).  Pass a session to share memoization
-    across indices."""
-    if session is None:
-        session = _session(box, p, cfg)
-    return session.fk(as_multi_index(kappa, p.dim))
+    recurrence on a fresh session (:func:`_session`); the session classes
+    and :func:`tesn_moments` share one memo table across indices."""
+    return _session(box, p, cfg).fk(as_multi_index(kappa, p.dim))
 
 
 def tesn_fk_univariate(a: float, b: float, p: EsnParams, k_max: int,
@@ -171,19 +167,12 @@ def tesn_fk_univariate(a: float, b: float, p: EsnParams, k_max: int,
 
 
 def tesn_fk_via_normal(box: TruncationBox, p: EsnParams, kappa,
-                       session: TnSession | None = None,
                        cfg: QmcConfig = DEFAULT_QMC) -> float:
     """The same integral through the normal reduction: one normal moment of
-    :func:`reduce_to_normal` divided by its xi.
-
-    An existing session may be passed to share memoization; it must have
-    been built on the box and params of ``reduce_to_normal(box, p)`` with
-    the same cfg."""
+    :func:`reduce_to_normal`, on a fresh :class:`TnSession`, divided by its xi."""
     kappa = as_multi_index(kappa, p.dim)
     red = reduce_to_normal(box, p)
-    if session is None:
-        session = TnSession(red.box, red.params, cfg)
-    return session.fk(red.lift(kappa)) / red.xi
+    return TnSession(red.box, red.params, cfg).fk(red.lift(kappa)) / red.xi
 
 
 def tesn_moment(box: TruncationBox, p: EsnParams, kappa,
@@ -210,24 +199,22 @@ def tesn_moments(box: TruncationBox, p: EsnParams, kappas,
     if method not in ("recurrence", "normal-reduction"):
         raise ValueError(f"unknown method {method!r}")
     red = reduce_to_normal(box, p)
+    L = _normalizer(red, cfg)
     if method == "recurrence":
-        session, lift = _session(box, p, cfg), (lambda k: k)
+        session, lift, denom = _session(box, p, cfg), (lambda k: k), min(1.0, L / red.xi)
     else:
-        session, lift = TnSession(red.box, red.params, cfg), red.lift
-    denom = _seed_normalizer(session, red, cfg)
+        session, lift, denom = TnSession(red.box, red.params, cfg), red.lift, L
+    session.table[(0,) * session.dim] = denom
     # xi cancels in each ratio
     return {k: session.fk(lift(k)) / denom for k in kappas}
 
 
-def _seed_normalizer(session: RecurrenceSession, red: NormalReduction,
-                     cfg: QmcConfig) -> float:
-    """The session's F_0, as ``session.prob()`` computes it, from one
-    gated kernel call on the reduction's normal box."""
+def _normalizer(red: NormalReduction, cfg: QmcConfig) -> float:
+    """The gated mass L of the reduction's normal box: F_0 there; on the law's
+    box F_0 is min(1, L / xi), as ``session.prob()`` computes it."""
     L, L_err = mvn_prob(red.box, red.params, cfg)
     _check_normalizer(L, L_err)
-    zero = (0,) * session.dim
-    session.table[zero] = min(1.0, L / red.xi) if isinstance(session, TesnSession) else L
-    return session.table[zero]
+    return L
 
 
 # ----------------------------------------------------------------------------
@@ -237,23 +224,24 @@ def _seed_normalizer(session: RecurrenceSession, red: NormalReduction,
 def _mean_cov_direct(box: TruncationBox, p: EsnParams, cfg: QmcConfig,
                      red: NormalReduction) -> FirstTwoMoments:
     """First two moments assembled from the recurrence quantities around the
-    session's own loc and scale: the probability, the edge vector (the
+    session's own location and scale: the probability, the edge vector (the
     d-vector at order zero) and the d-vectors at the unit indices.  With a
     hidden coordinate the companion normal enters too, weighted by delta:
     its rectangle and its unnormalized first moments; without one the
     session is a :class:`TnSession` with no companion term.  ``red`` is the
     box's reduction, whose normal box the normalizer gate checks."""
     session = _session(box, p, cfg)
-    LL = _seed_normalizer(session, red, cfg)
+    LL = session.table[(0,) * p.dim] = min(1.0, _normalizer(red, cfg) / red.xi)
     w_mean = w_raw2 = 0.0
     if p.derived.hidden:
         delta = p.derived.delta
         w_mean = session.normal.prob() * delta
         w_raw2 = np.outer(delta, _tn_first_moments(box, session.normal.params, cfg))
-    mean = session.loc + (w_mean + session.scale @ session.dvec((0,) * p.dim)) / LL
+    mu, sigma = session.params.mu, session.params.sigma
+    mean = mu + (w_mean + sigma @ session.dvec((0,) * p.dim)) / LL
     units = [tuple(int(k == m) for k in range(p.dim)) for m in range(p.dim)]
     D = np.column_stack([session.dvec(e_m) for e_m in units])
-    raw2 = symmetrize(np.outer(session.loc, mean) + (w_raw2 + session.scale @ D) / LL)
+    raw2 = symmetrize(np.outer(mu, mean) + (w_raw2 + sigma @ D) / LL)
     mean = np.clip(mean, box.lower, box.upper)
     cov = symmetrize(raw2 - np.outer(mean, mean))
     return FirstTwoMoments(mean=mean, raw2=raw2, cov=cov, corrections=red.corrections)

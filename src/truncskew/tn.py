@@ -60,11 +60,12 @@ class RecurrenceSession:
 
     Raising index i of ``low`` gives
 
-        F_{low + e_i} = loc_i F_low + companion_i(low) + scale_i' d_low,
+        F_{low + e_i} = mu_i F_low + companion_i(low) + sigma_i' d_low,
 
-    where ``d_low`` collects the lower-order values and the boundary terms
-    at the finite bounds of every coordinate.  ``table`` maps multi-indices
-    to computed values; edge sub-sessions (one per finite bound) are created
+    with ``params.mu`` and ``params.sigma`` the location and scale, where
+    ``d_low`` collects the lower-order values and the boundary terms at the
+    finite bounds of every coordinate.  ``table`` maps multi-indices to
+    computed values; edge sub-sessions (one per finite bound) are created
     lazily and shared by all recurrence steps.  A family supplies three
     hooks: the rectangle probability ``_prob()``; ``_edge_at(j, t)``, the
     factorization of the density on the slice ``x_j = t`` into a density
@@ -90,8 +91,6 @@ class RecurrenceSession:
         self.params = params
         self.cfg = cfg
         self.dim = params.dim
-        self.loc = params.mu
-        self.scale = params.sigma
         self.table: dict[MultiIndex, float] = {}
         self._dvec: dict[MultiIndex, np.ndarray] = {}
         self._edges: dict[tuple[int, int], tuple[float, "RecurrenceSession | None"]] = {}
@@ -173,8 +172,8 @@ class RecurrenceSession:
         low = list(kappa)
         low[i] -= 1
         low = tuple(low)
-        val = (self.loc[i] * self.fk(low) + self._companion(i, low)
-               + float(self.scale[i, :] @ self.dvec(low)))
+        val = (self.params.mu[i] * self.fk(low) + self._companion(i, low)
+               + float(self.params.sigma[i, :] @ self.dvec(low)))
         self.table[kappa] = val
         return val
 
@@ -199,17 +198,11 @@ class TnSession(RecurrenceSession):
         return norm_pdf(t, mu[j], sigma[j, j]), make if self.dim > 1 else None
 
 
-def tn_fk(box: TruncationBox, p: NormalParams, kappa,
-          session: TnSession | None = None, cfg: QmcConfig = DEFAULT_QMC) -> float:
-    """Unnormalized product moment F_kappa over the box.
-
-    ``F_0`` is the rectangle probability; divide by it for conditional
-    moments.  Pass an existing session to share its memo table across
-    multiple indices.
-    """
-    if session is None:
-        session = TnSession(box, p, cfg)
-    return session.fk(as_multi_index(kappa, p.dim))
+def tn_fk(box: TruncationBox, p: NormalParams, kappa, cfg: QmcConfig = DEFAULT_QMC) -> float:
+    """Unnormalized product moment F_kappa over the box, on a fresh session;
+    F_0 is the rectangle probability.  ``TnSession(box, p, cfg).fk`` shares
+    one memo table across indices."""
+    return TnSession(box, p, cfg).fk(as_multi_index(kappa, p.dim))
 
 
 # ----------------------------------------------------------------------------

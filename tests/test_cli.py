@@ -311,6 +311,25 @@ class TestValidation:
         assert rc == 0, err
         assert json.loads(out)["oracle"]["n_effective"] == 1000
 
+    def test_mean_cov_verify_draws_one_sample(self, monkeypatch):
+        # every coordinate's mean comes from one accepted sample (a pilot of
+        # 10^4 draws and one chunk of the rest), and the response keeps the
+        # bytes of one sample per coordinate at the same seed
+        import truncskew.oracle as oracle
+
+        draws = []
+        sample = oracle.sample_with_rng
+
+        def counted(p, n, rng):
+            draws.append(n)
+            return sample(p, n, rng)
+
+        monkeypatch.setattr(oracle, "sample_with_rng", counted)
+        rc, out, err = _run_inprocess((DOCS / "mean_cov_verify.json").read_text())
+        assert rc == 0, err
+        assert draws == [10_000, 190_000]
+        assert out == (DOCS / "mean_cov_verify.expected.json").read_text()
+
 
 # (task, family kind) -> {accepted method: method_used} at p = 2
 _REDUCTION = {"auto": "normal-reduction", "normal-reduction": "normal-reduction"}
@@ -502,6 +521,13 @@ class TestBenchmark:
 
     def test_dimension_cap(self):
         assert main(["--benchmark", "11"]) == 1
+
+    @pytest.mark.parametrize("args", [["0"], ["-2"], ["x"], ["2", "--repetitions", "0"]])
+    def test_invalid_arguments_are_request_errors(self, capsys, args):
+        assert main(["--benchmark", *args]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("request error:")
 
     def test_seed_outside_key_range(self, capsys):
         assert main(["--benchmark", "1", "--seed", "-5"]) == 1
