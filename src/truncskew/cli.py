@@ -12,7 +12,8 @@ and any other method is a request error.  Requests are checked against the
 published ``REQUEST_SCHEMA`` by a small built-in interpreter of the JSON
 Schema keywords it uses (``_SCHEMA_KEYWORDS``).
 
-Exit codes: 0 success, 1 request validation error, 2 numerical failure.
+Exit codes: 0 success (and ``--help``), 1 request validation or command-line
+usage error, 2 numerical failure.
 """
 
 import argparse
@@ -424,8 +425,15 @@ def run_benchmark(dims, repetitions: int = 3, seed: int = 20240101,
 # entry point
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1, as request errors; 2 means a numerical failure."""
+
+    def error(self, message):
+        raise RequestError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="truncskew",
         description="Moments of truncated and folded (extended skew-)normal laws.",
     )
@@ -442,9 +450,8 @@ def main(argv=None) -> int:
                         help="run the method benchmark at these dimensions")
     parser.add_argument("--repetitions", type=int, default=3,
                         help="benchmark repetitions per method (default 3)")
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         if args.benchmark is not None:
             try:
                 dims = [int(v) for v in args.benchmark.split(",") if v.strip()]

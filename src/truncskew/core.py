@@ -67,6 +67,15 @@ def as_sym_matrix(S, dim: int | None = None) -> np.ndarray:
     return symmetrize(arr)
 
 
+def _unchecked(cls, *values):
+    """The frozen dataclass ``cls`` with its fields set to ``values`` in
+    order, skipping ``__post_init__``: the trusted constructor of objects
+    derived from already-checked ones (no coercion, check or copy)."""
+    self = object.__new__(cls)
+    self.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return self
+
+
 def symmetrize(S: np.ndarray) -> np.ndarray:
     """Exactly symmetric copy, averaging with the transpose."""
     return 0.5 * (S + S.T)
@@ -110,11 +119,10 @@ class PartitionIndex:
         return cls(kept=kept, removed=removed)
 
 
-def _psd_eigh(S) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a symmetric matrix;
-    raises :class:`NotPSDError` if it is indefinite beyond the PSD
+def _psd_eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a checked symmetric
+    matrix; raises :class:`NotPSDError` if it is indefinite beyond the PSD
     tolerance."""
-    S = as_sym_matrix(S)
     w, V = np.linalg.eigh(S)
     wmax = max(float(w[-1]), 0.0)
     if float(w[0]) < -_PSD_REL_TOL * max(wmax, 1e-300):
@@ -129,6 +137,11 @@ def sym_sqrt(S) -> np.ndarray:
     nearly singular scale matrices remain usable; a genuinely indefinite
     input raises :class:`NotPSDError`.
     """
+    return _sym_sqrt(as_sym_matrix(S))
+
+
+def _sym_sqrt(S: np.ndarray) -> np.ndarray:
+    """:func:`sym_sqrt` of a checked symmetric matrix."""
     w, V = _psd_eigh(S)
     return symmetrize((V * np.sqrt(np.clip(w, 0.0, None))) @ V.T)
 
@@ -136,6 +149,11 @@ def sym_sqrt(S) -> np.ndarray:
 def sym_roots(S) -> tuple[np.ndarray, np.ndarray]:
     """:func:`sym_sqrt` and the symmetric inverse square root of a positive
     definite matrix, both from one eigendecomposition."""
+    return _sym_roots(as_sym_matrix(S))
+
+
+def _sym_roots(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sym_roots` of a checked symmetric matrix."""
     w, V = _psd_eigh(S)
     if float(w[0]) <= 0.0:
         raise NotPSDError("matrix is not positive definite")
@@ -157,13 +175,19 @@ def conditional_normal(mu, S, given: PartitionIndex, value) -> tuple[np.ndarray,
     if given.dim != mu.shape[0]:
         raise DimensionMismatchError("partition does not match vector dimension")
     value = as_vector(value, dim=len(given.removed))
-    k = list(given.kept)
-    r = list(given.removed)
+    k, r = list(given.kept), list(given.removed)
     if not r:
         return mu.copy(), S.copy()
-    S22 = S[np.ix_(r, r)]
     if not k:
         return np.empty(0), np.empty((0, 0))
+    return _conditional_normal(mu, S, k, r, value)
+
+
+def _conditional_normal(mu: np.ndarray, S: np.ndarray, k: list[int], r: list[int],
+                        value) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`conditional_normal` of checked arrays, with non-empty lists of
+    the kept (``k``) and conditioned-on (``r``) coordinates."""
+    S22 = S[np.ix_(r, r)]
     # a finite non-zero 1x1 block has condition number exactly 1: skip the SVD
     well_conditioned = len(r) == 1 and S22[0, 0] != 0.0 and np.isfinite(S22[0, 0])
     if not well_conditioned and np.linalg.cond(S22) > _MAX_BLOCK_CONDITION:

@@ -29,10 +29,11 @@ import numpy as np
 
 from .core import (
     PartitionIndex,
+    _sym_roots,
+    _sym_sqrt,
+    _unchecked,
     as_sym_matrix,
     as_vector,
-    sym_roots,
-    sym_sqrt,
     symmetrize,
 )
 from .errors import DimensionMismatchError
@@ -71,7 +72,7 @@ _TAU_TILDE_LIMIT = -35.0  # below it, a law drops its hidden coordinate for the 
 class EsnParams:
     """Location ``mu``, PD scale ``sigma``, skewness ``lam``, shift ``tau``.
 
-    The arrays are read-only copies, so :attr:`derived` never goes stale."""
+    The arrays are read-only, so :attr:`derived` never goes stale."""
 
     mu: np.ndarray
     sigma: np.ndarray
@@ -82,10 +83,20 @@ class EsnParams:
         mu = as_vector(self.mu).copy()
         sigma = as_sym_matrix(self.sigma, dim=mu.shape[0])
         lam = as_vector(self.lam, dim=mu.shape[0]).copy()
+        if not all(np.isfinite(arr).all() for arr in (mu, sigma, lam)):
+            raise DimensionMismatchError("mu, sigma and lam must be finite")
         for name, arr in (("mu", mu), ("sigma", sigma), ("lam", lam)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "tau", float(self.tau))
+
+    @classmethod
+    def _trusted(cls, mu, sigma, lam, tau: float) -> "EsnParams":
+        """The law of fresh float arrays of matching shapes, ``sigma``
+        exactly symmetric, made read-only in place (:func:`_unchecked`)."""
+        for arr in (mu, sigma, lam):
+            arr.flags.writeable = False
+        return _unchecked(cls, mu, sigma, lam, tau)
 
     @property
     def dim(self) -> int:
@@ -141,7 +152,7 @@ def esn_derive(p: EsnParams) -> EsnDerived:
     # eta = phi(tau; 0, lam_norm2) / xi, formed in log space
     log_phi_tau = -0.5 * (math.log(2.0 * math.pi * lam_norm2) + p.tau * p.tau / lam_norm2)
     eta = math.exp(log_phi_tau - log_xi)
-    sigma_sqrt, sigma_inv_sqrt = sym_roots(p.sigma)
+    sigma_sqrt, sigma_inv_sqrt = _sym_roots(p.sigma)
     root_lam = sigma_sqrt @ p.lam
     Delta = root_lam / math.sqrt(lam_norm2)
     return EsnDerived(
@@ -196,8 +207,8 @@ def augment(p: EsnParams, box: TruncationBox) -> NormalReduction:
     omega[:-1, :-1] = p.sigma
     omega[:-1, -1] = omega[-1, :-1] = -d.Delta
     omega[-1, -1] = 1.0
-    params = NormalParams(np.append(p.mu, 0.0), omega)
-    box = TruncationBox(np.append(box.lower, -np.inf), np.append(box.upper, d.tau_tilde))
+    params = NormalParams._trusted(np.append(p.mu, 0.0), omega)
+    box = TruncationBox._trusted(np.append(box.lower, -np.inf), np.append(box.upper, d.tau_tilde))
     return NormalReduction(box, params, True, d.xi, ())
 
 
@@ -230,7 +241,7 @@ def esn_logpdf(x, p: EsnParams) -> float:
     d = p.derived
     x = as_vector(x, dim=p.dim)
     arg = p.tau + float(p.lam @ (d.sigma_inv_sqrt @ (x - p.mu)))
-    return mvn_logpdf(x, NormalParams(p.mu, p.sigma)) + (log_std_cdf(arg) - d.log_xi)
+    return mvn_logpdf(x, NormalParams._trusted(p.mu, p.sigma)) + (log_std_cdf(arg) - d.log_xi)
 
 
 def esn_pdf(x, p: EsnParams) -> float:
@@ -275,8 +286,8 @@ def esn_marginal(p: EsnParams, keep: PartitionIndex) -> EsnParams:
     if not two:
         return p
     S11, _, _, phi1_tilde, _, c12, _ = _partition_quantities(p, one, two)
-    lam1 = c12 * (sym_sqrt(S11) @ phi1_tilde)
-    return EsnParams(mu=p.mu[one], sigma=S11, lam=lam1, tau=c12 * p.tau)
+    lam1 = c12 * (_sym_sqrt(S11) @ phi1_tilde)
+    return EsnParams._trusted(p.mu[one], S11, lam1, c12 * p.tau)
 
 
 def esn_conditional(p: EsnParams, given: PartitionIndex, value) -> EsnParams:
@@ -292,8 +303,8 @@ def esn_conditional(p: EsnParams, given: PartitionIndex, value) -> EsnParams:
     dev = value - p.mu[one]
     mu_cond = p.mu[two] + S11_inv_S12.T @ dev
     tau_cond = p.tau + float(phi1_tilde @ dev)
-    lam_cond = sym_sqrt(S22_1) @ phi2
-    return EsnParams(mu=mu_cond, sigma=S22_1, lam=lam_cond, tau=tau_cond)
+    lam_cond = _sym_sqrt(S22_1) @ phi2
+    return EsnParams._trusted(mu_cond, S22_1, lam_cond, tau_cond)
 
 
 # ----------------------------------------------------------------------------
@@ -327,7 +338,7 @@ def esn_mean_cov(p: EsnParams) -> FirstTwoMoments:
 def esn_limit_params(p: EsnParams) -> NormalParams:
     """Normal parameters the family collapses to as the shift goes to -inf:
     location mu - mu_b, scale Gamma."""
-    return NormalParams(mu=p.mu - p.derived.mu_b, sigma=p.derived.Gamma)
+    return NormalParams._trusted(p.mu - p.derived.mu_b, p.derived.Gamma)
 
 
 # ----------------------------------------------------------------------------
@@ -365,4 +376,4 @@ def _psd_factor(S: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
-        return sym_sqrt(S)
+        return _sym_sqrt(S)

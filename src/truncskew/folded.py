@@ -115,8 +115,7 @@ def flip_params(p: EsnParams, s: SignPattern) -> EsnParams:
     if len(s.s) != p.dim:
         raise DimensionMismatchError("sign pattern length does not match dim")
     v = s.vec
-    return EsnParams(mu=v * p.mu, sigma=symmetrize(p.sigma * np.outer(v, v)),
-                     lam=v * p.lam, tau=p.tau)
+    return EsnParams._trusted(v * p.mu, symmetrize(p.sigma * np.outer(v, v)), v * p.lam, p.tau)
 
 
 def _require_nonnegative(y, dim: int) -> np.ndarray:
@@ -195,8 +194,8 @@ def _orthant_masses(box: TruncationBox, params: NormalParams, dim: int,
                 call_cfg = replace(cfg, sample_count=int(
                     cfg.sample_count * 2.0 ** (len(in_b) / 2)))
             mass[b], err[b] = mvn_prob(
-                TruncationBox(lower[idx], upper[idx]),
-                NormalParams(params.mu[idx], params.sigma[np.ix_(idx, idx)]), call_cfg)
+                TruncationBox._trusted(lower[idx], upper[idx]),
+                NormalParams._trusted(params.mu[idx], params.sigma[np.ix_(idx, idx)]), call_cfg)
     # superset Moebius transform, one coordinate at a time: entry b ends as
     # the orthant whose negative coordinates are the set b
     sets = np.arange(n_sets)

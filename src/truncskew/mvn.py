@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.fft import fft, ifft
 
-from .core import as_sym_matrix, as_vector, symmetrize
+from .core import _unchecked, as_sym_matrix, as_vector, symmetrize
 from .errors import (
     DimensionMismatchError,
     NotPSDError,
@@ -82,8 +82,12 @@ class NormalParams:
     def __post_init__(self):
         mu = as_vector(self.mu)
         sigma = as_sym_matrix(self.sigma, dim=mu.shape[0])
+        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+            raise DimensionMismatchError("location and scale must be finite")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
+
+    _trusted = classmethod(_unchecked)  # float arrays, sigma exactly symmetric
 
     @property
     def dim(self) -> int:
@@ -107,6 +111,8 @@ class TruncationBox:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
+    _trusted = classmethod(_unchecked)  # float arrays, lower < upper
+
     @property
     def dim(self) -> int:
         return self.lower.shape[0]
@@ -115,11 +121,11 @@ class TruncationBox:
         return bool(np.all(np.isinf(self.lower)) and np.all(np.isinf(self.upper)))
 
     def drop(self, i: int) -> "TruncationBox":
-        return TruncationBox(np.delete(self.lower, i), np.delete(self.upper, i))
+        return self.select([k for k in range(self.dim) if k != i])
 
     def select(self, idx) -> "TruncationBox":
         idx = list(idx)
-        return TruncationBox(self.lower[idx], self.upper[idx])
+        return TruncationBox._trusted(self.lower[idx], self.upper[idx])
 
     @classmethod
     def unbounded(cls, dim: int) -> "TruncationBox":
@@ -704,34 +710,41 @@ def _qmc_prob(R: np.ndarray, lo: np.ndarray, hi: np.ndarray, cfg: QmcConfig):
         # a deterministic coordinate: the whole unit interval or nothing
         c0, d0 = 0.0, float(lo[0] <= 0.0 <= hi[0])
     q, n_pts = _lattice_generator(n - 1, cfg.sample_count)
-    idx = np.arange(1, n_pts + 1)
+    qidx = np.outer(q, np.arange(1, n_pts + 1))  # lattice points before the shift
     rng = np.random.default_rng(cfg.seed)
     estimates = np.empty(cfg.replicates)
     y = np.zeros((n - 1, n_pts))
+    z, t, c, d, dc, pv = np.empty((6, n_pts))
     for r in range(cfg.replicates):
         shift = rng.random(n - 1)
-        c = np.full(n_pts, c0)
-        dc = np.full(n_pts, d0 - c0)
-        pv = dc.copy()
+        c.fill(c0)
+        dc.fill(d0 - c0)
+        pv[:] = dc
         for i in range(1, n):
-            z = q[i - 1] * idx + shift[i - 1]
-            z -= np.floor(z)
-            x = np.abs(2.0 * z - 1.0)
-            u = np.clip(c + x * dc, 1e-320, 1.0 - 1e-16)
-            y[i - 1, :] = np.where(dc > 0.0, ndtri(u), 0.0)
-            s = L[i, :i] @ y[:i, :]
+            # u = clip(c + |2 frac(q_i k + shift_i) - 1| dc), formed in t
+            np.add(qidx[i - 1], shift[i - 1], out=z)
+            z -= np.floor(z, out=t)
+            np.abs(np.subtract(np.multiply(z, 2.0, out=t), 1.0, out=t), out=t)
+            np.clip(np.add(c, np.multiply(t, dc, out=t), out=t), 1e-320, 1.0 - 1e-16, out=t)
+            ndtri(t, out=y[i - 1])
+            if not (positive := dc > 0.0).all():
+                y[i - 1][~positive] = 0.0
+            s = np.matmul(L[i, :i], y[:i], out=z)
             ct = L[i, i]
+            c.fill(0.0)
             if ct > 0.0:
                 # ndtr(-inf) = 0 and ndtr(inf) = 1 exactly: skip it on +-inf limits
-                c = ndtr((lo[i] - s) / ct) if lo[i] > -np.inf else 0.0
-                d = ndtr((hi[i] - s) / ct) if hi[i] < np.inf else 1.0
+                d.fill(1.0)
+                if lo[i] > -np.inf:
+                    ndtr(np.divide(np.subtract(lo[i], s, out=t), ct, out=t), out=c)
+                if hi[i] < np.inf:
+                    ndtr(np.divide(np.subtract(hi[i], s, out=t), ct, out=t), out=d)
             else:
                 # conditionally deterministic: (c, d) = (0, 1) where the
                 # point lies in the interval, (0, 0) where it does not
-                c = 0.0
-                d = ((lo[i] - s <= 0.0) & (hi[i] - s >= 0.0)).astype(float)
-            dc = d - c
-            pv = pv * dc
+                np.copyto(d, (lo[i] - s <= 0.0) & (hi[i] - s >= 0.0))
+            np.subtract(d, c, out=dc)
+            pv *= dc
         estimates[r] = pv.mean()
     prob = float(estimates.mean())
     spread = float(estimates.std(ddof=1)) / math.sqrt(cfg.replicates)
@@ -746,9 +759,10 @@ def standardize(box: TruncationBox, p: NormalParams):
     """Per-coordinate scales ``sd``, correlation matrix ``R`` and the box
     limits in standard units: the one place a covariance is turned into
     correlation form."""
-    sd = np.sqrt(np.diag(p.sigma))
-    if np.any(sd <= 0.0):
+    var = np.diag(p.sigma)
+    if not np.all(var > 0.0):  # also NaN
         raise NotPSDError("scale matrix has a non-positive diagonal entry")
+    sd = np.sqrt(var)
     with np.errstate(invalid="ignore"):
         lo = (box.lower - p.mu) / sd
         hi = (box.upper - p.mu) / sd
@@ -756,6 +770,16 @@ def standardize(box: TruncationBox, p: NormalParams):
     R = symmetrize(p.sigma / np.outer(sd, sd))
     np.fill_diagonal(R, 1.0)
     return sd, R, lo, hi
+
+
+def _standard_interval(box: TruncationBox, p: NormalParams) -> tuple[float, float]:
+    """:func:`standardize` of a univariate box, on floats: the same doubles
+    for the limits, with no correlation matrix to form."""
+    var = float(p.sigma[0, 0])
+    if not var > 0.0:  # also NaN
+        raise NotPSDError("scale matrix has a non-positive diagonal entry")
+    sd, mu = math.sqrt(var), float(p.mu[0])
+    return (float(box.lower[0]) - mu) / sd, (float(box.upper[0]) - mu) / sd
 
 
 def mvn_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_QMC):
@@ -779,6 +803,14 @@ def mvn_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_QMC):
     if box.dim != p.dim:
         raise DimensionMismatchError("box and parameter dimensions differ")
     _record(p.dim)
+    if p.dim == 1:
+        if box.lower[0] == -np.inf and box.upper[0] == np.inf:
+            return 1.0, 0.0
+        lo, hi = _standard_interval(box, p)
+        if lo > 0.0:
+            lo, hi = -hi, -lo
+        prob = std_cdf(hi) - std_cdf(lo)
+        return min(1.0, max(0.0, prob)), 0.0
     if box.is_unbounded():
         return 1.0, 0.0
     _, R, lo, hi = standardize(box, p)
@@ -787,9 +819,6 @@ def mvn_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_QMC):
         lo, hi = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
         v = np.where(flip, -1.0, 1.0)
         R = R * np.outer(v, v)
-    if p.dim == 1:
-        prob = std_cdf(float(hi[0])) - std_cdf(float(lo[0]))
-        return min(1.0, max(0.0, prob)), 0.0
     if p.dim == 2:
         rho = float(R[0, 1])
         return _corner_prob(lambda h: _bvn_with_error(h[0], h[1], rho), lo, hi)
@@ -813,5 +842,4 @@ def mvn_log_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_Q
         raise DimensionMismatchError(
             f"mvn_log_prob is univariate; got dimension {p.dim}")
     _record(1)
-    _, _, lo, hi = standardize(box, p)
-    return _interval_log_prob(float(lo[0]), float(hi[0]))
+    return _interval_log_prob(*_standard_interval(box, p))

@@ -65,18 +65,20 @@ def edge_conditional(p: EsnParams, j: int, t: float) -> tuple[float, EsnParams |
     at t (:func:`esn_marginal`) and the (p-1)-dim law of the other
     coordinates given x_j = t (:func:`esn_conditional`; None at p = 1).  A
     slice at +-inf carries no mass: (0.0, None)."""
-    density, law = _edge_factors(p, j, t)
-    return density, law() if law else None
-
-
-def _edge_factors(p: EsnParams, j: int, t: float):
-    """:func:`edge_conditional` with the slice law deferred to a maker."""
     if np.isinf(t):
         return 0.0, None
-    others = [k for k in range(p.dim) if k != j]
-    density = esn_pdf([t], esn_marginal(p, PartitionIndex.dropping(p.dim, others)))
-    return density, (lambda: esn_conditional(
-        p, PartitionIndex.dropping(p.dim, [j]), [t])) if others else None
+    density = esn_pdf([t], _coordinate_law(p, j))
+    return density, _slice_law(p, j, t) if p.dim > 1 else None
+
+
+def _coordinate_law(p: EsnParams, j: int) -> EsnParams:
+    """The univariate marginal law of x_j."""
+    return esn_marginal(p, PartitionIndex.dropping(p.dim, [k for k in range(p.dim) if k != j]))
+
+
+def _slice_law(p: EsnParams, j: int, t: float) -> EsnParams:
+    """The law of the other coordinates given x_j = t."""
+    return esn_conditional(p, PartitionIndex.dropping(p.dim, [j]), [t])
 
 
 def tesn_prob_with_error(box: TruncationBox, p: EsnParams,
@@ -108,6 +110,7 @@ class TesnSession(RecurrenceSession):
             raise ValueError("no hidden coordinate: use TnSession(box, esn_limit_params(p))")
         super().__init__(box, params, cfg)
         self.normal = TnSession(box, esn_limit_params(params), cfg)
+        self._coordinate_laws: dict[int, EsnParams] = {}
 
     def _prob(self) -> float:
         return tesn_prob(self.box, self.params, self.cfg)
@@ -117,12 +120,18 @@ class TesnSession(RecurrenceSession):
         self.normal._share(cache, ("companion", path), (), coords, signs)
 
     def _edge_at(self, j: int, t: float):
-        # the slice law is built only on a slice-cache miss
-        density, law = _edge_factors(self.params, j, t)
-        return density, (lambda: _session(self.box.drop(j), law(), self.cfg)) if law else None
+        # both bounds of x_j share its marginal law; the slice law is built
+        # only on a slice-cache miss
+        if j not in self._coordinate_laws:
+            self._coordinate_laws[j] = _coordinate_law(self.params, j)
+        density = esn_pdf([t], self._coordinate_laws[j])
+        if self.dim == 1:
+            return density, None
+        return density, lambda: _session(self.box.drop(j), _slice_law(self.params, j, t),
+                                         self.cfg)
 
     def _companion(self, i: int, low: MultiIndex) -> float:
-        return self.params.derived.delta[i] * self.normal.fk(low)
+        return self.params.derived.delta[i] * self.normal._fk(low)
 
 
 def _session(box: TruncationBox, p: EsnParams,
@@ -147,7 +156,7 @@ def tesn_fk(box: TruncationBox, p: EsnParams, kappa, cfg: QmcConfig = DEFAULT_QM
     """Unnormalized skewed product moment over the box, by the direct
     recurrence on a fresh session (:func:`_session`); the session classes
     and :func:`tesn_moments` share one memo table across indices."""
-    return _session(box, p, cfg).fk(as_multi_index(kappa, p.dim))
+    return _session(box, p, cfg).fk(kappa)
 
 
 def tesn_fk_univariate(a: float, b: float, p: EsnParams, k_max: int,

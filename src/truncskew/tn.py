@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PartitionIndex, conditional_normal, symmetrize
+from .core import _conditional_normal, symmetrize
 from .errors import DegenerateBoxError, DimensionMismatchError
 from .moments import FirstTwoMoments, MultiIndex, as_multi_index
 from .mvn import (
@@ -150,20 +150,24 @@ class RecurrenceSession:
             if kj > 0:
                 low = list(kappa)
                 low[j] -= 1
-                val += kj * self.fk(tuple(low))
+                val += kj * self._fk(tuple(low))
             sub = kappa[:j] + kappa[j + 1:]
             for side, bound, sign in ((0, a[j], 1.0), (1, b[j], -1.0)):
                 dens, child = self._edge(j, side)
                 if dens > 0.0:
                     # a zero-dimensional child integral is 1
-                    inner = child.fk(sub) if child is not None else 1.0
+                    inner = child._fk(sub) if child is not None else 1.0
                     val += sign * bound ** kj * dens * inner
             d[j] = val
         self._dvec[kappa] = d
         return d
 
-    def fk(self, kappa: MultiIndex) -> float:
-        kappa = as_multi_index(kappa, self.dim)
+    def fk(self, kappa) -> float:
+        """F_kappa, the index checked against the session's dimension."""
+        return self._fk(as_multi_index(kappa, self.dim))
+
+    def _fk(self, kappa: MultiIndex) -> float:
+        """F_kappa of a checked index, memoized; the recursion stays here."""
         if kappa in self.table:
             return self.table[kappa]
         if not any(kappa):
@@ -172,7 +176,7 @@ class RecurrenceSession:
         low = list(kappa)
         low[i] -= 1
         low = tuple(low)
-        val = (self.params.mu[i] * self.fk(low) + self._companion(i, low)
+        val = (self.params.mu[i] * self._fk(low) + self._companion(i, low)
                + float(self.params.sigma[i, :] @ self.dvec(low)))
         self.table[kappa] = val
         return val
@@ -190,10 +194,9 @@ class TnSession(RecurrenceSession):
         mu, sigma = self.params.mu, self.params.sigma
 
         def make():
-            cmu, csig = conditional_normal(
-                mu, sigma, PartitionIndex.dropping(self.dim, [j]), [t]
-            )
-            return TnSession(self.box.drop(j), NormalParams(cmu, csig), self.cfg)
+            keep = [k for k in range(self.dim) if k != j]
+            cmu, csig = _conditional_normal(mu, sigma, keep, [j], [t])
+            return TnSession(self.box.drop(j), NormalParams._trusted(cmu, csig), self.cfg)
 
         return norm_pdf(t, mu[j], sigma[j, j]), make if self.dim > 1 else None
 
@@ -202,7 +205,7 @@ def tn_fk(box: TruncationBox, p: NormalParams, kappa, cfg: QmcConfig = DEFAULT_Q
     """Unnormalized product moment F_kappa over the box, on a fresh session;
     F_0 is the rectangle probability.  ``TnSession(box, p, cfg).fk`` shares
     one memo table across indices."""
-    return TnSession(box, p, cfg).fk(as_multi_index(kappa, p.dim))
+    return TnSession(box, p, cfg).fk(kappa)
 
 
 # ----------------------------------------------------------------------------
@@ -228,12 +231,12 @@ class TnMgfWork:
 def _slice_prob(R, a, b, fixed, values, cfg) -> float:
     """Rectangle probability of the other coordinates of N(0, R) given the
     standardized coordinates ``fixed`` (increasing) sit at ``values``."""
-    given = PartitionIndex.dropping(R.shape[0], fixed)
-    if not given.kept:
+    others = [k for k in range(R.shape[0]) if k not in fixed]
+    if not others:
         return 1.0
-    mean, cov = conditional_normal(np.zeros(R.shape[0]), R, given, values)
-    others = list(given.kept)
-    return mvn_prob(TruncationBox(a[others], b[others]), NormalParams(mean, cov), cfg)[0]
+    mean, cov = _conditional_normal(np.zeros(R.shape[0]), R, others, list(fixed), values)
+    return mvn_prob(TruncationBox._trusted(a[others], b[others]),
+                    NormalParams._trusted(mean, cov), cfg)[0]
 
 
 def _corner_term(R, a, b, i, j, vi, vj, cfg) -> float:
@@ -250,7 +253,7 @@ def _standard_prob_and_edges(box: TruncationBox, p: NormalParams, cfg: QmcConfig
     finite bound times the conditional (p-1)-dim rectangle probability)."""
     sd, R, a, b = standardize(box, p)
     n = p.dim
-    L, L_err = mvn_prob(TruncationBox(a, b), NormalParams(np.zeros(n), R), cfg)
+    L, L_err = mvn_prob(TruncationBox._trusted(a, b), NormalParams._trusted(np.zeros(n), R), cfg)
     q_a = np.zeros(n)
     q_b = np.zeros(n)
     for i in range(n):
@@ -343,8 +346,7 @@ def _tn_first_moments(box: TruncationBox, p: NormalParams,
 
 
 def _marginal_interval_log_prob(box: TruncationBox, p: NormalParams, i: int) -> float:
-    sub = TruncationBox([box.lower[i]], [box.upper[i]])
-    return mvn_log_prob(sub, NormalParams([p.mu[i]], [[p.sigma[i, i]]]))
+    return mvn_log_prob(box.select([i]), NormalParams._trusted(p.mu[[i]], p.sigma[[i]][:, [i]]))
 
 
 def _degenerate_point(box: TruncationBox, p: NormalParams, i: int) -> float:
@@ -396,10 +398,8 @@ def _pin_coordinate(box, p, cfg, labels, worst: int, note: str) -> FirstTwoMomen
     keep = [i for i in range(dim) if i != worst]
     notes = (note,)
     if keep:
-        cmu, csig = conditional_normal(
-            p.mu, p.sigma, PartitionIndex.dropping(dim, [worst]), [point]
-        )
-        sub = _corrected(box.select(keep), NormalParams(cmu, csig), cfg,
+        cmu, csig = _conditional_normal(p.mu, p.sigma, keep, [worst], [point])
+        sub = _corrected(box.select(keep), NormalParams._trusted(cmu, csig), cfg,
                          tuple(labels[i] for i in keep))
         mean, cov = _assemble_split(
             dim, keep, [worst], sub.mean, sub.cov,
@@ -426,7 +426,7 @@ def _corrected(box: TruncationBox, p: NormalParams, cfg: QmcConfig,
     if free:
         rest = [i for i in range(dim) if i not in free]
         sub = _corrected(
-            box.select(rest), NormalParams(p.mu[rest], p.sigma[np.ix_(rest, rest)]),
+            box.select(rest), NormalParams._trusted(p.mu[rest], p.sigma[np.ix_(rest, rest)]),
             cfg, tuple(labels[i] for i in rest)
         )
         S22 = p.sigma[np.ix_(rest, rest)]

@@ -533,6 +533,21 @@ class TestBenchmark:
         assert main(["--benchmark", "1", "--seed", "-5"]) == 1
         assert capsys.readouterr().err.startswith("request error:")
 
+    @pytest.mark.parametrize("args", [[], ["--benchmark", "2", "--repetitions", "x"],
+                                      ["--no-such-flag"]],
+                             ids=["no-input", "bad-repetitions", "unknown-flag"])
+    def test_usage_errors_exit_1(self, args):
+        # exit 2 is the numerical-failure code
+        proc = _run_cli(args)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("request error:")
+
+    def test_help_exits_0(self):
+        proc = _run_cli(["--help"])
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: truncskew")
+
     def test_univariate_dimension(self):
         import io
 

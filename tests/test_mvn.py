@@ -23,7 +23,7 @@ from truncskew import (
     tesn_prob_with_error,
 )
 from truncskew import mvn
-from truncskew.errors import DimensionMismatchError
+from truncskew.errors import DimensionMismatchError, NotPSDError
 from truncskew.esn import esn_cdf, esn_derive, esn_limit_params, esn_pdf
 from truncskew.oracle import quad_oracle_1d, quad_oracle_2d
 
@@ -241,16 +241,35 @@ class TestMvnProb:
         assert abs(p1 - p2) <= 2 * (e1 + e2) + 1e-12
 
     def test_error_estimate_covers_truth(self):
-        # equicorrelated 4-d orthant with rho=1/2: exact value 1/(2^4) * ... not
-        # closed form; use a very heavy run as reference instead
-        sigma = np.full((4, 4), 0.5)
-        np.fill_diagonal(sigma, 1.0)
-        pars = NormalParams(np.zeros(4), sigma)
-        box = TruncationBox(np.full(4, -np.inf), np.zeros(4))
-        ref, ref_err = mvn_prob(box, pars, QmcConfig(sample_count=2**16,
-                                                     replicates=24, seed=5))
-        val, err = mvn_prob(box, pars, FAST_QMC)
-        assert abs(val - ref) <= 3 * (err + ref_err)
+        # the equicorrelated rho = 1/2 orthant P(X <= 0) is exactly 1/(n+1)
+        for n in range(4, 9):
+            sigma = np.full((n, n), 0.5)
+            np.fill_diagonal(sigma, 1.0)
+            pars = NormalParams(np.zeros(n), sigma)
+            box = TruncationBox(np.full(n, -np.inf), np.zeros(n))
+            for cfg in (FAST_QMC, DEFAULT_QMC):
+                val, err = mvn_prob(box, pars, cfg)
+                assert abs(val - 1.0 / (n + 1)) <= err, (n, cfg)
+
+    def test_identity_box_is_product_of_intervals(self):
+        # independent coordinates: every lattice point gives the same product
+        lo = np.array([-1.0, -np.inf, 0.3, -2.0, 0.5])
+        hi = np.array([0.5, 1.2, np.inf, -0.4, 2.0])
+        exact = math.prod(std_cdf(h) - std_cdf(l) for l, h in zip(lo, hi))
+        for cfg in (FAST_QMC, DEFAULT_QMC):
+            val, err = mvn_prob(TruncationBox(lo, hi), NormalParams(np.zeros(5), np.eye(5)), cfg)
+            assert abs(val - exact) <= err + 1e-15
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_negative_variance_is_not_psd(self, dim):
+        sigma = np.eye(dim)
+        sigma[0, 0] = -1.0
+        box = TruncationBox(np.full(dim, -1.0), np.ones(dim))
+        with pytest.raises(NotPSDError):
+            mvn_prob(box, NormalParams(np.zeros(dim), sigma))
+        if dim == 1:
+            with pytest.raises(NotPSDError):
+                mvn_log_prob(box, NormalParams([0.0], sigma))
 
     def test_log_prob_deep_tail_univariate(self):
         box = TruncationBox([-50.0], [-40.0])
@@ -336,6 +355,79 @@ def _brute_force_cbc(dim, n):
 def _lattice_ints(dim, n):
     q, n_pts = mvn._lattice_generator(dim, n)
     return [int(v) for v in np.rint(q * n_pts)]
+
+
+def _qmc_reference(R, lo, hi, cfg):
+    """The lattice kernel written with fresh arrays at every step: the
+    reference the buffered :func:`mvn._qmc_prob` must match bit for bit."""
+    from scipy.special import ndtr, ndtri
+
+    L, lo, hi = mvn._reordered_cholesky(R, lo, hi)
+    n = R.shape[0]
+    if L[0, 0] > 0:
+        c0, d0 = std_cdf(lo[0] / L[0, 0]), std_cdf(hi[0] / L[0, 0])
+    else:
+        c0, d0 = 0.0, float(lo[0] <= 0.0 <= hi[0])
+    q, n_pts = mvn._lattice_generator(n - 1, cfg.sample_count)
+    idx = np.arange(1, n_pts + 1)
+    rng = np.random.default_rng(cfg.seed)
+    estimates = np.empty(cfg.replicates)
+    y = np.zeros((n - 1, n_pts))
+    for r in range(cfg.replicates):
+        shift = rng.random(n - 1)
+        c, dc = np.full(n_pts, c0), np.full(n_pts, d0 - c0)
+        pv = dc.copy()
+        for i in range(1, n):
+            z = q[i - 1] * idx + shift[i - 1]
+            z -= np.floor(z)
+            u = np.clip(c + np.abs(2.0 * z - 1.0) * dc, 1e-320, 1.0 - 1e-16)
+            y[i - 1, :] = np.where(dc > 0.0, ndtri(u), 0.0)
+            s = L[i, :i] @ y[:i, :]
+            if L[i, i] > 0.0:
+                c = ndtr((lo[i] - s) / L[i, i]) if lo[i] > -np.inf else 0.0
+                d = ndtr((hi[i] - s) / L[i, i]) if hi[i] < np.inf else 1.0
+            else:
+                c, d = 0.0, ((lo[i] - s <= 0.0) & (hi[i] - s >= 0.0)).astype(float)
+            dc = d - c
+            pv = pv * dc
+        estimates[r] = pv.mean()
+    prob = float(estimates.mean())
+    spread = float(estimates.std(ddof=1)) / math.sqrt(cfg.replicates)
+    return min(1.0, max(0.0, prob)), 3.0 * spread
+
+
+def test_qmc_kernel_matches_reference_bitwise(rng):
+    # infinite limits, and a singular case with a conditionally
+    # deterministic coordinate
+    for n in (4, 5, 6, 8):
+        A = rng.normal(size=(n, n))
+        for singular in (False, True):
+            if singular:
+                A[:, -1] = A[:, 0]
+            S = A @ A.T + (0.0 if singular else 0.3) * np.eye(n)
+            sd = np.sqrt(np.diag(S))
+            R = mvn.symmetrize(S / np.outer(sd, sd))
+            np.fill_diagonal(R, 1.0)
+            lo = rng.normal(size=n) - 1.0
+            hi = lo + rng.uniform(0.2, 3.0, size=n)
+            lo[rng.random(n) < 0.3] = -np.inf
+            hi[rng.random(n) < 0.3] = np.inf
+            cfg = QmcConfig(sample_count=int(rng.integers(200, 3000)), replicates=8, seed=n)
+            assert mvn._qmc_prob(R, lo, hi, cfg) == _qmc_reference(R, lo, hi, cfg)
+
+
+def test_univariate_kernel_matches_standardize_bitwise(rng):
+    for _ in range(200):
+        mu, var = rng.normal() * 3.0, rng.uniform(1e-3, 50.0)
+        lo, hi = np.sort(rng.normal(size=2) * 6.0)
+        lo = -np.inf if rng.random() < 0.2 else lo
+        box, p = TruncationBox([lo], [hi]), NormalParams([mu], [[var]])
+        _, _, a, b = mvn.standardize(box, p)
+        a, b = float(a[0]), float(b[0])
+        assert mvn_log_prob(box, p) == mvn._interval_log_prob(a, b)
+        a, b = (-b, -a) if a > 0.0 else (a, b)
+        prob = std_cdf(b) - std_cdf(a)
+        assert mvn_prob(box, p) == (min(1.0, max(0.0, prob)), 0.0)
 
 
 class TestLatticeGenerator:
