@@ -1,13 +1,15 @@
 """Multivariate normal density and rectangle probabilities.
 
 The rectangle probability L_p(a, b; mu, Sigma) is the scalar kernel every
-moment recurrence in this library bottoms out in.  Dimensions 1 to 3 are
+moment recurrence in this library bottoms out in.  Dimensions 1 to 4 are
 deterministic and ignore :class:`QmcConfig`: a cdf difference, adaptive
 quadrature over the correlation parameter, and Plackett's identity for the
 trivariate cdf (a 1-d integral of bivariate densities times a univariate cdf)
-with inclusion-exclusion over the corners.  Both integrals run on this
-module's adaptive Gauss-Kronrod 10/21 rule (QUADPACK's ``qk21`` nodes and
-error heuristic, largest-error bisection, no extrapolation), evaluating the
+and the quadrivariate cdf (1-d integrals of bivariate densities times a
+bivariate cdf, evaluated as one array over the nodes), with
+inclusion-exclusion over the corners.  The integrals run on this module's
+adaptive Gauss-Kronrod 10/21 rule (QUADPACK's ``qk21`` nodes and error
+heuristic, largest-error bisection, no extrapolation), evaluating the
 integrand at all 21 nodes of a panel as one array.  Higher dimensions use a
 separation-of-variables transform with greedy variable reordering,
 integrated by a randomized rank-1 lattice rule.  The lattice comes from fast
@@ -32,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.fft import fft, ifft
 
-from .core import _unchecked, as_sym_matrix, as_vector, symmetrize
+from .core import _psd_eigh, _unchecked, as_sym_matrix, as_vector, symmetrize
 from .errors import (
     DimensionMismatchError,
     NotPSDError,
@@ -67,6 +69,9 @@ _SQRT1_2 = math.sqrt(0.5)
 # Correlations within this distance of +-1 are taken as exactly +-1.
 _RHO_ONE = 1e-15
 
+# Phi(-x) is below the smallest subnormal double from x = 38.5 on.
+_PHI_SATURATES = 40.0
+
 
 # ----------------------------------------------------------------------------
 # parameter containers
@@ -74,7 +79,10 @@ _RHO_ONE = 1e-15
 
 @dataclass(frozen=True)
 class NormalParams:
-    """Location vector and PSD scale matrix of a multivariate normal."""
+    """Location vector and PSD scale matrix of a multivariate normal.
+
+    A scale matrix with an eigenvalue below ``-1e-10`` times its largest
+    raises :class:`NotPSDError`; singular ones are accepted."""
 
     mu: np.ndarray
     sigma: np.ndarray
@@ -84,6 +92,8 @@ class NormalParams:
         sigma = as_sym_matrix(self.sigma, dim=mu.shape[0])
         if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
             raise DimensionMismatchError("location and scale must be finite")
+        if sigma.size:
+            _psd_eigh(sigma)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
 
@@ -346,9 +356,17 @@ def _angle_quad(f, rho: float) -> tuple[float, float]:
 
     ``psi`` is the angle between a correlation ``+-cos(psi)`` and +-1.  The
     integrands of this module change on the scale of ``psi`` itself, so the
-    quadrature runs in ``log(psi)``: a narrow feature next to a
-    near-singular end, which a rule on ``psi`` would step over and report as
-    converged, is resolved.  ``f`` takes and returns arrays of 21 values.
+    quadrature runs in ``log(psi)`` (:func:`_log_angle_quad`): a narrow
+    feature next to a near-singular end, which a rule on ``psi`` would step
+    over and report as converged, is resolved.  ``f`` takes and returns
+    arrays of 21 values.
+    """
+    return _log_angle_quad(f, math.acos(abs(rho)), 0.5 * math.pi)
+
+
+def _log_angle_quad(f, lo: float, hi: float) -> tuple[float, float]:
+    """Integral of ``f(psi)`` over ``psi`` in [lo, hi], run in ``log(psi)``,
+    and its error, to a relative 1e-12 with no absolute floor.
 
     The rule is QUADPACK's adaptive Gauss-Kronrod 10/21 (:func:`_gk21`)
     without extrapolation: the panel with the largest error estimate is
@@ -361,7 +379,7 @@ def _angle_quad(f, rho: float) -> tuple[float, float]:
         psi = np.exp(u)
         return psi * f(psi)
 
-    a, b = math.log(math.acos(abs(rho))), math.log(0.5 * math.pi)
+    a, b = math.log(lo), math.log(hi)
     val, err = _gk21(integrand, a, b)
     panels = [(-err, a, b, val)]
     while err > _QUAD_REL_TOL * abs(val) and len(panels) < _QUAD_PANELS:
@@ -436,7 +454,7 @@ def _singular_gap(rho: float) -> float:
     """Bound sqrt(1 - |rho|) / pi on the gap between Phi2(h, k; rho) and its
     limit at |rho| = 1, where :func:`bvn_cdf` takes that limit; else 0."""
     a = 1.0 - abs(rho)
-    return math.sqrt(a) / math.pi if a <= _RHO_ONE else 0.0
+    return math.sqrt(max(a, 0.0)) / math.pi if a <= _RHO_ONE else 0.0
 
 
 def _bvn_with_error(h: float, k: float, rho: float) -> tuple[float, float]:
@@ -539,12 +557,254 @@ def _tvn_cdf(h, R: np.ndarray) -> tuple[float, float]:
             base_err + _TVN_REL_ERR * (abs(v2) + abs(v3)) / (2.0 * math.pi) + err)
 
 
+# ----------------------------------------------------------------------------
+# quadrivariate cdf: Plackett's identity one dimension up
+
+
+def _std_cdf_array(x: np.ndarray) -> np.ndarray:
+    """:func:`std_cdf` of each element of a 1-d array."""
+    return np.array([std_cdf(v) for v in x.tolist()])
+
+
+# Uniform panel counts that the array bivariate cdf runs, in turn, on the
+# elements not yet converged.
+_BVN_ARRAY_PANELS = (1, 2, 4, 8, 16)
+
+
+def _angle_array(d2: np.ndarray, hk: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Elementwise integral over ``psi`` in [exp(a), exp(b)], in ``log(psi)``,
+    of :func:`bvn_cdf`'s integrand ``exp(-0.5 d2 / sin^2 psi - hk / (1 +
+    cos psi))``, and the indices of the elements not converged.
+
+    All elements take :func:`_gk21` on one panel; those whose summed
+    estimate is above 1e-12 of their value are rerun, as one array, on 2, 4,
+    8 and then 16 uniform panels.
+    """
+    val = np.zeros(a.shape)
+    todo = np.arange(a.size)
+    d2, hk = d2[:, None, None], hk[:, None, None]
+    for n in _BVN_ARRAY_PANELS:
+        # n panels of half-width w, 21 nodes each: shape (m, n, 21)
+        w = (0.5 / n) * (b - a)[:, None]
+        mid = a[:, None] + (2.0 * np.arange(n) + 1.0) * w
+        psi = np.exp(mid[:, :, None] + w[:, :, None] * _GK_X)
+        s = np.sin(psi)
+        fx = psi * np.exp(-0.5 * d2 / (s * s) - hk / (1.0 + np.cos(psi)))
+        # _gk21 on every panel; fx >= 0, so resabs is w times the Kronrod sum
+        resk, resg = fx @ _GK_W[0], fx @ _GK_W[1]
+        resasc = w * (np.abs(fx - 0.5 * resk[:, :, None]) @ _GK_WK21)
+        err = w * np.abs(resk - resg)
+        big = (resasc != 0.0) & (err != 0.0)
+        err[big] = resasc[big] * np.minimum(1.0, (200.0 * err[big] / resasc[big]) ** 1.5)
+        err = np.maximum(err, _GK_EPS50 * w * resk).sum(axis=1)
+        v = (w * resk).sum(axis=1)
+        done = err <= _QUAD_REL_TOL * v
+        val[todo[done]] = v[done]
+        more = ~done
+        todo, d2, hk, a, b = todo[more], d2[more], hk[more], a[more], b[more]
+        if not todo.size:
+            break
+    return val, todo
+
+
+def _bvn_array(h: np.ndarray, k: np.ndarray, rho: np.ndarray,
+               ph: np.ndarray, pk: np.ndarray) -> np.ndarray:
+    """:func:`bvn_cdf` of 1-d arrays of finite limits ``h``, ``k`` and
+    correlations ``rho``, given ``ph = Phi(h)`` and ``pk = Phi(k)``, to a
+    relative 1e-12 of the value.
+
+    Positive correlations add :func:`bvn_cdf`'s integral from 0 to ``rho``
+    to ``ph pk``.  A negative correlation would subtract it and cancel
+    wherever the value is far below ``ph pk``, so those add the integral
+    from -1 to ``rho`` to ``max(0, Phi(h) - Phi(-k))`` instead: the same
+    integrand, over the angles from 0 to ``acos|rho|``.  That integrand
+    falls as ``exp(-0.5 (h + k)^2 / psi^2)`` towards 0; the angles where it
+    is below exp(-50) of its value at ``acos|rho|`` (or the first 1e-17 of
+    the range) are left out.  Both run in :func:`_angle_array`, and the
+    elements it leaves in :func:`_log_angle_quad`.  Correlations within
+    1e-15 of +-1 are taken as +-1.
+    """
+    out = ph * pk
+    arho = np.abs(rho)
+    one = arho >= 1.0 - _RHO_ONE
+    if one.any():
+        out[one] = np.where(rho[one] > 0.0, np.minimum(ph, pk)[one],
+                            np.maximum(0.0, ph + pk - 1.0)[one])
+    run = np.flatnonzero(~one & (rho != 0.0))
+    if not run.size:
+        return out
+    hr, kr, neg = h[run], k[run], rho[run] < 0.0
+    sign = np.where(neg, -1.0, 1.0)
+    d2, hk = (hr - sign * kr) ** 2, sign * hr * kr
+    psi0 = np.arccos(arho[run])
+    s0 = np.sin(psi0)
+    cut = np.sqrt(d2 / (d2 / (s0 * s0) + 4.0 * np.abs(hk) + 100.0))
+    lo = np.where(neg, np.maximum(cut, 1e-17 * psi0), psi0)
+    hi = np.where(neg, psi0, 0.5 * math.pi)
+    val, left = _angle_array(d2, hk, np.log(lo), np.log(hi))
+    for j in left.tolist():
+        def f(psi, d2=d2[j], hk=hk[j]):
+            return np.exp(-0.5 * d2 / np.sin(psi) ** 2 - hk / (1.0 + np.cos(psi)))
+        val[j] = _log_angle_quad(f, float(lo[j]), float(hi[j]))[0]
+    base = out[run]
+    base[neg] = np.maximum(0.0, ph[run][neg] - _std_cdf_array(-kr[neg]))
+    out[run] = base + val / (2.0 * math.pi)
+    return np.clip(out, 0.0, 1.0)
+
+
+def _qvn_path_term(h, R: np.ndarray, i: int, k: int) -> tuple[float, float]:
+    """The integral over t in [0, 1] of ``r_ik phi2(h_i, h_k; t r_ik)``
+    times the bivariate cdf of the other pair ``(l, m)`` given
+    ``x_i = h_i, x_k = h_k``, along the path that scales the correlations
+    of coordinate ``i`` by ``t``, and its error estimate.
+
+    The correlation ``t r_ik`` runs as ``sign cos(psi)`` as in
+    :func:`bvn_cdf`; the inner cdf is :func:`_bvn_array` over the 21 nodes
+    of each panel.  The estimate adds 1e-11 of the value, the outer
+    quadrature's estimate and, where an inner correlation is taken as +-1,
+    the largest such ``sqrt(1 - |rho|) / pi`` times the integral of the
+    density.
+    """
+    l, m = (j for j in range(4) if j not in (i, k))
+    hi, hk, hl, hm = (float(h[j]) for j in (i, k, l, m))
+    rik, ril, rim = float(R[i, k]), float(R[i, l]), float(R[i, m])
+    rkl, rkm, rlm = float(R[k, l]), float(R[k, m]), float(R[l, m])
+    sign = math.copysign(1.0, rik)
+    d2 = (hi - sign * hk) ** 2
+    hik = sign * hi * hk
+    r2 = rik * rik
+
+    def coefs(hz, riz, rkz):
+        """At t = cos(psi) / |r_ik|, with c = cos(psi): the conditional
+        deviation of ``hz`` times ``1 - c^2`` is ``hz (1 - c^2) - gx c -
+        hk rkz + gy c^2``, and the conditional variance times ``1 - c^2``
+        is ``(1 - rkz^2) - gq c^2`` (as in :func:`_tvn_cdf`)."""
+        g = riz / abs(rik)
+        if rkz >= 0.0:
+            q = (rik - riz) ** 2 + 2.0 * rik * riz * (1.0 - rkz)
+        else:
+            q = (rik + riz) ** 2 - 2.0 * rik * riz * (1.0 + rkz)
+        return hz, hi * (g - sign * rkz), hk * rkz, hk * sign * g, \
+            (1.0 - rkz) * (1.0 + rkz), q / r2
+
+    cl, cm = coefs(hl, ril, rkl), coefs(hm, rim, rkm)
+    # conditional covariance of (l, m) times 1 - c^2: c0 - gc c^2
+    c0 = rlm - rkl * rkm
+    gc = rlm + (ril * rim - rik * (ril * rkm + rim * rkl)) / r2
+
+    def conditional(psi):
+        c, s = np.cos(psi), np.sin(psi)
+        om, cc = s * s, c * c
+        dens = np.exp(-0.5 * d2 / om - hik / (1.0 + c))
+        limits, cdfs, pos = [], [], []
+        for hz, gx, hkr, gy, s0, gq in (cl, cm):
+            num = hz * om - gx * c - hkr + gy * cc
+            var = s0 - gq * cc
+            ok = om * var > 0.0
+            x = num / np.sqrt(np.where(ok, om * var, 1.0))
+            # Phi(x), and the step at 0 where the variance vanishes
+            limits.append(x)
+            cdfs.append(np.where(ok, _std_cdf_array(x), num >= 0.0))
+            pos.append((ok, var))
+        (okl, vl), (okm, vm) = pos
+        both = okl & okm
+        rho = (c0 - gc * cc) / np.sqrt(np.where(both, vl * vm, 1.0))
+        return dens, limits, cdfs, both, rho
+
+    gap = 0.0
+
+    def integrand(psi):
+        nonlocal gap
+        dens, (xl, xm), (pl, pm), both, rho = conditional(psi)
+        inner = pl * pm
+        if both.any():
+            rho = rho[both]
+            inner[both] = _bvn_array(xl[both], xm[both], rho, pl[both], pm[both])
+            gap = max(gap, _singular_gap(float(np.abs(rho).max())))
+        return dens * inner
+
+    val, err = _angle_quad(integrand, rik)
+    err = (_TVN_REL_ERR * val + err) / (2.0 * math.pi)
+    if gap:
+        # the inner cdf is off by at most gap where taken at |rho| = 1, and
+        # the density integrates to |Phi2(h_i, h_k; r_ik) - Phi(h_i) Phi(h_k)|
+        phi2, base = _bvn_terms(hi, hk, rik)
+        err += gap * abs(phi2 - base)
+    return sign * val / (2.0 * math.pi), err
+
+
+def _qvn_cdf(h, R: np.ndarray) -> tuple[float, float]:
+    """``P(X <= h)`` for a standard quadrivariate normal with correlation
+    ``R``, and an absolute error estimate.
+
+    Plackett's identity along the path that scales the correlations of
+    coordinate ``i`` by ``t`` in [0, 1].  Every matrix on the path is a
+    convex mix of ``R`` and ``blockdiag(1, R_rest)``, so it is positive
+    semidefinite for any ``i``; ``i`` is the coordinate least correlated
+    with the rest (smallest sum of ``|r_ik|``):
+
+        Phi4(h; R) = Phi(h_i) Phi3(h_rest; R_rest)
+                     + sum_{k != i} int_0^1 r_ik phi2(h_i, h_k; t r_ik)
+                                    Phi2(h_l', h_m'; r_lm'(t)) dt,
+
+    ``(h_l', h_m'; r_lm'(t))`` being the standardized limits and the
+    correlation of the other pair given ``x_i = h_i, x_k = h_k`` at ``t``
+    (:func:`_qvn_path_term`).  The estimate adds the trivariate's estimate
+    times ``Phi(h_i)``, 1e-11 of each path term and the path terms' own
+    estimates.  A pair correlated within 1e-15 of +-1 reduces the cdf to a
+    trivariate one, plus the bound ``sqrt(1 - |rho|) / pi`` on that step,
+    and a limit of +inf drops its coordinate.
+    """
+    if any(x == -np.inf for x in h):
+        return 0.0, 0.0
+    free = [j for j in range(4) if h[j] == np.inf]
+    if free:
+        keep = [j for j in range(4) if j != free[0]]
+        return _tvn_cdf([h[j] for j in keep], R[np.ix_(keep, keep)])
+    for a, b in itertools.combinations(range(4), 2):
+        r = float(R[a, b])
+        if abs(r) >= 1.0 - _RHO_ONE:
+            # x_b = +-x_a: a trivariate cdf of x_a and the other two
+            gap = _singular_gap(r)
+            keep = [a] + [j for j in range(4) if j not in (a, b)]
+            R3 = R[np.ix_(keep, keep)]
+            rest = [float(h[j]) for j in keep[1:]]
+            if r > 0.0:
+                val, err = _tvn_cdf([min(float(h[a]), float(h[b]))] + rest, R3)
+                return val, err + gap
+            if h[a] <= -h[b]:
+                return 0.0, gap
+            v1, e1 = _tvn_cdf([float(h[a])] + rest, R3)
+            v2, e2 = _tvn_cdf([-float(h[b])] + rest, R3)
+            return max(0.0, v1 - v2), e1 + e2 + gap
+    i = min(range(4), key=lambda j: float(np.abs(R[j]).sum()))
+    rest = [j for j in range(4) if j != i]
+    p1 = std_cdf(float(h[i]))
+    v0, e0 = _tvn_cdf([h[j] for j in rest], R[np.ix_(rest, rest)])
+    val, err = p1 * v0, p1 * e0
+    for k in rest:
+        if R[i, k] != 0.0:
+            v, e = _qvn_path_term(h, R, i, k)
+            val += v
+            err += e
+    return min(1.0, max(0.0, val)), float(err)
+
+
 def _corner_prob(cdf, lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
     """Rectangle probability by inclusion-exclusion over the corners whose
     lower limits are finite, ``cdf`` mapping a corner to a cdf value and its
-    error estimate; the error estimates add up."""
-    corners = [((h, 1.0), (l, -1.0)) if l > -np.inf else ((h, 1.0),)
-               for l, h in zip(lo, hi)]
+    error estimate; the error estimates add up.
+
+    Limits beyond 40 are taken as infinite: Phi is 0 or 1 there in double
+    precision, and the cdfs square their limits, which overflows from about
+    1e154 on."""
+    corners = []
+    for l, h in zip(lo, hi):
+        if h <= -_PHI_SATURATES:
+            return 0.0, 0.0
+        if h >= _PHI_SATURATES:
+            h = np.inf
+        corners.append(((h, 1.0), (l, -1.0)) if l > -_PHI_SATURATES else ((h, 1.0),))
     prob = err = 0.0
     for corner in itertools.product(*corners):
         val, e = cdf([h for h, _ in corner])
@@ -786,14 +1046,17 @@ def mvn_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_QMC):
     """Rectangle probability ``P(lower <= X <= upper)`` and an absolute
     error estimate.
 
-    dim 1: difference of cdf values (error 0); dims 2 and 3: deterministic
-    bivariate (:func:`bvn_cdf`) and trivariate (:func:`_tvn_cdf`) cdfs by
-    inclusion-exclusion over the corners with finite lower limits, each to a
-    relative 1e-12, reported error the sum over corners of 1e-11 relative to
-    each term (plus quadrature's own estimate at dim 3); dim >= 4:
-    randomized lattice QMC, error estimate 3x the standard error over
-    replicates.  ``cfg`` is used only at dim >= 4.  The result is clamped
-    to [0, 1] and is a pure function of ``(box, p, cfg)``.
+    dim 1: difference of cdf values (error 0); dims 2 to 4: deterministic
+    bivariate (:func:`bvn_cdf`), trivariate (:func:`_tvn_cdf`) and
+    quadrivariate (:func:`_qvn_cdf`) cdfs by inclusion-exclusion over the
+    corners with finite lower limits, each to a relative 1e-12, reported
+    error the sum over corners of 1e-11 relative to each term (plus
+    quadrature's own estimates at dims 3 and 4); dim >= 5: randomized
+    lattice QMC, error estimate 3x the standard error over replicates.
+    ``cfg`` is used only at dim >= 5.  The result is clamped to [0, 1] and
+    is a pure function of ``(box, p, cfg)``.  At dims 2 to 4 a standardized
+    limit beyond 40 is taken as infinite: Phi is 0 or 1 there in double
+    precision.
 
     Coordinates whose standardized interval lies above 0 are reflected
     first, so every interval probability is formed on the side where the
@@ -824,6 +1087,8 @@ def mvn_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_QMC):
         return _corner_prob(lambda h: _bvn_with_error(h[0], h[1], rho), lo, hi)
     if p.dim == 3:
         return _corner_prob(lambda h: _tvn_cdf(h, R), lo, hi)
+    if p.dim == 4:
+        return _corner_prob(lambda h: _qvn_cdf(h, R), lo, hi)
     return _qmc_prob(R, lo, hi, cfg)
 
 

@@ -464,13 +464,15 @@ class TestDeterminism:
         assert first.stdout == second.stdout
 
     def test_seed_override_changes_qmc_result(self):
-        # a p = 3 ESN cdf integrates a 4-dim normal by QMC (dim 3 is deterministic)
+        # a p = 4 ESN cdf integrates a 5-dim normal by QMC (dims up to 4
+        # are deterministic)
         req = json.dumps({
             "task": "cdf", "family": "esn",
-            "params": {"mu": [0.0, 0.1, -0.2],
-                       "sigma": [[1.0, 0.25, 0.1], [0.25, 1.0, -0.2], [0.1, -0.2, 1.0]],
-                       "lambda": [0.7, -0.3, 0.4], "tau": 0.2},
-            "x": [0.5, 0.1, 0.3],
+            "params": {"mu": [0.0, 0.1, -0.2, 0.3],
+                       "sigma": [[1.0, 0.25, 0.1, 0.0], [0.25, 1.0, -0.2, 0.1],
+                                 [0.1, -0.2, 1.0, 0.2], [0.0, 0.1, 0.2, 1.0]],
+                       "lambda": [0.7, -0.3, 0.4, 0.2], "tau": 0.2},
+            "x": [0.5, 0.1, 0.3, -0.2],
             "qmc": {"sample_count": 4096, "replicates": 10, "seed": 7},
         })
         base = _run_cli(["--input", "-"], stdin_text=req)

@@ -10,6 +10,7 @@ from truncskew import (
     EsnParams,
     NegativeArgumentError,
     NormalParams,
+    QmcConfig,
     SignPattern,
     TesnSession,
     TnSession,
@@ -207,9 +208,21 @@ def _at_shift(pr: EsnParams, tau_tilde) -> EsnParams:
 SHIFT_REGIMES = [None, -20.0, -40.0]
 
 
+def _more_points(factor: int) -> QmcConfig:
+    """FAST_QMC with ``factor`` times its points (same replicates and seed)."""
+    return QmcConfig(sample_count=factor * FAST_QMC.sample_count,
+                     replicates=FAST_QMC.replicates, seed=FAST_QMC.seed)
+
+
 class TestOrthantTable:
     """The 2^p orthant masses of one inclusion-exclusion table against one
-    direct rectangle call per reflected law."""
+    direct rectangle call per reflected law.
+
+    The direct calls run at 16 times FAST_QMC's points.  At p = 4 the table
+    makes one dim-5 lattice call and otherwise deterministic ones, while
+    each direct call is a dim-5 lattice call of its own, so the two sides no
+    longer share a lattice error that cancels; at FAST_QMC's points a
+    direct call under-covers (:meth:`test_direct_fast_qmc_under_covers`)."""
 
     @staticmethod
     def _table(pr: EsnParams):
@@ -225,9 +238,18 @@ class TestOrthantTable:
         assert len(table) == 2 ** p
         for s in sign_patterns(p):
             ref, ref_err = tesn_prob_with_error(TruncationBox.orthant(p),
-                                                flip_params(pr, s), FAST_QMC)
+                                                flip_params(pr, s), _more_points(16))
             val, err = table[s]
             assert abs(val - ref) <= err + ref_err + 1e-12, (s.s, val, ref)
+
+    @pytest.mark.xfail(strict=True, reason="the dim-5 FAST_QMC estimate under-covers "
+                       "its error on this orthant (3.4e-6 off, estimate 1.2e-6)")
+    def test_direct_fast_qmc_under_covers(self, rng):
+        # the law of test_matches_direct_orthants[4-None], pattern (1, -1, 1, 1)
+        pr = flip_params(random_esn_params(rng, 4), SignPattern((1, -1, 1, 1)))
+        val, err = tesn_prob_with_error(TruncationBox.orthant(4), pr, FAST_QMC)
+        ref, ref_err = tesn_prob_with_error(TruncationBox.orthant(4), pr, _more_points(64))
+        assert abs(val - ref) <= err + ref_err
 
     @pytest.mark.parametrize("tau_tilde", SHIFT_REGIMES)
     @pytest.mark.parametrize("p", [1, 2, 3, 4])

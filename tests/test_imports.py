@@ -2,7 +2,7 @@
 ``scipy`` and no ``jsonschema``.  The scalar normal cdfs run on ``math.erf``
 / ``math.erfc``, the kernels on their own quadrature rule and numpy's FFT,
 and requests are checked by the CLI's own schema interpreter.  Three callers
-import from scipy when first called: the lattice kernel (dim >= 4) and the
+import from scipy when first called: the lattice kernel (dim >= 5) and the
 sampler load ``scipy.special``, the quadrature oracles ``scipy.integrate``."""
 
 import json
@@ -47,9 +47,9 @@ print(json.dumps({{"loaded": loaded, "value": np.ravel(value).tolist(),
                   "special_after": "scipy.special" in sys.modules}}))
 """
 
-_MVN_PROB_DIM4 = """
-box = ts.TruncationBox([-1.0, -0.5, -2.0, -np.inf], [1.0, 1.5, 0.5, 1.0])
-value = ts.mvn_prob(box, ts.NormalParams(np.zeros(4), 0.5 * np.eye(4) + 0.5))
+_MVN_PROB_DIM5 = """
+box = ts.TruncationBox([-1.0, -0.5, -2.0, -np.inf, -0.3], [1.0, 1.5, 0.5, 1.0, np.inf])
+value = ts.mvn_prob(box, ts.NormalParams(np.zeros(5), 0.5 * np.eye(5) + 0.5))
 """
 
 _ESN_SAMPLE = """
@@ -61,10 +61,10 @@ value = ts.esn_sample(par, 3, 7)
 
 @pytest.mark.parametrize("call, expected", [
     # the values returned when scipy.special was imported with the package
-    (_MVN_PROB_DIM4, [0.2641912666165027, 2.2314659368523805e-08]),
+    (_MVN_PROB_DIM5, [0.1619309208575908, 4.916796719254495e-07]),
     (_ESN_SAMPLE, [0.5410582016255587, 1.5223702927692306, -0.3309867254750388,
                    -1.9601519088241945, 0.771572759137834, -0.16255420757599437]),
-], ids=["mvn_prob-dim4", "esn_sample"])
+], ids=["mvn_prob-dim5", "esn_sample"])
 @pytest.mark.parametrize("module", ["truncskew", "truncskew.cli"])
 def test_import_is_numpy_only_until_special_is_needed(module, call, expected):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))

@@ -224,7 +224,8 @@ class TestMvnProb:
         assert r1 == r2  # bit identical
 
     def test_seed_changes_estimate(self, rng):
-        pars = NormalParams(rng.normal(size=4), random_spd(rng, 4))
+        # dim 5: the first dimension integrated by the lattice rule
+        pars = NormalParams(rng.normal(size=5), random_spd(rng, 5))
         box = TruncationBox(pars.mu - 1.0, pars.mu + 2.0)
         r1 = mvn_prob(box, pars, QmcConfig(seed=1))
         r2 = mvn_prob(box, pars, QmcConfig(seed=2))
@@ -302,8 +303,61 @@ class TestMvnProb:
         assert p3 > 0.3
         assert abs(p4 - p3) <= e4 + e3 + 1e-15
 
+    def test_qmc_copied_coordinate_dim5(self):
+        # the same with x5 = x1 on top of a 4-dim law: the lattice rule's
+        # conditionally deterministic coordinate, now that dim 4 is not QMC
+        sigma4 = 0.5 * np.eye(4) + 0.5
+        copy = np.vstack([np.eye(4), np.eye(4)[:1]])
+        p5, e5 = mvn_prob(TruncationBox(-np.ones(5), np.ones(5)),
+                          NormalParams(np.zeros(5), copy @ sigma4 @ copy.T), FAST_QMC)
+        p4, e4 = mvn_prob(TruncationBox(-np.ones(4), np.ones(4)),
+                          NormalParams(np.zeros(4), sigma4))
+        assert p4 > 0.2
+        assert abs(p5 - p4) <= e5 + e4 + 1e-15
+
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_limits_beyond_40_sd_are_infinite(self, dim):
+        # Phi is 0 or 1 in double precision there; squaring 1e300 overflows
+        pars = NormalParams(np.zeros(dim), 0.5 * np.eye(dim) + 0.5)
+        lo, hi = np.full(dim, -1.0), np.linspace(0.5, 1.5, dim)
+        for far, inf in ((1e300, np.inf), (45.0, np.inf)):
+            hi_far, hi_inf = hi.copy(), hi.copy()
+            hi_far[0], hi_inf[0] = far, inf
+            lo_far, lo_inf = lo.copy(), lo.copy()
+            lo_far[-1], lo_inf[-1] = -far, -inf
+            assert (mvn_prob(TruncationBox(lo_far, hi_far), pars)
+                    == mvn_prob(TruncationBox(lo_inf, hi_inf), pars))
+        hi[0], lo[0] = -1e300, -np.inf
+        assert mvn_prob(TruncationBox(lo, hi), pars) == (0.0, 0.0)
+
+
+def _indefinite(dim: int) -> np.ndarray:
+    """Unit diagonal, correlations 0.9 except r12 = -0.9: smallest eigenvalue
+    -0.8 at dim 3 and -1.01 at dim 4; at dim 2 ``[[1, 2], [2, 1]]``."""
+    if dim == 2:
+        return np.array([[1.0, 2.0], [2.0, 1.0]])
+    S = np.full((dim, dim), 0.9)
+    np.fill_diagonal(S, 1.0)
+    S[0, 1] = S[1, 0] = -0.9
+    return S
+
 
 class TestContainers:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_indefinite_scale_is_not_psd(self, dim):
+        S = _indefinite(dim)
+        assert np.linalg.eigvalsh(S)[0] < -0.7
+        with pytest.raises(NotPSDError):
+            NormalParams(np.zeros(dim), S)
+
+    def test_singular_psd_scale_is_accepted(self):
+        # x4 = x1, and a smallest eigenvalue of -1e-12 from rounding
+        copy = np.vstack([np.eye(3), np.eye(3)[:1]])
+        S = copy @ (0.5 * np.eye(3) + 0.5) @ copy.T
+        NormalParams(np.zeros(4), S)
+        NormalParams(np.zeros(4), S - 1e-12 * np.eye(4))
+
     def test_box_requires_strict_order(self):
         with pytest.raises(DimensionMismatchError):
             TruncationBox([0.0, 0.0], [1.0, 0.0])
@@ -642,6 +696,146 @@ class TestTrivariate:
         results = {_tvn(lo, hi, R, QmcConfig(seed=s)) for s in (1, 2, 12345)}
         results.add(_tvn(lo, hi, R, FAST_QMC))
         assert len(results) == 1
+
+
+def _qvn_reference(lo, hi, R, j, points=()):
+    """P(lo <= X <= hi) for X ~ N(0, R) in four dimensions, and its error:
+    scipy's QUADPACK over ``x_j`` (with break ``points``) of phi(x_j) times
+    the conditional trivariate rectangle of the other three coordinates
+    given ``x_j`` (the dim-3 kernel), to a relative 1e-11 or 1e-13 of the
+    mass of ``x_j``'s interval, with the integral of that kernel's estimate,
+    to a relative 1e-3, added to quadrature's own."""
+    rest = [k for k in range(4) if k != j]
+    b = R[rest, j]
+    params = NormalParams(np.zeros(3), R[np.ix_(rest, rest)] - np.outer(b, b))
+    nodes = {}
+
+    def rect(x):
+        if x not in nodes:
+            box = TruncationBox(lo[rest] - b * x, hi[rest] - b * x)
+            nodes[x] = mvn_prob(box, params)
+        return nodes[x]
+
+    # phi is below 1e-347 outside [-40, 40]
+    a, c = max(lo[j], -40.0), min(hi[j], 40.0)
+    points = [x for x in points if a < x < c] or None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        floor = 1e-13 * mvn_prob(TruncationBox([lo[j]], [hi[j]]), NormalParams([0.0], [[1.0]]))[0]
+        val, err = quad(lambda x: std_pdf(x) * rect(x)[0], a, c, points=points,
+                        epsabs=floor, epsrel=1e-11, limit=400)
+        # mostly the nodes already evaluated
+        inner_err = quad(lambda x: std_pdf(x) * rect(x)[1], a, c, points=points,
+                         epsabs=0.0, epsrel=1e-3, limit=400)[0]
+    return val, err + inner_err
+
+
+def _qvn_case(rng, kind):
+    """A correlation matrix, a box, the coordinate the reference integrates
+    over and its break points, for one of the kinds in
+    :class:`TestQuadrivariate`."""
+    a = rng.normal(size=(4, 6))
+    m, n = rng.choice(4, 2, replace=False)
+    if kind == "near-singular":
+        # x_n = +-x_m up to noise: 1 - |r_mn| from about 1e-14 to 1e-9
+        a[n] = rng.choice([-1.0, 1.0]) * a[m] + 10.0 ** rng.uniform(-7.0, -4.5) * a[n]
+    s = a @ a.T
+    sd = np.sqrt(np.diag(s))
+    R = mvn.symmetrize(s / np.outer(sd, sd))
+    np.fill_diagonal(R, 1.0)
+    lo = rng.normal(scale=1.5, size=4) - 1.0
+    hi = lo + rng.uniform(0.2, 3.0, size=4)
+    if kind == "orthant":
+        lo[:] = -np.inf
+        hi = rng.normal(size=4)
+    elif kind == "deep-shift":
+        # x_m beyond 8 to 20 sd, the others around their conditional means
+        # there: L down to ~1e-90
+        depth = rng.choice([-1.0, 1.0]) * rng.uniform(8.0, 20.0)
+        lo, hi = R[m] * depth - rng.uniform(0.2, 2.5, 4), R[m] * depth + rng.uniform(0.2, 2.5, 4)
+    if kind != "orthant":
+        lo[rng.random(4) < 0.3] = -np.inf
+        hi[rng.random(4) < 0.3] = np.inf
+    if kind == "deep-shift":
+        lo[m], hi[m] = (-np.inf, depth) if depth < 0.0 else (depth, np.inf)
+    if np.all(np.isinf(lo)) and np.all(np.isinf(hi)):
+        hi[0] = 0.5
+    points = ()
+    if kind in ("orthant", "rectangle"):
+        # the coordinate of least mass: fewest quadrature nodes
+        m = min(range(4), key=lambda k: std_cdf(hi[k]) - std_cdf(lo[k]))
+    if kind == "near-singular":
+        # given x_m, x_n is nearly deterministic: break where its mean
+        # crosses one of its limits, on the scale of its sd
+        r = R[m, n]
+        w = math.sqrt((1.0 - r) * (1.0 + r)) / abs(r)
+        points = sorted(lim / r + k * w for lim in (lo[n], hi[n]) if np.isfinite(lim)
+                        for k in (-40.0, -8.0, -2.0, 0.0, 2.0, 8.0, 40.0))
+    return R, lo, hi, m, points
+
+
+class TestQuadrivariate:
+    """The dim-4 kernel (Plackett's identity one dimension up) against
+    closed forms and against an independent 1-d quadrature of the
+    trivariate kernel."""
+
+    @staticmethod
+    def _prob(lo, hi, R):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return mvn_prob(TruncationBox(lo, hi), NormalParams(np.zeros(4), R))
+
+    def test_equicorrelated_orthant(self):
+        # rho = 1/2: P(X <= 0) = 1/5
+        R = 0.5 * np.eye(4) + 0.5
+        prob, err = self._prob(np.full(4, -np.inf), np.zeros(4), R)
+        assert abs(prob - 0.2) <= err < 1e-10
+
+    def test_block_diagonal_orthant(self):
+        r1, r2 = 0.35, -0.8
+        R = np.eye(4)
+        R[0, 2] = R[2, 0] = r1
+        R[1, 3] = R[3, 1] = r2
+        exact = math.prod(0.25 + math.asin(r) / (2.0 * math.pi) for r in (r1, r2))
+        prob, err = self._prob(np.full(4, -np.inf), np.zeros(4), R)
+        assert abs(prob - exact) <= err < 1e-10
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_copied_coordinate(self, sign):
+        # x4 = +-x1: the trivariate rectangle with x1 in the intersection
+        R3 = _corr(0.3, -0.45, 0.2)
+        copy = np.vstack([np.eye(3), sign * np.eye(3)[:1]])
+        lo, hi = np.array([-1.0, -0.4, -np.inf, -0.6]), np.array([0.9, 1.5, 0.7, 1.2])
+        lo1, hi1 = ((max(lo[0], lo[3]), min(hi[0], hi[3])) if sign > 0 else
+                    (max(lo[0], -hi[3]), min(hi[0], -lo[3])))
+        ref, ref_err = mvn_prob(TruncationBox([lo1, lo[1], lo[2]], [hi1, hi[1], hi[2]]),
+                                NormalParams(np.zeros(3), R3))
+        prob, err = self._prob(lo, hi, copy @ R3 @ copy.T)
+        assert abs(prob - ref) <= err + ref_err < 1e-10
+
+    def test_deep_shift_box_near_1e_90(self):
+        # x1 below -20.2 sd, the others around their conditional means
+        # there (x3 one-sided): L = 2.3e-91
+        R = np.array([[1.0, 0.6, -0.3, 0.45], [0.6, 1.0, 0.2, 0.1],
+                      [-0.3, 0.2, 1.0, -0.25], [0.45, 0.1, -0.25, 1.0]])
+        lo = R[0] * -20.2 - np.array([0.0, 1.0, 0.8, 1.5])
+        hi = R[0] * -20.2 + np.array([0.0, 1.2, 1.0, 0.5])
+        lo[0], hi[0], lo[2] = -np.inf, -20.2, -np.inf
+        prob, err = self._prob(lo, hi, R)
+        ref, ref_err = _qvn_reference(lo, hi, R, 0)
+        assert 1e-92 < ref < 1e-90
+        assert abs(prob - ref) <= err + ref_err < 1e-10 * ref
+
+    @pytest.mark.parametrize("kind", ["orthant", "rectangle", "near-singular", "deep-shift"])
+    def test_against_nested_quadrature(self, rng, kind):
+        worst = 0.0
+        for _ in range(25):
+            R, lo, hi, j, points = _qvn_case(rng, kind)
+            prob, err = self._prob(lo, hi, R)
+            ref, ref_err = _qvn_reference(lo, hi, R, j, points)
+            assert abs(prob - ref) <= err + ref_err, (R, lo, hi, prob, ref, err)
+            worst = max(worst, abs(prob - ref) / (err + ref_err)) if err + ref_err else worst
+        assert worst <= 1.0
 
 
 # ----------------------------------------------------------------------------
