@@ -40,7 +40,7 @@ SCHEMA_VERSION = 1
 # task -> {accepted request method: method_used}: "auto" and every method
 # value the task can report.  A "task:normal" entry replaces the task's own
 # for the normal family.  Two labels also depend on the dimension: a normal
-# prob at p >= 4 reports "qmc", and an auto moment at p = 1 reports
+# prob at p >= 5 reports "qmc", and an auto moment at p = 1 reports
 # "univariate-recurrence".
 _METHODS = {
     "pdf": {"auto": "closed-form"},
@@ -322,7 +322,7 @@ def _execute(req: dict) -> dict:
     elif task in ("cdf", "prob"):
         if task == "cdf":
             b = TruncationBox(np.full(params.dim, -np.inf), arg)
-        elif family == "normal" and params.dim > 3:  # past the trivariate kernel
+        elif family == "normal" and params.dim > 4:  # past the deterministic kernels
             method_used = "qmc"
         value, err = tesn_prob_with_error(b, params, cfg)
         if task == "prob" and req.get("verify"):

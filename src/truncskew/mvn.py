@@ -2,12 +2,12 @@
 
 The rectangle probability L_p(a, b; mu, Sigma) is the scalar kernel every
 moment recurrence in this library bottoms out in.  Dimensions 1 to 4 are
-deterministic and ignore :class:`QmcConfig`: a cdf difference, adaptive
-quadrature over the correlation parameter, and Plackett's identity for the
-trivariate cdf (a 1-d integral of bivariate densities times a univariate cdf)
-and the quadrivariate cdf (1-d integrals of bivariate densities times a
-bivariate cdf, evaluated as one array over the nodes), with
-inclusion-exclusion over the corners.  The integrals run on this module's
+deterministic and ignore :class:`QmcConfig`: inclusion-exclusion over the
+corners of one recursion over the dimension.  Dimension 1 is a cdf, dimension
+2 adaptive quadrature over the correlation parameter, and dimensions 3 and 4
+Plackett's identity: 1-d integrals of bivariate densities times the cdf of
+the other one or two coordinates (a univariate cdf, or a bivariate cdf
+evaluated as one array over the nodes).  The integrals run on this module's
 adaptive Gauss-Kronrod 10/21 rule (QUADPACK's ``qk21`` nodes and error
 heuristic, largest-error bisection, no extrapolation), evaluating the
 integrand at all 21 nodes of a panel as one array.  Higher dimensions use a
@@ -443,10 +443,10 @@ def _bvn_terms(h: float, k: float, rho: float) -> tuple[float, float]:
 
 
 # ----------------------------------------------------------------------------
-# trivariate cdf (Plackett 1954; Genz 2004) and rectangles
+# normal cdfs of dimension 0 to 4 (Plackett 1954; Genz 2004) and rectangles
 
-# Relative error allowed for each term of a trivariate cdf in its error
-# estimate: ten times the relative tolerance the quadratures are run to.
+# Relative error allowed for each term of a cdf in its error estimate: ten
+# times the relative tolerance the quadratures are run to.
 _TVN_REL_ERR = 1e-11
 
 
@@ -461,104 +461,6 @@ def _bvn_with_error(h: float, k: float, rho: float) -> tuple[float, float]:
     """:func:`bvn_cdf` and an error estimate, relative to both of its terms."""
     val, base = _bvn_terms(h, k, rho)
     return val, _TVN_REL_ERR * (val + base) + _singular_gap(rho)
-
-
-def _tvn_cdf(h, R: np.ndarray) -> tuple[float, float]:
-    """``P(X <= h)`` for a standard trivariate normal with correlation ``R``,
-    and an absolute error estimate.
-
-    Plackett's identity along the path that scales the correlations of
-    coordinate 1 by ``t`` in [0, 1], with (2, 3) the most correlated pair so
-    that every matrix on the path is positive semidefinite:
-
-        Phi3(h; R) = Phi(h1) Phi2(h2, h3; r23)
-                     + int_0^1 r12 phi2(h1, h2; t r12) Phi(u3(t))
-                             + r13 phi2(h1, h3; t r13) Phi(u2(t)) dt,
-
-    ``u_k(t)`` being the standardized ``h_k`` given the other two at ``t``.
-    Each term is integrated over the angle of its correlation, as in
-    :func:`bvn_cdf`, to a relative 1e-12 with no absolute floor, so tiny
-    orthants keep their relative accuracy.  The estimate is 1e-11 relative
-    to the size of each term plus quadrature's own estimate; where a
-    correlation is taken as +-1 it adds the bound sqrt(1 - |rho|) / pi on
-    the gap to that limit.
-    """
-    if any(x == -np.inf for x in h):
-        return 0.0, 0.0
-    keep = [i for i in range(3) if h[i] < np.inf]
-    if len(keep) < 3:
-        if not keep:
-            return 1.0, 0.0
-        if len(keep) == 1:
-            return std_cdf(h[keep[0]]), 0.0
-        i, j = keep
-        return _bvn_with_error(h[i], h[j], float(R[i, j]))
-    # coordinate 1 is the one outside the most correlated pair; R[m - 2, m - 1]
-    # correlates the two coordinates other than m
-    i = max(range(3), key=lambda m: abs(R[m - 2, m - 1]))
-    j, k = (i + 1) % 3, (i + 2) % 3
-    h1, h2, h3 = float(h[i]), float(h[j]), float(h[k])
-    r12, r13, r23 = float(R[i, j]), float(R[i, k]), float(R[j, k])
-    if abs(r23) >= 1.0 - _RHO_ONE:
-        # x3 = +-x2: a bivariate cdf of (x1, x2)
-        gap = _singular_gap(r23)
-        if r23 > 0.0:
-            val, err = _bvn_with_error(h1, min(h2, h3), r12)
-            return val, err + gap
-        if h2 <= -h3:
-            return 0.0, gap
-        v1, e1 = _bvn_with_error(h1, h2, r12)
-        v2, e2 = _bvn_with_error(h1, -h3, r12)
-        return max(0.0, v1 - v2), e1 + e2 + gap
-    p1 = std_cdf(h1)
-    v23, e23 = _bvn_with_error(h2, h3, r23)
-    base, base_err = p1 * v23, p1 * e23
-    if r12 == 0.0 and r13 == 0.0:
-        return base, base_err
-    s23 = (1.0 - r23) * (1.0 + r23)
-    # r12^2 + r13^2 - 2 r12 r13 r23, free of cancellation near |r23| = 1
-    if r23 >= 0.0:
-        q = (r12 - r13) ** 2 + 2.0 * r12 * r13 * (1.0 - r23)
-    else:
-        q = (r12 + r13) ** 2 - 2.0 * r12 * r13 * (1.0 + r23)
-
-    def path_term(hx, hy, hz, rxy, rxz):
-        """2 pi times the integral over t of rxy phi2(hx, hy; t rxy) Phi(uz(t)),
-        run as t rxy = sign cos(psi) as in :func:`bvn_cdf`, and its error."""
-        if rxy == 0.0:
-            return 0.0, 0.0
-        sign = math.copysign(1.0, rxy)
-        d2 = (hx - sign * hy) ** 2
-        hxy = sign * hx * hy
-        # at t = cos(psi) / |rxy|: b = t rxz = g cos(psi), a = sign cos(psi)
-        g = rxz / abs(rxy)
-        gx, gy, gq = hx * (g - sign * r23), hy * sign * g, q / (rxy * rxy)
-
-        def integrand(psi):
-            c, s = np.cos(psi), np.sin(psi)
-            om, cc = s * s, c * c
-            dens = np.exp(-0.5 * d2 / om - hxy / (1.0 + c))
-            # hz om - (b - a r23) hx - (r23 - a b) hy, and its variance
-            num = hz * om - gx * c - hy * r23 + gy * cc
-            var = om * (s23 - gq * cc)
-            # Phi(num / sqrt(var)), and the step at 0 where the variance vanishes
-            cdf = [std_cdf(n / math.sqrt(v)) if v > 0.0 else float(n >= 0.0)
-                   for n, v in zip(num.tolist(), var.tolist())]
-            return dens * np.array(cdf)
-
-        val, err = _angle_quad(integrand, rxy)
-        return sign * val, err
-
-    v2, e2 = path_term(h1, h2, h3, r12, r13)
-    v3, e3 = path_term(h1, h3, h2, r13, r12)
-    val = (v2 + v3) / (2.0 * math.pi)
-    err = (e2 + e3) / (2.0 * math.pi)
-    return (min(1.0, max(0.0, base + val)),
-            base_err + _TVN_REL_ERR * (abs(v2) + abs(v3)) / (2.0 * math.pi) + err)
-
-
-# ----------------------------------------------------------------------------
-# quadrivariate cdf: Plackett's identity one dimension up
 
 
 def _std_cdf_array(x: np.ndarray) -> np.ndarray:
@@ -652,142 +554,175 @@ def _bvn_array(h: np.ndarray, k: np.ndarray, rho: np.ndarray,
     return np.clip(out, 0.0, 1.0)
 
 
-def _qvn_path_term(h, R: np.ndarray, i: int, k: int) -> tuple[float, float]:
-    """The integral over t in [0, 1] of ``r_ik phi2(h_i, h_k; t r_ik)``
-    times the bivariate cdf of the other pair ``(l, m)`` given
-    ``x_i = h_i, x_k = h_k``, along the path that scales the correlations
-    of coordinate ``i`` by ``t``, and its error estimate.
+def _path_term(R: list, i: int, k: int, rest: list[int]):
+    """The path term of :func:`_cdf` for the pivot ``i`` and the coordinate
+    ``k``, as a function of the upper limits ``h``.  It returns 2 pi times
+    the integral over t in [0, 1] of ``r_ik phi2(h_i, h_k; t r_ik)`` times
+    the cdf of the coordinates ``rest`` (one or two) given ``x_i = h_i,
+    x_k = h_k`` at ``t``, quadrature's estimate of that, and the bound on
+    taking an inner correlation as +-1.
 
-    The correlation ``t r_ik`` runs as ``sign cos(psi)`` as in
-    :func:`bvn_cdf`; the inner cdf is :func:`_bvn_array` over the 21 nodes
-    of each panel.  The estimate adds 1e-11 of the value, the outer
-    quadrature's estimate and, where an inner correlation is taken as +-1,
-    the largest such ``sqrt(1 - |rho|) / pi`` times the integral of the
-    density.
+    The correlation ``t r_ik`` runs as ``sign cos(psi)``, as in
+    :func:`bvn_cdf`.  With ``c = cos(psi)`` and ``g = r_iz / |r_ik|``, the
+    conditional deviation of ``h_z`` times ``1 - c^2`` is ``h_z (1 - c^2) -
+    h_i (g - sign r_kz) c - h_k r_kz + h_k sign g c^2``, and its variance
+    times ``1 - c^2`` is ``(1 - r_kz^2) - q c^2 / r_ik^2``.  The inner cdf is
+    Phi, with a step at 0 where the variance vanishes, or :func:`_bvn_array`
+    over the nodes.  Where that takes a correlation as +-1 it is off by at
+    most the largest such ``sqrt(1 - |rho|) / pi``, and the density
+    integrates to ``|Phi2(h_i, h_k; r_ik) - Phi(h_i) Phi(h_k)|``.
     """
-    l, m = (j for j in range(4) if j not in (i, k))
-    hi, hk, hl, hm = (float(h[j]) for j in (i, k, l, m))
-    rik, ril, rim = float(R[i, k]), float(R[i, l]), float(R[i, m])
-    rkl, rkm, rlm = float(R[k, l]), float(R[k, m]), float(R[l, m])
+    rik = R[i][k]
     sign = math.copysign(1.0, rik)
-    d2 = (hi - sign * hk) ** 2
-    hik = sign * hi * hk
     r2 = rik * rik
-
-    def coefs(hz, riz, rkz):
-        """At t = cos(psi) / |r_ik|, with c = cos(psi): the conditional
-        deviation of ``hz`` times ``1 - c^2`` is ``hz (1 - c^2) - gx c -
-        hk rkz + gy c^2``, and the conditional variance times ``1 - c^2``
-        is ``(1 - rkz^2) - gq c^2`` (as in :func:`_tvn_cdf`)."""
+    coefs = []
+    for z in rest:
+        riz, rkz = R[i][z], R[k][z]
         g = riz / abs(rik)
+        # q = r_ik^2 + r_iz^2 - 2 r_ik r_iz r_kz, free of cancellation near |r_kz| = 1
         if rkz >= 0.0:
             q = (rik - riz) ** 2 + 2.0 * rik * riz * (1.0 - rkz)
         else:
             q = (rik + riz) ** 2 - 2.0 * rik * riz * (1.0 + rkz)
-        return hz, hi * (g - sign * rkz), hk * rkz, hk * sign * g, \
-            (1.0 - rkz) * (1.0 + rkz), q / r2
+        coefs.append((z, g - sign * rkz, rkz, sign * g, (1.0 - rkz) * (1.0 + rkz), q / r2))
+    if len(rest) == 2:
+        # the conditional covariance of the pair times 1 - c^2: c0 - gc c^2
+        l, m = rest
+        ril, rim, rkl, rkm, rlm = R[i][l], R[i][m], R[k][l], R[k][m], R[l][m]
+        c0 = rlm - rkl * rkm
+        gc = rlm + (ril * rim - rik * (ril * rkm + rim * rkl)) / r2
 
-    cl, cm = coefs(hl, ril, rkl), coefs(hm, rim, rkm)
-    # conditional covariance of (l, m) times 1 - c^2: c0 - gc c^2
-    c0 = rlm - rkl * rkm
-    gc = rlm + (ril * rim - rik * (ril * rkm + rim * rkl)) / r2
+    def term(h):
+        hi, hk = h[i], h[k]
+        d2 = (hi - sign * hk) ** 2
+        hik = sign * hi * hk
+        limits = [(h[z], hi * gx, hk * rkz, hk * gy, s0, gq) for z, gx, rkz, gy, s0, gq in coefs]
+        gap = 0.0
 
-    def conditional(psi):
-        c, s = np.cos(psi), np.sin(psi)
-        om, cc = s * s, c * c
-        dens = np.exp(-0.5 * d2 / om - hik / (1.0 + c))
-        limits, cdfs, pos = [], [], []
-        for hz, gx, hkr, gy, s0, gq in (cl, cm):
-            num = hz * om - gx * c - hkr + gy * cc
-            var = s0 - gq * cc
-            ok = om * var > 0.0
-            x = num / np.sqrt(np.where(ok, om * var, 1.0))
-            # Phi(x), and the step at 0 where the variance vanishes
-            limits.append(x)
-            cdfs.append(np.where(ok, _std_cdf_array(x), num >= 0.0))
-            pos.append((ok, var))
-        (okl, vl), (okm, vm) = pos
-        both = okl & okm
-        rho = (c0 - gc * cc) / np.sqrt(np.where(both, vl * vm, 1.0))
-        return dens, limits, cdfs, both, rho
+        def integrand(psi):
+            nonlocal gap
+            c, s = np.cos(psi), np.sin(psi)
+            om, cc = s * s, c * c
+            dens = np.exp(-0.5 * d2 / om - hik / (1.0 + c))
+            inner, rows = 1.0, []
+            for hz, gx, hkr, gy, s0, gq in limits:
+                num, v = hz * om - gx * c - hkr + gy * cc, s0 - gq * cc
+                var = om * v
+                # Phi(num / sqrt(var)), and the step at 0 where the variance vanishes
+                cdf = np.array([std_cdf(n / math.sqrt(w)) if w > 0.0 else float(n >= 0.0)
+                                for n, w in zip(num.tolist(), var.tolist())])
+                inner = inner * cdf
+                rows.append((num, v, var, cdf))
+            if len(rows) == 2:
+                (nl, vl, wl, pl), (nm, vm, wm, pm) = rows
+                both = (wl > 0.0) & (wm > 0.0)
+                if both.any():
+                    rho = (c0 - gc * cc[both]) / np.sqrt(vl[both] * vm[both])
+                    inner[both] = _bvn_array(nl[both] / np.sqrt(wl[both]),
+                                             nm[both] / np.sqrt(wm[both]),
+                                             rho, pl[both], pm[both])
+                    gap = max(gap, _singular_gap(float(np.abs(rho).max())))
+            return dens * inner
 
-    gap = 0.0
+        val, err = _angle_quad(integrand, rik)
+        if gap:
+            phi2, base = _bvn_terms(hi, hk, rik)
+            gap *= abs(phi2 - base)
+        return sign * val, err, gap
 
-    def integrand(psi):
-        nonlocal gap
-        dens, (xl, xm), (pl, pm), both, rho = conditional(psi)
-        inner = pl * pm
-        if both.any():
-            rho = rho[both]
-            inner[both] = _bvn_array(xl[both], xm[both], rho, pl[both], pm[both])
-            gap = max(gap, _singular_gap(float(np.abs(rho).max())))
-        return dens * inner
-
-    val, err = _angle_quad(integrand, rik)
-    err = (_TVN_REL_ERR * val + err) / (2.0 * math.pi)
-    if gap:
-        # the inner cdf is off by at most gap where taken at |rho| = 1, and
-        # the density integrates to |Phi2(h_i, h_k; r_ik) - Phi(h_i) Phi(h_k)|
-        phi2, base = _bvn_terms(hi, hk, rik)
-        err += gap * abs(phi2 - base)
-    return sign * val / (2.0 * math.pi), err
+    return term
 
 
-def _qvn_cdf(h, R: np.ndarray) -> tuple[float, float]:
-    """``P(X <= h)`` for a standard quadrivariate normal with correlation
-    ``R``, and an absolute error estimate.
+def _cdf(R: list):
+    """The cdf of a standard normal ``X`` of dimension 0 to 4 with
+    correlation ``R``: a function mapping upper limits ``h``, each finite or
+    +inf, to ``P(X <= h)`` and an absolute error estimate.  What depends on
+    ``R`` alone is worked out once, here, for all the corners of a
+    rectangle.
 
-    Plackett's identity along the path that scales the correlations of
-    coordinate ``i`` by ``t`` in [0, 1].  Every matrix on the path is a
-    convex mix of ``R`` and ``blockdiag(1, R_rest)``, so it is positive
-    semidefinite for any ``i``; ``i`` is the coordinate least correlated
-    with the rest (smallest sum of ``|r_ik|``):
+    Dimension 1 is Phi and dimension 2 :func:`_bvn_with_error`.  Above that,
+    a limit of +inf drops its coordinate, and a pair correlated within 1e-15
+    of +-1 (``x_b = +-x_a``) drops ``x_b``, adding the bound
+    ``sqrt(1 - |rho|) / pi`` on that step.  Otherwise the cdf is Plackett's
+    identity along the path that scales the correlations of a pivot
+    coordinate ``i`` by ``t`` in [0, 1]:
 
-        Phi4(h; R) = Phi(h_i) Phi3(h_rest; R_rest)
-                     + sum_{k != i} int_0^1 r_ik phi2(h_i, h_k; t r_ik)
-                                    Phi2(h_l', h_m'; r_lm'(t)) dt,
+        Phi_n(h; R) = Phi(h_i) Phi_{n-1}(h_rest; R_rest)
+                      + sum_{k != i} int_0^1 r_ik phi2(h_i, h_k; t r_ik)
+                                     Phi_{n-2}(h'(t); R'(t)) dt,
 
-    ``(h_l', h_m'; r_lm'(t))`` being the standardized limits and the
-    correlation of the other pair given ``x_i = h_i, x_k = h_k`` at ``t``
-    (:func:`_qvn_path_term`).  The estimate adds the trivariate's estimate
-    times ``Phi(h_i)``, 1e-11 of each path term and the path terms' own
-    estimates.  A pair correlated within 1e-15 of +-1 reduces the cdf to a
-    trivariate one, plus the bound ``sqrt(1 - |rho|) / pi`` on that step,
-    and a limit of +inf drops its coordinate.
+    ``(h'(t), R'(t))`` being the standardized limits and the correlations of
+    the other coordinates given ``x_i = h_i, x_k = h_k`` at ``t``
+    (:func:`_path_term`).  Every matrix on the path is a convex mix of ``R``
+    and ``blockdiag(1, R_rest)``, so it is positive semidefinite for any
+    pivot; ``i`` is the coordinate least correlated with the rest (smallest
+    row sum of ``|R|``).  Each path term is integrated over the angle of its
+    correlation, as in :func:`bvn_cdf`, to a relative 1e-12 with no absolute
+    floor, so tiny orthants keep their relative accuracy.  The estimate adds
+    ``Phi(h_i)`` times the estimate of ``Phi_{n-1}``, 1e-11 relative to each
+    path term, quadrature's own estimates and the path terms' bounds on
+    inner correlations taken as +-1.
     """
-    if any(x == -np.inf for x in h):
-        return 0.0, 0.0
-    free = [j for j in range(4) if h[j] == np.inf]
-    if free:
-        keep = [j for j in range(4) if j != free[0]]
-        return _tvn_cdf([h[j] for j in keep], R[np.ix_(keep, keep)])
-    for a, b in itertools.combinations(range(4), 2):
-        r = float(R[a, b])
-        if abs(r) >= 1.0 - _RHO_ONE:
-            # x_b = +-x_a: a trivariate cdf of x_a and the other two
-            gap = _singular_gap(r)
-            keep = [a] + [j for j in range(4) if j not in (a, b)]
-            R3 = R[np.ix_(keep, keep)]
-            rest = [float(h[j]) for j in keep[1:]]
+    n = len(R)
+    if n == 0:
+        return lambda h: (1.0, 0.0)
+    if n == 1:
+        return lambda h: (std_cdf(h[0]), 0.0)
+    if n == 2:
+        rho = R[0][1]
+        return lambda h: _bvn_with_error(h[0], h[1], rho)
+    subs = {}
+
+    def sub(keep, h):
+        """The cdf of the coordinates ``keep`` at ``h``."""
+        if keep not in subs:
+            subs[keep] = _cdf([[R[a][b] for b in keep] for a in keep])
+        return subs[keep](h)
+
+    i = min(range(n), key=lambda j: math.fsum(map(abs, R[j])))
+    order = tuple((i + m) % n for m in range(1, n))
+    pair = next(((a, b) for a, b in itertools.combinations(order + (i,), 2)
+                 if abs(R[a][b]) >= 1.0 - _RHO_ONE), None)
+    if pair:
+        a, b = pair
+        r = R[a][b]
+        gap = _singular_gap(r)
+        keep = (a,) + tuple(j for j in order + (i,) if j not in pair)
+    else:
+        paths = [_path_term(R, i, k, [z for z in order if z != k])
+                 for k in order if R[i][k] != 0.0]
+
+    def cdf(h):
+        h = [float(x) for x in h]
+        finite = tuple(j for j in range(n) if h[j] < math.inf)
+        if len(finite) < n:
+            return sub(finite, [h[j] for j in finite])
+        if pair:
+            # x_b = +-x_a: a cdf of x_a and the others
+            rest = [h[j] for j in keep[1:]]
             if r > 0.0:
-                val, err = _tvn_cdf([min(float(h[a]), float(h[b]))] + rest, R3)
+                val, err = sub(keep, [min(h[a], h[b])] + rest)
                 return val, err + gap
             if h[a] <= -h[b]:
                 return 0.0, gap
-            v1, e1 = _tvn_cdf([float(h[a])] + rest, R3)
-            v2, e2 = _tvn_cdf([-float(h[b])] + rest, R3)
+            v1, e1 = sub(keep, [h[a]] + rest)
+            v2, e2 = sub(keep, [-h[b]] + rest)
             return max(0.0, v1 - v2), e1 + e2 + gap
-    i = min(range(4), key=lambda j: float(np.abs(R[j]).sum()))
-    rest = [j for j in range(4) if j != i]
-    p1 = std_cdf(float(h[i]))
-    v0, e0 = _tvn_cdf([h[j] for j in rest], R[np.ix_(rest, rest)])
-    val, err = p1 * v0, p1 * e0
-    for k in rest:
-        if R[i, k] != 0.0:
-            v, e = _qvn_path_term(h, R, i, k)
+        p1 = std_cdf(h[i])
+        v0, e0 = sub(order, [h[j] for j in order])
+        val = size = err = gaps = 0.0
+        for term in paths:
+            v, e, g = term(h)
             val += v
+            size += abs(v)
             err += e
-    return min(1.0, max(0.0, val)), float(err)
+            gaps += g
+        return (min(1.0, max(0.0, p1 * v0 + val / (2.0 * math.pi))),
+                p1 * e0 + _TVN_REL_ERR * size / (2.0 * math.pi) + err / (2.0 * math.pi)
+                + gaps)
+
+    return cdf
+
 
 
 def _corner_prob(cdf, lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
@@ -1046,12 +981,12 @@ def mvn_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_QMC):
     """Rectangle probability ``P(lower <= X <= upper)`` and an absolute
     error estimate.
 
-    dim 1: difference of cdf values (error 0); dims 2 to 4: deterministic
-    bivariate (:func:`bvn_cdf`), trivariate (:func:`_tvn_cdf`) and
-    quadrivariate (:func:`_qvn_cdf`) cdfs by inclusion-exclusion over the
-    corners with finite lower limits, each to a relative 1e-12, reported
-    error the sum over corners of 1e-11 relative to each term (plus
-    quadrature's own estimates at dims 3 and 4); dim >= 5: randomized
+    dim 1: difference of cdf values (error 0); dims 2 to 4: the
+    deterministic cdf of :func:`_cdf` (:func:`bvn_cdf` at dim 2, Plackett's
+    identity at dims 3 and 4) by inclusion-exclusion over the corners with
+    finite lower limits, each to a relative 1e-12, reported error the sum
+    over corners of 1e-11 relative to each term (plus quadrature's own
+    estimates at dims 3 and 4); dim >= 5: randomized
     lattice QMC, error estimate 3x the standard error over replicates.
     ``cfg`` is used only at dim >= 5.  The result is clamped to [0, 1] and
     is a pure function of ``(box, p, cfg)``.  At dims 2 to 4 a standardized
@@ -1082,13 +1017,8 @@ def mvn_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_QMC):
         lo, hi = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
         v = np.where(flip, -1.0, 1.0)
         R = R * np.outer(v, v)
-    if p.dim == 2:
-        rho = float(R[0, 1])
-        return _corner_prob(lambda h: _bvn_with_error(h[0], h[1], rho), lo, hi)
-    if p.dim == 3:
-        return _corner_prob(lambda h: _tvn_cdf(h, R), lo, hi)
-    if p.dim == 4:
-        return _corner_prob(lambda h: _qvn_cdf(h, R), lo, hi)
+    if p.dim <= 4:
+        return _corner_prob(_cdf(R.tolist()), lo, hi)
     return _qmc_prob(R, lo, hi, cfg)
 
 
@@ -1099,7 +1029,9 @@ def mvn_log_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_Q
     Only dimension 1 is supported: the extreme-case corrections route every
     mass-zero situation through univariate log-probabilities.  ``cfg`` is
     unused (dim 1 is deterministic) and kept for the signature of
-    :func:`mvn_prob`.
+    :func:`mvn_prob`: the benchmark tracer (``perfbench/tracer.py``) reads
+    the default of a ``cfg`` parameter from every ``mvn`` function it
+    wraps, and ``tests/test_tracer_names.py`` checks that it is there.
     """
     if box.dim != p.dim:
         raise DimensionMismatchError("box and parameter dimensions differ")

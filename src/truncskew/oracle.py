@@ -6,8 +6,8 @@ by the user seed, so any implementation of that algorithm reproduces the
 streams exactly.
 
 The quadrature oracles keep scipy's QUADPACK on purpose: the library's own
-bivariate and trivariate kernels run an in-house Gauss-Kronrod rule, and a
-reference built on a separate implementation stays independent of it.
+kernels at dims 2 to 4 run an in-house Gauss-Kronrod rule, and a reference
+built on a separate implementation stays independent of it.
 ``scipy.integrate`` is imported inside each oracle, so importing the
 package does not load it.
 """

@@ -360,10 +360,10 @@ ALL_METHODS = ["auto", "recurrence", "normal-reduction", "mgf", "orthant-sum",
 
 
 def _method_request(task, family, method, p=2):
-    par = {"mu": [0.1, -0.2, 0.3, 0.0][:p],
+    par = {"mu": [0.1, -0.2, 0.3, 0.0, 0.2][:p],
            "sigma": [[1.0 if i == j else 0.3 for j in range(p)] for i in range(p)]}
     if family != "normal":
-        par["lambda"] = [0.6, -0.4, 0.2, 0.1][:p]
+        par["lambda"] = [0.6, -0.4, 0.2, 0.1, -0.3][:p]
     if family == "esn":
         par["tau"] = 0.3
     req = {"task": task, "family": family, "params": par, "method": method,
@@ -404,7 +404,8 @@ class TestMethodTable:
         ("moment", "sn", "auto", 1, "univariate-recurrence"),
         ("moment", "sn", "recurrence", 1, "recurrence"),
         ("prob", "normal", "auto", 3, "deterministic"),
-        ("prob", "normal", "auto", 4, "qmc"),
+        ("prob", "normal", "auto", 4, "deterministic"),
+        ("prob", "normal", "auto", 5, "qmc"),
     ])
     def test_dimension_dependent_labels(self, task, family, method, p, label):
         rc, out, err = _run_inprocess(_method_request(task, family, method, p))

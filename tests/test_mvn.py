@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -836,6 +837,56 @@ class TestQuadrivariate:
             assert abs(prob - ref) <= err + ref_err, (R, lo, hi, prob, ref, err)
             worst = max(worst, abs(prob - ref) / (err + ref_err)) if err + ref_err else worst
         assert worst <= 1.0
+
+
+def _pivot_case(rng, dim, kind):
+    """A correlation matrix and a box with infinite limits, for one of the
+    kinds in :class:`TestAnyPivot`."""
+    if kind == "equal-magnitude":
+        # every |r_ij| is 0.3, so every row sum of |R| ties and the first
+        # coordinate of each order is the pivot
+        signs = rng.choice([-1.0, 1.0], size=(dim, dim))
+        R = 0.3 * np.triu(signs, 1)
+        R = R + R.T + np.eye(dim)
+    else:
+        a = rng.normal(size=(dim, dim + 2))
+        s = a @ a.T
+        sd = np.sqrt(np.diag(s))
+        R = mvn.symmetrize(s / np.outer(sd, sd))
+        if kind == "near-singular":
+            # x_last = r x_0 + sqrt(1 - r^2) z, z independent: 1 - |r| = 1e-12
+            r = rng.choice([-1.0, 1.0]) * (1.0 - 1e-12)
+            R[-1, :-1] = R[:-1, -1] = r * R[0, :-1]
+        np.fill_diagonal(R, 1.0)
+    lo = rng.normal(scale=1.5, size=dim) - 1.0
+    hi = lo + rng.uniform(0.2, 3.0, size=dim)
+    lo[1], hi[2] = -np.inf, np.inf
+    if kind == "near-singular":
+        # an interval on x_last that overlaps +-x_0's
+        shift = rng.uniform(-0.5, 0.5)
+        lo[-1], hi[-1] = ((lo[0] + shift, hi[0] + shift) if R[0, -1] > 0.0
+                          else (shift - hi[0], shift - lo[0]))
+    return R, lo, hi
+
+
+class TestAnyPivot:
+    """Plackett's identity holds along the path of any pivot coordinate:
+    every matrix on it is a convex mix of R and blockdiag(1, R_rest).  So
+    every order of the coordinates gives the same rectangle probability,
+    within the two estimates."""
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("kind", ["equal-magnitude", "random", "near-singular"])
+    def test_every_coordinate_order(self, rng, dim, kind):
+        for _ in range(3):
+            R, lo, hi = _pivot_case(rng, dim, kind)
+            base = mvn_prob(TruncationBox(lo, hi), NormalParams(np.zeros(dim), R))
+            assert base[0] > 1e-6
+            for order in itertools.permutations(range(dim)):
+                idx = list(order)
+                val, err = mvn_prob(TruncationBox(lo[idx], hi[idx]),
+                                    NormalParams(np.zeros(dim), R[np.ix_(idx, idx)]))
+                assert abs(val - base[0]) <= err + base[1], (R, lo, hi, order)
 
 
 # ----------------------------------------------------------------------------
