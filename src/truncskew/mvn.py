@@ -403,7 +403,10 @@ def bvn_cdf(h: float, k: float, rho: float) -> float:
     :class:`QuadratureNonConvergenceError`.  The correlation runs as
     ``+-cos(psi)``: ``d t`` cancels phi2's ``1 / sqrt(1 - t^2)``, so the
     integrand stays bounded as |rho| -> 1, and ``psi``, the angular distance
-    from |t| = 1, keeps its relative precision there.  Rectangles report an
+    from |t| = 1, keeps its relative precision there.  A negative
+    correlation subtracts the integral from ``Phi(h) Phi(k)``, which cancels
+    where the value is far below that product; a result below 1e-3 of it is
+    recomputed from -1 by :func:`_bvn_array`.  Rectangles report an
     estimate of 1e-11 relative to both terms, ``Phi(h) Phi(k)`` and the
     integral (:func:`_bvn_with_error`).
     """
@@ -439,6 +442,9 @@ def _bvn_terms(h: float, k: float, rho: float) -> tuple[float, float]:
             f"bivariate cdf quadrature error {err:.2e} at rho={rho}"
         )
     res = base + sign * val / (2.0 * math.pi)
+    if rho < 0.0 and res < 1e-3 * base:
+        # the difference has cancelled: integrate from -1 instead
+        res = float(_bvn_array(*(np.array([v]) for v in (h, k, rho, ph, pk)))[0])
     return min(1.0, max(0.0, res)), base
 
 

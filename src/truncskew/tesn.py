@@ -41,7 +41,6 @@ from .tn import (
     RecurrenceSession,
     TnSession,
     _check_normalizer,
-    _tn_first_moments,
     tn_first_two_corrected,
     tn_first_two_mgf,
 )
@@ -239,15 +238,19 @@ def _mean_cov_direct(box: TruncationBox, p: EsnParams, cfg: QmcConfig,
     its rectangle and its unnormalized first moments; without one the
     session is a :class:`TnSession` with no companion term.  ``red`` is the
     box's reduction, whose normal box the normalizer gate checks."""
+    zero = (0,) * p.dim
     session = _session(box, p, cfg)
-    LL = session.table[(0,) * p.dim] = min(1.0, _normalizer(red, cfg) / red.xi)
+    LL = session.table[zero] = min(1.0, _normalizer(red, cfg) / red.xi)
     w_mean = w_raw2 = 0.0
     if p.derived.hidden:
         delta = p.derived.delta
         w_mean = session.normal.prob() * delta
-        w_raw2 = np.outer(delta, _tn_first_moments(box, session.normal.params, cfg))
+        # the companion's unnormalized first moments F_{e_i} = mu_i F_0 + sigma_i' d_0
+        normal = session.normal.params
+        companion = TnSession(box, normal, cfg)
+        w_raw2 = np.outer(delta, normal.mu * companion.prob() + normal.sigma @ companion.dvec(zero))
     mu, sigma = session.params.mu, session.params.sigma
-    mean = mu + (w_mean + sigma @ session.dvec((0,) * p.dim)) / LL
+    mean = mu + (w_mean + sigma @ session.dvec(zero)) / LL
     units = [tuple(int(k == m) for k in range(p.dim)) for m in range(p.dim)]
     D = np.column_stack([session.dvec(e_m) for e_m in units])
     raw2 = symmetrize(np.outer(mu, mean) + (w_raw2 + sigma @ D) / LL)

@@ -10,8 +10,9 @@ Three engines over the same rectangle kernel:
 * :func:`tn_first_two_mgf` -- first two moments by differentiating the
   moment generating function in correlation form, with the Hessian diagonal
   recycled from the off-diagonal entries and the edge vector q.  Edges and
-  corners are rectangles of the conditional law given one or two
-  coordinates, both from :func:`~truncskew.core.conditional_normal`.
+  corners are the rectangles of the edge children and grandchildren of one
+  :class:`TnSession` on the standardized law, the slices the recurrence
+  uses.
 * :func:`tn_first_two_corrected` -- total function: splits off coordinates
   with two infinite limits, degenerates coordinates whose interval carries
   numerically zero mass at the near bound, and only then calls the MGF path
@@ -31,12 +32,10 @@ from .mvn import (
     NormalParams,
     QmcConfig,
     TruncationBox,
-    bvn_pdf,
     mvn_log_prob,
     mvn_prob,
     norm_pdf,
     standardize,
-    std_pdf,
 )
 
 __all__ = [
@@ -228,61 +227,47 @@ class TnMgfWork:
     H: np.ndarray          # MGF Hessian boundary matrix
 
 
-def _slice_prob(R, a, b, fixed, values, cfg) -> float:
-    """Rectangle probability of the other coordinates of N(0, R) given the
-    standardized coordinates ``fixed`` (increasing) sit at ``values``."""
-    others = [k for k in range(R.shape[0]) if k not in fixed]
-    if not others:
-        return 1.0
-    mean, cov = _conditional_normal(np.zeros(R.shape[0]), R, others, list(fixed), values)
-    return mvn_prob(TruncationBox._trusted(a[others], b[others]),
-                    NormalParams._trusted(mean, cov), cfg)[0]
-
-
-def _corner_term(R, a, b, i, j, vi, vj, cfg) -> float:
-    """phi2 at the (i, j) corner times the (p-2)-dim conditional rectangle."""
-    if np.isinf(vi) or np.isinf(vj):
-        return 0.0
-    dens = bvn_pdf(vi, vj, float(R[i, j]))
-    return dens * _slice_prob(R, a, b, (i, j), (vi, vj), cfg) if dens > 0.0 else 0.0
-
-
-def _standard_prob_and_edges(box: TruncationBox, p: NormalParams, cfg: QmcConfig):
-    """Correlation form of the problem, its rectangle probability L with
-    error estimate, and the edge vectors q_a, q_b (standard density at each
-    finite bound times the conditional (p-1)-dim rectangle probability)."""
-    sd, R, a, b = standardize(box, p)
-    n = p.dim
-    L, L_err = mvn_prob(TruncationBox._trusted(a, b), NormalParams._trusted(np.zeros(n), R), cfg)
-    q_a = np.zeros(n)
-    q_b = np.zeros(n)
-    for i in range(n):
-        for q, v in ((q_a, a[i]), (q_b, b[i])):
-            if np.isfinite(v):
-                q[i] = std_pdf(v) * _slice_prob(R, a, b, (i,), (v,), cfg)
-    return sd, R, a, b, L, L_err, q_a, q_b
-
-
 def tn_mgf_work(box: TruncationBox, p: NormalParams,
                 cfg: QmcConfig = DEFAULT_QMC) -> TnMgfWork:
     """Standardize to correlation form and assemble L, q and H.
 
+    Edges and corners come from one :class:`TnSession` on N(0, R) over the
+    standardized box: an edge is the density at a finite bound times its
+    child's rectangle probability, a corner the same one slice deeper.
     Off-diagonal H entries are the four signed corner terms; diagonal
     entries are recycled from q and the off-diagonal row, which avoids any
     second-derivative integrals.
     """
-    sd, R, a, b, L, L_err, q_a, q_b = _standard_prob_and_edges(box, p, cfg)
+    sd, R, a, b = standardize(box, p)
     n = p.dim
+    std = TnSession(TruncationBox._trusted(a, b), NormalParams._trusted(np.zeros(n), R), cfg)
+    L, L_err = mvn_prob(std.box, std.params, cfg)
+    std.table[(0,) * n] = L
+    q_a = np.zeros(n)
+    q_b = np.zeros(n)
+    for i in range(n):
+        for side, q in ((0, q_a), (1, q_b)):
+            dens, child = std._edge(i, side)
+            # a zero-dimensional child integral is 1
+            q[i] = dens * (child.prob() if child is not None else 1.0)
+
+    def corner(i, side_i, j, side_j) -> float:
+        """phi2 at the corner times the (p-2)-dim rectangle of its slice;
+        x_j is coordinate j - 1 of the slice x_i = bound."""
+        dens, child = std._edge(i, side_i)
+        if dens == 0.0:
+            return 0.0
+        dens_j, grandchild = child._edge(j - 1, side_j)
+        dens *= dens_j
+        if dens == 0.0:
+            return 0.0
+        return dens * (grandchild.prob() if grandchild is not None else 1.0)
+
     H = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            hij = (
-                _corner_term(R, a, b, i, j, a[i], a[j], cfg)
-                - _corner_term(R, a, b, i, j, b[i], a[j], cfg)
-                - _corner_term(R, a, b, i, j, a[i], b[j], cfg)
-                + _corner_term(R, a, b, i, j, b[i], b[j], cfg)
-            )
-            H[i, j] = H[j, i] = hij
+            H[i, j] = H[j, i] = (corner(i, 0, j, 0) - corner(i, 1, j, 0)
+                                 - corner(i, 0, j, 1) + corner(i, 1, j, 1))
     for i in range(n):
         others = [k for k in range(n) if k != i]
         hii = -float(R[i, others] @ H[others, i])
@@ -330,15 +315,6 @@ def tn_first_two_mgf(box: TruncationBox, p: NormalParams,
     cov = symmetrize(cov_x * np.outer(w.S, w.S))
     mean = np.clip(mean, box.lower, box.upper)
     return FirstTwoMoments.from_mean_cov(mean, cov)
-
-
-def _tn_first_moments(box: TruncationBox, p: NormalParams,
-                      cfg: QmcConfig = DEFAULT_QMC) -> np.ndarray:
-    """Unnormalized first moments int_box x phi_p(x; mu, sigma) dx from L
-    and the q vector, no Hessian; no division by L, so a box of numerically
-    zero mass gives zero moments instead of an error."""
-    sd, R, _, _, L, _, q_a, q_b = _standard_prob_and_edges(box, p, cfg)
-    return L * p.mu + sd * (R @ (q_a - q_b))
 
 
 # ----------------------------------------------------------------------------

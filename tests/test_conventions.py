@@ -72,3 +72,29 @@ _BOX = TruncationBox([-1.0, -1.5], [1.2, 1.0])
 ], ids=["tn_fk", "tesn_fk", "tesn_fk_via_normal", "fesn_ik", "fesn_moment"])
 def test_positional_cfg(call):
     assert call(FAST_QMC) == call(cfg=FAST_QMC)
+
+
+def _uses(name: str):
+    """The enclosing module-level function or method, as ``module.qualname``,
+    of every reference to ``name`` outside an import."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                defs = [(f"{node.name}.{getattr(d, 'name', '<body>')}", d) for d in node.body]
+            else:
+                defs = [(getattr(node, "name", "<module>"), node)]
+            for qualname, d in defs:
+                if isinstance(d, (ast.Import, ast.ImportFrom)):
+                    continue
+                for sub in ast.walk(d):
+                    if (isinstance(sub, ast.Name) and sub.id == name
+                            or isinstance(sub, ast.Attribute) and sub.attr == name):
+                        yield f"{path.stem}.{qualname}"
+
+
+def test_one_slicing_path():
+    # every conditional rectangle of the moment engines is a session edge
+    # child; only the public map and the corrected path's pinning condition
+    # a normal outside the session tree
+    assert sorted(set(_uses("_conditional_normal"))) == [
+        "core.conditional_normal", "tn.TnSession._edge_at", "tn._pin_coordinate"]

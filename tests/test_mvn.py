@@ -137,6 +137,25 @@ class TestBivariateCdf:
         assert bvn_cdf(h, k, rho) == pytest.approx(_owen_bvn_cdf(h, k, rho),
                                                    abs=2e-14)
 
+    @pytest.mark.parametrize("h,k,rho", [
+        (-10.0, -10.0, -0.5), (-8.0, -9.0, -0.9), (-3.0, 2.0, -0.99),
+        (-6.0, -4.0, -0.7), (-2.0, -2.5, -0.95),
+    ])
+    def test_negative_correlation_deep_tail(self, h, k, rho):
+        # Phi(h) Phi(k) minus the integral cancels here (7.0e-61 for 6.3e-91
+        # at the first case, 0 at the others); the reference integrates
+        # phi(x) Phi((k - rho x) / s) up to h, scaled by its value at h
+        s = math.sqrt(1.0 - rho * rho)
+
+        def log_f(x):
+            return -0.5 * x * x + log_std_cdf((k - rho * x) / s)
+
+        top = log_f(h)
+        scaled = quad_oracle_1d(lambda x: math.exp(log_f(x) - top), h - 30.0, h, tol=1e-14)
+        ref = math.exp(top) * scaled / math.sqrt(2.0 * math.pi)
+        # the second case is subnormal: a few of its spacings
+        assert bvn_cdf(h, k, rho) == pytest.approx(ref, rel=1e-12, abs=1e-322)
+
     def test_orthant_arcsine(self):
         assert bvn_cdf(0.0, 0.0, 0.5) == pytest.approx(1 / 3, abs=1e-14)
 

@@ -6,8 +6,12 @@ import pytest
 from truncskew import (
     DegenerateBoxError,
     NormalParams,
+    NotPSDError,
+    PartitionIndex,
     TnSession,
     TruncationBox,
+    conditional_normal,
+    count_integrals,
     mvn_prob,
     quad_oracle_1d,
     std_cdf,
@@ -17,6 +21,8 @@ from truncskew import (
     tn_fk,
     tn_mgf_work,
 )
+
+from truncskew.mvn import bvn_pdf
 
 from conftest import FAST_QMC, random_spd, unit_index
 
@@ -130,6 +136,84 @@ class TestMgf:
                                   for k in range(p))
                     assert m.raw2[i, j] == pytest.approx(
                         session.fk(kappa) / L, rel=5e-5, abs=5e-7)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_ingredients_against_textbook(self, rng, p):
+        # L, the edges q and the corners H[i, j] (i != j) from their
+        # definitions on N(0, R): an edge is phi(v) times the rectangle of the
+        # other coordinates given x_i = v, a corner phi2(v_i, v_j; r_ij) times
+        # the rectangle given both
+        pars = NormalParams(rng.normal(size=p), random_spd(rng, p))
+        sd = np.sqrt(np.diag(pars.sigma))
+        lower = pars.mu - (0.3 + rng.random(p)) * sd
+        upper = pars.mu + (0.3 + rng.random(p)) * sd
+        lower[0] = -np.inf
+        upper[-1] = np.inf
+        w = tn_mgf_work(TruncationBox(lower, upper), pars)
+        R, a, b = w.R, w.a, w.b
+
+        def rect(fixed, values):
+            part = PartitionIndex.dropping(p, fixed)
+            if not part.kept:
+                return 1.0, 0.0
+            keep = list(part.kept)
+            mean, cov = conditional_normal(np.zeros(p), R, part, values)
+            return mvn_prob(TruncationBox(a[keep], b[keep]), NormalParams(mean, cov))
+
+        assert (w.L, w.L_err) == mvn_prob(TruncationBox(a, b), NormalParams(np.zeros(p), R))
+        for i in range(p):
+            for q, v in ((w.q_a, a[i]), (w.q_b, b[i])):
+                if np.isinf(v):
+                    assert q[i] == 0.0
+                    continue
+                val, err = rect([i], [v])
+                ref = std_pdf(v) * val
+                assert abs(q[i] - ref) <= std_pdf(v) * 2.0 * err + 1e-12 * ref
+        for i in range(p):
+            for j in range(i + 1, p):
+                ref = tol = 0.0
+                for vi, vj, sign in ((a[i], a[j], 1.0), (b[i], a[j], -1.0),
+                                     (a[i], b[j], -1.0), (b[i], b[j], 1.0)):
+                    if np.isinf(vi) or np.isinf(vj):
+                        continue
+                    dens = bvn_pdf(vi, vj, R[i, j])
+                    val, err = rect([i, j], [vi, vj])
+                    ref += sign * dens * val
+                    tol += dens * (2.0 * err + 1e-12 * val)
+                assert w.H[j, i] == w.H[i, j]
+                assert abs(w.H[i, j] - ref) <= tol
+
+    @pytest.mark.parametrize("p,calls", [(3, {3: 1, 2: 5, 1: 8}), (4, {4: 1, 3: 7, 2: 18})])
+    def test_kernel_calls(self, rng, p, calls):
+        # one call at dim p, one at p - 1 per finite bound (2p - 1 of them)
+        # and one at p - 2 per pair of finite bounds on two coordinates
+        pars = NormalParams(rng.normal(size=p), random_spd(rng, p))
+        sd = np.sqrt(np.diag(pars.sigma))
+        upper = pars.mu + sd
+        upper[-1] = np.inf
+        with count_integrals() as counter:
+            tn_first_two_mgf(TruncationBox(pars.mu - sd, upper), pars)
+        assert counter.by_dim == calls
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_pair_near_one_collapses(self, sign):
+        # x1 = sign x0 up to a correlation 1e-14 from +-1: the moments are
+        # those of (x0, x2) with x0 on the intersected interval, to
+        # O(sqrt(1e-14)); the slice x0 = bound leaves x1 a variance of 2e-14
+        r = sign * (1.0 - 1e-14)
+        sigma = [[1.0, r, 0.3], [r, 1.0, 0.3 * sign], [0.3, 0.3 * sign, 1.0]]
+        m = tn_first_two_mgf(TruncationBox([-1.0, -0.5, -1.0], [1.5, 1.5, np.inf]),
+                             NormalParams(np.zeros(3), sigma))
+        lo, hi = (-0.5, 1.5) if sign > 0 else (-1.0, 0.5)
+        ref = tn_first_two_mgf(TruncationBox([lo, -1.0], [hi, np.inf]),
+                               NormalParams(np.zeros(2), [[1.0, 0.3], [0.3, 1.0]]))
+        T = np.array([[1.0, 0.0], [sign, 0.0], [0.0, 1.0]])
+        np.testing.assert_allclose(m.mean, T @ ref.mean, atol=1e-7)
+        np.testing.assert_allclose(m.cov, T @ ref.cov @ T.T, atol=1e-7)
+        sigma[0][1] = sigma[1][0] = sign
+        with pytest.raises(NotPSDError):
+            tn_first_two_mgf(TruncationBox([-1.0, -0.5, -1.0], [1.5, 1.5, np.inf]),
+                             NormalParams(np.zeros(3), sigma))
 
     def test_degenerate_box_raises(self):
         sigma = np.array([[1.0, -0.5], [-0.5, 1.0]])
