@@ -406,15 +406,16 @@ def bvn_cdf(h: float, k: float, rho: float) -> float:
     from |t| = 1, keeps its relative precision there.  A negative
     correlation subtracts the integral from ``Phi(h) Phi(k)``, which cancels
     where the value is far below that product; a result below 1e-3 of it is
-    recomputed from -1 by :func:`_bvn_array`.  Rectangles report an
-    estimate of 1e-11 relative to both terms, ``Phi(h) Phi(k)`` and the
-    integral (:func:`_bvn_with_error`).
+    recomputed from -1 by :func:`_bvn_array`.  Rectangles report 1e-11 of the
+    two terms summed (:func:`_bvn_with_error`): ``Phi(h) Phi(k)`` and the
+    integral, or after the fallback ``Phi(h) - Phi(-k)`` and its integral.
     """
     return _bvn_terms(h, k, rho)[0]
 
 
 def _bvn_terms(h: float, k: float, rho: float) -> tuple[float, float]:
-    """:func:`bvn_cdf` and the product ``Phi(h) Phi(k)`` it is formed from."""
+    """:func:`bvn_cdf` and the term its integral is added to: ``Phi(h)
+    Phi(k)``, or ``max(0, Phi(h) - Phi(-k))`` after the fallback."""
     if math.isnan(h) or math.isnan(k):
         raise DimensionMismatchError("NaN argument to bvn_cdf")
     if h == -np.inf or k == -np.inf:
@@ -443,8 +444,9 @@ def _bvn_terms(h: float, k: float, rho: float) -> tuple[float, float]:
         )
     res = base + sign * val / (2.0 * math.pi)
     if rho < 0.0 and res < 1e-3 * base:
-        # the difference has cancelled: integrate from -1 instead
+        # the difference has cancelled: integrate from -1, as _bvn_array does
         res = float(_bvn_array(*(np.array([v]) for v in (h, k, rho, ph, pk)))[0])
+        base = max(0.0, pk - std_cdf(-h) if h > 0.0 else ph - std_cdf(-k))
     return min(1.0, max(0.0, res)), base
 
 
@@ -555,7 +557,9 @@ def _bvn_array(h: np.ndarray, k: np.ndarray, rho: np.ndarray,
             return np.exp(-0.5 * d2 / np.sin(psi) ** 2 - hk / (1.0 + np.cos(psi)))
         val[j] = _log_angle_quad(f, float(lo[j]), float(hi[j]))[0]
     base = out[run]
-    base[neg] = np.maximum(0.0, ph[run][neg] - _std_cdf_array(-kr[neg]))
+    up = hr[neg] > 0.0  # Phi(h) - Phi(-k) = Phi(k) - Phi(-h), which cancels less where h > 0
+    px = _std_cdf_array(np.where(up, -hr[neg], -kr[neg]))
+    base[neg] = np.maximum(0.0, np.where(up, pk[run][neg], ph[run][neg]) - px)
     out[run] = base + val / (2.0 * math.pi)
     return np.clip(out, 0.0, 1.0)
 
@@ -632,8 +636,7 @@ def _path_term(R: list, i: int, k: int, rest: list[int]):
 
         val, err = _angle_quad(integrand, rik)
         if gap:
-            phi2, base = _bvn_terms(hi, hk, rik)
-            gap *= abs(phi2 - base)
+            gap *= abs(_bvn_terms(hi, hk, rik)[0] - std_cdf(hi) * std_cdf(hk))
         return sign * val, err, gap
 
     return term
@@ -649,9 +652,10 @@ def _cdf(R: list):
     Dimension 1 is Phi and dimension 2 :func:`_bvn_with_error`.  Above that,
     a limit of +inf drops its coordinate, and a pair correlated within 1e-15
     of +-1 (``x_b = +-x_a``) drops ``x_b``, adding the bound
-    ``sqrt(1 - |rho|) / pi`` on that step.  Otherwise the cdf is Plackett's
-    identity along the path that scales the correlations of a pivot
-    coordinate ``i`` by ``t`` in [0, 1]:
+    ``sqrt(1 - |rho|) / pi`` on that step and ``sum_j |asin r_aj - asin
+    +-r_bj| / pi`` on keeping ``x_a`` rather than ``x_b``.  Otherwise
+    the cdf is Plackett's identity along the path that scales the
+    correlations of a pivot coordinate ``i`` by ``t`` in [0, 1]:
 
         Phi_n(h; R) = Phi(h_i) Phi_{n-1}(h_rest; R_rest)
                       + sum_{k != i} int_0^1 r_ik phi2(h_i, h_k; t r_ik)
@@ -692,8 +696,11 @@ def _cdf(R: list):
     if pair:
         a, b = pair
         r = R[a][b]
-        gap = _singular_gap(r)
         keep = (a,) + tuple(j for j in order + (i,) if j not in pair)
+        # keeping x_b instead moves each r_aj to +-r_bj (unequal where r rounds to
+        # +-1): each cdf below, by at most sum_j |asin r_aj - asin +-r_bj| / (2 pi)
+        rows = np.clip([[R[a][j], math.copysign(1.0, r) * R[b][j]] for j in keep[1:]], -1, 1)
+        gap = _singular_gap(r) + float(np.abs(np.diff(np.arcsin(rows))).sum()) / math.pi
     else:
         paths = [_path_term(R, i, k, [z for z in order if z != k])
                  for k in order if R[i][k] != 0.0]

@@ -280,13 +280,6 @@ def tn_mgf_work(box: TruncationBox, p: NormalParams,
                      q_a=q_a, q_b=q_b, q=q_a - q_b, H=H)
 
 
-# The MGF path refuses a bivariate normalizer below 2e-13 (twenty times this
-# floor on its error estimate) and leaves such boxes to the corrected path's
-# pinning.  The bivariate kernel's own estimate is relative to the value and
-# would let them through; the MGF formulas have not been validated there.
-_BVN_NORMALIZER_ERR = 1e-14
-
-
 def _check_normalizer(L: float, L_err: float) -> None:
     """The one gate on a normalizer: every moment route that divides by a
     rectangle probability L refuses it unless L is at least twenty times
@@ -307,7 +300,7 @@ def tn_first_two_mgf(box: TruncationBox, p: NormalParams,
     them before delegating here.
     """
     w = tn_mgf_work(box, p, cfg)
-    _check_normalizer(w.L, max(w.L_err, _BVN_NORMALIZER_ERR) if p.dim == 2 else w.L_err)
+    _check_normalizer(w.L, w.L_err)
     mean_x = w.R @ w.q / w.L
     raw2_x = w.R + (w.R @ w.H @ w.R) / w.L
     cov_x = symmetrize(raw2_x - np.outer(mean_x, mean_x))

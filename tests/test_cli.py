@@ -16,7 +16,7 @@ from truncskew.cli import main, run_benchmark
 from truncskew.esn import esn_limit_params, esn_pdf
 from truncskew.oracle import quad_oracle_2d
 
-from conftest import unresolved_limit_box
+from conftest import far_tail_limit_box, unresolved_box
 
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
@@ -437,13 +437,14 @@ class TestMeanCovRoute:
         ("moment", "normal-reduction", 2), ("mean-cov", "normal-reduction", 0),
     ])
     def test_unresolved_box_exits_2(self, task, method, code):
-        # a box whose mass is below the kernel's error estimate: only the
-        # corrected path answers, by pinning coordinate 1
-        box, pr = unresolved_limit_box()
+        # a box whose mass is below the kernel's error estimate exits 2; the
+        # corrected path answers a far-tail box by pinning coordinate 1
+        box, pr = unresolved_box() if code == 2 else far_tail_limit_box()
         req = {"task": task, "family": "esn", "method": method,
                "params": {"mu": pr.mu.tolist(), "sigma": pr.sigma.tolist(),
                           "lambda": pr.lam.tolist(), "tau": pr.tau},
-               "box": [box.lower.tolist(), box.upper.tolist()]}
+               "box": [[v if math.isfinite(v) else str(v) for v in side]
+                       for side in (box.lower.tolist(), box.upper.tolist())]}
         if task == "moment":
             req["kappa"] = [2, 0, 0]
         rc, out, err = _run_inprocess(req)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import owens_t
+from scipy.optimize import minimize_scalar
+from scipy.special import log_ndtr, owens_t
 
 from truncskew import (
     DEFAULT_QMC,
@@ -125,6 +126,26 @@ def _owen_bvn_cdf(h, k, rho):
     return (std_cdf(h) + std_cdf(k)) / 2 - owens_t(h, ah) - owens_t(k, ak) - delta
 
 
+def _bvn_reference(h, k, rho):
+    """Phi2(h, k; rho) for rho < 1 and finite h, k by scipy's QUADPACK over
+    x <= h of phi(x) Phi((k - rho x) / s), with scipy's ``log_ndtr``,
+    scaled by the integrand at its mode.  The integrand's log is concave
+    with curvature below -1, so outside 12 of the mode it is below exp(-72)
+    of its top."""
+    s = math.sqrt((1.0 - rho) * (1.0 + rho))
+
+    def log_f(x):
+        return -0.5 * x * x + float(log_ndtr((k - rho * x) / s))
+
+    mode = minimize_scalar(lambda x: -log_f(x), bounds=(h - 40.0, h), method="bounded").x
+    top = log_f(mode)
+    lo, hi = mode - 12.0, min(h, mode + 12.0)
+    val, _ = quad(lambda x: math.exp(log_f(x) - top), lo, hi,
+                  points=[mode] if lo < mode < hi else None,
+                  epsabs=0.0, epsrel=1e-13, limit=200)
+    return math.exp(top) * val / math.sqrt(2.0 * math.pi)
+
+
 class TestBivariateCdf:
     @pytest.mark.parametrize("h,k,rho", [
         (0.3, -0.4, 0.5), (1.2, 0.7, -0.8), (-2.0, 1.5, 0.25),
@@ -155,6 +176,28 @@ class TestBivariateCdf:
         ref = math.exp(top) * scaled / math.sqrt(2.0 * math.pi)
         # the second case is subnormal: a few of its spacings
         assert bvn_cdf(h, k, rho) == pytest.approx(ref, rel=1e-12, abs=1e-322)
+
+    @pytest.mark.parametrize("h,k,rho", [(6.627, -5.419, -0.755), (7.5, -6.0, -0.5)])
+    def test_array_negative_correlation_with_h_positive(self, h, k, rho):
+        # the array form adds its integral from -1 to Phi(h) - Phi(-k), two
+        # numbers near 1 here: it forms that as Phi(k) - Phi(-h)
+        args = (np.array([v]) for v in (h, k, rho, std_cdf(h), std_cdf(k)))
+        ref = _bvn_reference(h, k, rho)
+        assert mvn._bvn_array(*args)[0] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_fallback_estimate_bounds_the_error(self, rng):
+        # a negative correlation whose value is below 1e-3 of Phi(h) Phi(k)
+        # is integrated from -1; its estimate is relative to the terms summed
+        # there, not to Phi(h) Phi(k)
+        cases = 0
+        while cases < 300:
+            h, k = rng.uniform(-10.0, 9.0, size=2)
+            rho = -rng.uniform(0.01, 0.999)
+            val, est = mvn._bvn_with_error(h, k, rho)
+            if not 1e-300 < val < 1e-3 * std_cdf(h) * std_cdf(k):
+                continue
+            cases += 1
+            assert abs(val - _bvn_reference(h, k, rho)) <= est <= 1e-10 * val, (h, k, rho)
 
     def test_orthant_arcsine(self):
         assert bvn_cdf(0.0, 0.0, 0.5) == pytest.approx(1 / 3, abs=1e-14)
@@ -869,6 +912,10 @@ def _pivot_case(rng, dim, kind):
         R = R + R.T + np.eye(dim)
     else:
         a = rng.normal(size=(dim, dim + 2))
+        if kind == "exact-pair":
+            # x_last = +-x_0 + 1e-9 noise: r_0,last rounds to +-1 (set
+            # exactly below), while the two rows differ at 1e-9
+            a[-1] = rng.choice([-1.0, 1.0]) * a[0] + 1e-9 * rng.normal(size=dim + 2)
         s = a @ a.T
         sd = np.sqrt(np.diag(s))
         R = mvn.symmetrize(s / np.outer(sd, sd))
@@ -876,13 +923,18 @@ def _pivot_case(rng, dim, kind):
             # x_last = r x_0 + sqrt(1 - r^2) z, z independent: 1 - |r| = 1e-12
             r = rng.choice([-1.0, 1.0]) * (1.0 - 1e-12)
             R[-1, :-1] = R[:-1, -1] = r * R[0, :-1]
+        elif kind == "exact-pair":
+            R[0, -1] = R[-1, 0] = np.sign(R[0, -1])
         np.fill_diagonal(R, 1.0)
     lo = rng.normal(scale=1.5, size=dim) - 1.0
     hi = lo + rng.uniform(0.2, 3.0, size=dim)
     lo[1], hi[2] = -np.inf, np.inf
-    if kind == "near-singular":
-        # an interval on x_last that overlaps +-x_0's
+    if kind in ("near-singular", "exact-pair"):
+        # an interval on x_last that overlaps +-x_0's (for an exact pair, by
+        # at least half of x_0's width)
         shift = rng.uniform(-0.5, 0.5)
+        if kind == "exact-pair":
+            shift *= hi[0] - lo[0]
         lo[-1], hi[-1] = ((lo[0] + shift, hi[0] + shift) if R[0, -1] > 0.0
                           else (shift - hi[0], shift - lo[0]))
     return R, lo, hi
@@ -895,7 +947,8 @@ class TestAnyPivot:
     within the two estimates."""
 
     @pytest.mark.parametrize("dim", [3, 4])
-    @pytest.mark.parametrize("kind", ["equal-magnitude", "random", "near-singular"])
+    @pytest.mark.parametrize("kind", ["equal-magnitude", "random", "near-singular",
+                                      "exact-pair"])
     def test_every_coordinate_order(self, rng, dim, kind):
         for _ in range(3):
             R, lo, hi = _pivot_case(rng, dim, kind)

@@ -2,7 +2,8 @@
 through ``reduce_to_normal``: the command line imports nothing from the
 truncated-normal module, and only ``esn.py`` builds the augmented normal.
 Every normalizer passes one gate, the only place that raises
-``DegenerateBoxError``, and no ``__all__`` lists a name its module lost.
+``DegenerateBoxError``, on the kernel's own estimate, and no ``__all__``
+lists a name its module lost.
 Each law derives its constants once, as ``EsnParams.derived``: no function
 takes a derivation as a parameter, and only ``esn.py`` reads the shift
 switch point.  The package source is parsed, not imported."""
@@ -50,6 +51,21 @@ def test_degenerate_box_raised_only_by_the_normalizer_gate():
                     if name == "DegenerateBoxError":
                         raisers.append((path.name, func.name))
     assert raisers == [("tn.py", "_check_normalizer")]
+
+
+def test_normalizer_gate_takes_the_kernel_estimate():
+    # the gate sees the rectangle probability and the estimate the kernel
+    # returned: two plain names or attributes, no floor and no constant
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_check_normalizer"):
+                calls.append(node)
+                assert not node.keywords and len(node.args) == 2, ast.unparse(node)
+                assert all(isinstance(a, (ast.Name, ast.Attribute)) for a in node.args), \
+                    ast.unparse(node)
+    assert calls
 
 
 def test_every_exported_name_is_defined():

@@ -36,11 +36,14 @@ from truncskew import tesn
 
 from conftest import (
     FAST_QMC,
+    far_tail_limit_box,
+    moments_by_quad,
     random_esn_params,
     random_instance_with_mass,
     random_spd,
+    tn_conditional,
     unit_index,
-    unresolved_limit_box,
+    unresolved_box,
 )
 
 
@@ -487,24 +490,39 @@ class TestNormalizerGate:
     below the kernel's error estimate, as the MGF path does."""
 
     def test_recurrence_mean_cov_raises(self):
-        box, pr = unresolved_limit_box()
+        box, pr = unresolved_box()
         with pytest.raises(DegenerateBoxError):
             tesn_mean_cov(box, pr, method="recurrence")
 
     @pytest.mark.parametrize("method", ["recurrence", "normal-reduction"])
     @pytest.mark.parametrize("kappa", [(1, 0, 0), (2, 0, 0)])
     def test_moment_raises(self, method, kappa):
-        box, pr = unresolved_limit_box()
+        box, pr = unresolved_box()
         with pytest.raises(DegenerateBoxError):
             tesn_moment(box, pr, kappa, method=method)
 
     def test_corrected_path_still_pins(self):
-        box, pr = unresolved_limit_box()
+        box, pr = far_tail_limit_box()
         m = tesn_mean_cov(box, pr, method="normal-reduction")
         assert m.corrections == ("limit-tau", "out-of-bounds coord 1")
         assert m.mean[0] == box.lower[0]
         assert m.cov[0, 0] == 0.0
         assert np.all(np.diag(m.cov)[1:] > 0.0)
+
+    def test_far_tail_limit_box_is_answered(self):
+        # mass 1.6e-32 with estimate 1.3e-41: the recurrence and MGF routes
+        # match 1-d quadrature over coordinate 0 of the limiting normal
+        box, pr = far_tail_limit_box()
+        lim = esn_limit_params(pr)
+        sd = np.sqrt(np.diag(lim.sigma))
+        R = lim.sigma / np.outer(sd, sd)
+        lo, hi = (box.lower - lim.mu) / sd, (box.upper - lim.mu) / sd
+        ref = lim.mu + sd * moments_by_quad(lo, hi, tn_conditional(lo, hi, R))[0]
+        assert ref[0] == pytest.approx(-54.97927, abs=1e-5)
+        for method in ("recurrence", "mgf"):
+            m = tesn_mean_cov(box, pr, method=method)
+            assert m.corrections == ("limit-tau",)
+            np.testing.assert_allclose(m.mean, ref, rtol=1e-8, atol=0.0)
 
     def test_gate_seeds_the_session_without_a_call(self, rng):
         # the gate's kernel call is the session's F_0: no call is added

@@ -5,6 +5,7 @@ import pytest
 
 from truncskew import (
     DegenerateBoxError,
+    EsnParams,
     NormalParams,
     NotPSDError,
     PartitionIndex,
@@ -17,6 +18,8 @@ from truncskew import (
     std_cdf,
     std_pdf,
     tn_first_two_corrected,
+    tesn_mean_cov,
+    tesn_moments,
     tn_first_two_mgf,
     tn_fk,
     tn_mgf_work,
@@ -24,7 +27,14 @@ from truncskew import (
 
 from truncskew.mvn import bvn_pdf
 
-from conftest import FAST_QMC, random_spd, unit_index
+from conftest import (
+    FAST_QMC,
+    bvn_conditional,
+    moments_by_quad,
+    random_spd,
+    tn_conditional,
+    unit_index,
+)
 
 
 def _univariate_tn_mean_var(a, b, mu, var):
@@ -85,6 +95,50 @@ class TestRecurrence:
         v_inf = tn_fk(box_inf, pars, (2, 1), cfg=FAST_QMC)
         v_far = tn_fk(box_far, pars, (2, 1), cfg=FAST_QMC)
         assert v_inf == pytest.approx(v_far, rel=1e-9, abs=1e-12)
+
+
+# dimension-2 boxes x0 x x1 and correlations of mass 4e-57 to 7e-15
+_TAIL_BOXES = [
+    ([-20.0, -10.0], [-9.0, 10.0], -0.5), ([-20.0, -10.0], [-8.0, 10.0], -0.5),
+    ([8.0, -1.0], [9.0, 1.0], 0.3), ([7.0, 7.0], [8.0, 8.0], -0.6),
+    ([-9.0, -9.0], [-7.5, -7.0], 0.2), ([6.0, -np.inf], [np.inf, -6.0], -0.3),
+    ([-np.inf, 5.0], [-7.0, np.inf], 0.7), ([7.5, 1.0], [np.inf, 3.0], 0.5),
+]
+
+
+def _check_against_quadrature(box, pars, ref_mean, ref_cov):
+    """The MGF moments on ``box``: the mean within ``1e-12 + L_err / L`` of
+    the reference's largest |mean|, the raw second moment within that of
+    its largest entry, ``L`` and ``L_err`` being the normalizer and its
+    estimate.  (The covariance, their difference, loses more where the box
+    is narrow against its distance from the mean.)"""
+    L, L_err = mvn_prob(box, pars)
+    m = tn_first_two_mgf(box, pars)
+    rel = 1e-12 + L_err / L
+    ref_raw2 = ref_cov + np.outer(ref_mean, ref_mean)
+    assert np.abs(m.mean - ref_mean).max() <= rel * np.abs(ref_mean).max(), (m.mean, ref_mean)
+    assert np.abs(m.raw2 - ref_raw2).max() <= rel * np.abs(ref_raw2).max(), (m.raw2, ref_raw2)
+    return m
+
+
+def _assert_routes_agree(box, pars, m):
+    """The recurrence mean/cov and both ``tesn_moments`` methods, on the
+    same law as a skew-normal of lam = 0, give the MGF mean and raw second
+    moment to 1e-12 of their largest entries."""
+    n = pars.dim
+    law = EsnParams(pars.mu, pars.sigma, np.zeros(n), 0.0)
+    idx = [(i, j) for i in range(n) for j in range(i, n)]
+    kappas = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    kappas += [tuple(int(k == i) + int(k == j) for k in range(n)) for i, j in idx]
+    r = tesn_mean_cov(box, law, method="recurrence")
+    routes = [(r.mean, [r.raw2[i, j] for i, j in idx])]
+    for method in ("recurrence", "normal-reduction"):
+        got = [tesn_moments(box, law, kappas, method=method)[k] for k in kappas]
+        routes.append((got[:n], got[n:]))
+    raw2 = np.array([m.raw2[i, j] for i, j in idx])
+    for mean, second in routes:
+        assert np.abs(mean - m.mean).max() <= 1e-12 * np.abs(m.mean).max()
+        assert np.abs(second - raw2).max() <= 1e-12 * np.abs(raw2).max()
 
 
 class TestMgf:
@@ -215,11 +269,65 @@ class TestMgf:
             tn_first_two_mgf(TruncationBox([-1.0, -0.5, -1.0], [1.5, 1.5, np.inf]),
                              NormalParams(np.zeros(3), sigma))
 
-    def test_degenerate_box_raises(self):
-        sigma = np.array([[1.0, -0.5], [-0.5, 1.0]])
-        box = TruncationBox([-20.0, -10.0], [-9.0, 10.0])
+    def test_bivariate_tail_boxes_against_quadrature(self):
+        # boxes of mass 4e-57 to 7e-15, which a fixed floor once refused:
+        # means within 1e-12, covariances within 1e-8 of the largest entry
+        for lo, hi, rho in _TAIL_BOXES:
+            lo, hi = np.array(lo), np.array(hi)
+            ref_mean, ref_cov = moments_by_quad(lo, hi, bvn_conditional(lo, hi, rho))
+            box, pars = TruncationBox(lo, hi), NormalParams(np.zeros(2), [[1.0, rho], [rho, 1.0]])
+            m = _check_against_quadrature(box, pars, ref_mean, ref_cov)
+            assert np.all(np.abs(m.mean - ref_mean) <= 1e-12 * np.abs(ref_mean)), (lo, hi, rho)
+            assert np.abs(m.cov - ref_cov).max() <= 1e-8 * np.abs(ref_cov).max(), (lo, hi, rho)
+            _assert_routes_agree(box, pars, m)
+
+    def test_random_tail_boxes_one_gate(self, rng):
+        # random boxes of mass 1e-290 to 2e-13: each is refused by the
+        # normalizer gate, or answered as accurately as its estimate says
+        answered = 0
+        while answered < 100:
+            rho = rng.uniform(-0.99, 0.99)
+            lo = rng.uniform(-30.0, 30.0, size=2)
+            hi = lo + np.exp(rng.uniform(-3.0, 1.5, size=2))
+            lo[rng.random(2) < 0.2] = -np.inf
+            hi[rng.random(2) < 0.2] = np.inf
+            mu, sd = rng.normal(size=2), rng.uniform(0.5, 2.0, size=2)
+            pars = NormalParams(mu, np.outer(sd, sd) * [[1.0, rho], [rho, 1.0]])
+            box = TruncationBox(mu + sd * lo, mu + sd * hi)
+            L, L_err = mvn_prob(box, pars)
+            if not 1e-290 <= L <= 2e-13:
+                continue
+            if L < 20.0 * L_err:
+                with pytest.raises(DegenerateBoxError):
+                    tn_first_two_mgf(box, pars)
+                continue
+            ref_mean, ref_cov = moments_by_quad(lo, hi, bvn_conditional(lo, hi, rho))
+            m = _check_against_quadrature(box, pars, mu + sd * ref_mean,
+                                          np.outer(sd, sd) * ref_cov)
+            _assert_routes_agree(box, pars, m)
+            answered += 1
+
+    def test_tail_boxes_at_dims_1_and_3_against_quadrature(self):
+        for lo, hi in (([30.0], [31.0]), ([-np.inf], [-35.0]), ([20.0], [np.inf])):
+            ref_mean, ref_cov = moments_by_quad(lo, hi, lambda x: (0.0, (), ()))
+            _check_against_quadrature(TruncationBox(lo, hi), NormalParams([0.0], [[1.0]]),
+                                      ref_mean, ref_cov)
+        R = np.array([[1.0, 0.5, -0.3], [0.5, 1.0, 0.2], [-0.3, 0.2, 1.0]])
+        for lo, hi in (([9.0, -1.0, -np.inf], [10.0, 2.0, 0.5]),
+                       ([-np.inf, -2.0, 0.0], [-12.0, 1.0, np.inf])):
+            lo, hi = np.array(lo), np.array(hi)
+            ref_mean, ref_cov = moments_by_quad(lo, hi, tn_conditional(lo, hi, R))
+            box, pars = TruncationBox(lo, hi), NormalParams(np.zeros(3), R)
+            _assert_routes_agree(box, pars, _check_against_quadrature(box, pars, ref_mean, ref_cov))
+
+    def test_unresolved_box_raises(self):
+        # equicorrelated 0.7 on (-inf, -8] x [-1, 1]^3: the corner terms
+        # cancel far below their own estimate
+        sigma = np.full((4, 4), 0.7)
+        np.fill_diagonal(sigma, 1.0)
+        box = TruncationBox([-np.inf, -1.0, -1.0, -1.0], [-8.0, 1.0, 1.0, 1.0])
         with pytest.raises(DegenerateBoxError):
-            tn_first_two_mgf(box, NormalParams([0.0, 0.0], sigma))
+            tn_first_two_mgf(box, NormalParams(np.zeros(4), sigma))
 
 
 class TestCorrected:
