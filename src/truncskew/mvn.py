@@ -3,25 +3,23 @@
 The rectangle probability L_p(a, b; mu, Sigma) is the scalar kernel every
 moment recurrence in this library bottoms out in.  Dimensions 1 to 4 are
 deterministic and ignore :class:`QmcConfig`: inclusion-exclusion over the
-corners of one recursion over the dimension.  Dimension 1 is a cdf, dimension
-2 adaptive quadrature over the correlation parameter, and dimensions 3 and 4
+corners, all of a rectangle's corners evaluated in one call of one
+recursion over the dimension.  Dimension 1 is a cdf, dimension 2 adaptive
+quadrature over the correlation parameter, and dimensions 3 and 4
 Plackett's identity: 1-d integrals of bivariate densities times the cdf of
-the other one or two coordinates (a univariate cdf, or a bivariate cdf
-evaluated as one array over the nodes).  The integrals run on this module's
-adaptive Gauss-Kronrod 10/21 rule (QUADPACK's ``qk21`` nodes and error
-heuristic, largest-error bisection, no extrapolation), evaluating the
-integrand at all 21 nodes of a panel as one array.  Higher dimensions use a
-separation-of-variables transform with greedy variable reordering,
-integrated by a randomized rank-1 lattice rule.  The lattice comes from fast
-component-by-component construction with a fixed tie rule, so its generating
-vector is a pure function of (dimension, number of points), whatever the FFT
-library's rounding.  Identical :class:`QmcConfig` (including seed) gives
-bit-identical results.
+the other one or two coordinates, every (corner, path term) pair one row of
+one array integrand.  The integrals run on QUADPACK's Gauss-Kronrod 10/21
+rule (``qk21`` nodes and error heuristic, no extrapolation): adaptive
+bisection for a scalar, and for rows a shared schedule of 1 to 16 uniform
+panels.  Higher dimensions use a separation-of-variables transform with
+greedy variable reordering, integrated by a randomized rank-1 lattice rule
+from fast component-by-component construction with a fixed tie rule, so
+identical :class:`QmcConfig` (including seed) gives bit-identical results.
 
 The module imports numpy only.  The normal cdf and its logarithm run on
-``math.erf`` / ``math.erfc`` (:func:`std_cdf`, :func:`log_std_cdf`); the
-lattice kernel imports ``scipy.special``'s array ufuncs ``ndtr`` and
-``ndtri`` on its first call, since it spends its time in them.
+``math.erf`` / ``math.erfc`` (:func:`std_cdf`, also as a ufunc, and
+:func:`log_std_cdf`); the lattice kernel imports ``scipy.special``'s
+``ndtr`` and ``ndtri`` on its first call, since it spends its time in them.
 """
 
 import heapq
@@ -65,12 +63,19 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT1_2 = math.sqrt(0.5)
+_LOG_HALF_PI = math.log(0.5 * math.pi)
 
 # Correlations within this distance of +-1 are taken as exactly +-1.
 _RHO_ONE = 1e-15
 
 # Phi(-x) is below the smallest subnormal double from x = 38.5 on.
 _PHI_SATURATES = 40.0
+
+# sqrt(1/2) = _SQRT1_2 + _SQRT1_2_LO to twice double precision, and
+# _SQRT1_2 = _SQRT1_2_HI + _SQRT1_2_MID, halves of 26 bits (Dekker's split)
+_SQRT1_2_LO = -4.833646656726457e-17
+_SQRT1_2_HI = 0.7071067839860916
+_SQRT1_2_MID = -2.7995440410322203e-09
 
 
 # ----------------------------------------------------------------------------
@@ -235,7 +240,20 @@ def std_cdf(x: float) -> float:
         return 0.5 + 0.5 * math.erf(t)
     if t > 0.0:
         return 1.0 - 0.5 * math.erfc(t)
+    if -_PHI_SATURATES < x < -5.0:
+        # rounding t costs x^2 eps / 2 of relative accuracy: correct erfc(-t)
+        # by exp(-2 t r), r = x sqrt(1/2) - t exactly (Dekker's product)
+        c = 134217729.0 * x
+        xh = c - (c - x)
+        xl = x - xh
+        r = (((xh * _SQRT1_2_HI - t) + xh * _SQRT1_2_MID + xl * _SQRT1_2_HI)
+             + xl * _SQRT1_2_MID + x * _SQRT1_2_LO)
+        return 0.5 * math.erfc(-t) * math.exp(-2.0 * t * r)
     return 0.5 * math.erfc(-t)  # also NaN
+
+
+# std_cdf as a numpy ufunc, bit for bit the scalar (it returns object arrays)
+_PHI = np.frompyfunc(std_cdf, 1, 1)
 
 
 def log_std_cdf(x: float) -> float:
@@ -350,36 +368,21 @@ def _gk21(f, a: float, b: float) -> tuple[float, float]:
     return h * resk, max(err, _GK_EPS50 * resabs)
 
 
-def _angle_quad(f, rho: float) -> tuple[float, float]:
-    """Integral of ``f(psi)`` over ``psi`` in [acos|rho|, pi/2] and its error,
-    to a relative 1e-12 with no absolute floor.
-
-    ``psi`` is the angle between a correlation ``+-cos(psi)`` and +-1.  The
-    integrands of this module change on the scale of ``psi`` itself, so the
-    quadrature runs in ``log(psi)`` (:func:`_log_angle_quad`): a narrow
-    feature next to a near-singular end, which a rule on ``psi`` would step
-    over and report as converged, is resolved.  ``f`` takes and returns
-    arrays of 21 values.
-    """
-    return _log_angle_quad(f, math.acos(abs(rho)), 0.5 * math.pi)
-
-
-def _log_angle_quad(f, lo: float, hi: float) -> tuple[float, float]:
-    """Integral of ``f(psi)`` over ``psi`` in [lo, hi], run in ``log(psi)``,
-    and its error, to a relative 1e-12 with no absolute floor.
-
-    The rule is QUADPACK's adaptive Gauss-Kronrod 10/21 (:func:`_gk21`)
-    without extrapolation: the panel with the largest error estimate is
-    bisected until the summed estimate is at most 1e-12 of the summed value,
-    or 200 panels are in use.  The integrands are smooth in ``log(psi)``, so
-    one panel almost always suffices.
+def _log_angle_quad(f, a: float, b: float) -> tuple[float, float]:
+    """Integral of ``f(psi)`` over ``psi`` in [exp(a), exp(b)] and its error,
+    to a relative 1e-12 with no absolute floor: QUADPACK's adaptive
+    Gauss-Kronrod 10/21 (:func:`_gk21`) without extrapolation, bisecting the
+    panel of largest estimate until the summed estimate is at most 1e-12 of
+    the value or 200 panels are in use.  ``psi`` is the angle between a
+    correlation ``+-cos(psi)`` and +-1; the integrands change on the scale of
+    ``psi`` itself, so the rule runs in ``log(psi)`` and resolves a narrow
+    feature next to a near-singular end.  ``f`` maps arrays of 21 values.
     """
 
     def integrand(u):
         psi = np.exp(u)
         return psi * f(psi)
 
-    a, b = math.log(lo), math.log(hi)
     val, err = _gk21(integrand, a, b)
     panels = [(-err, a, b, val)]
     while err > _QUAD_REL_TOL * abs(val) and len(panels) < _QUAD_PANELS:
@@ -393,13 +396,59 @@ def _log_angle_quad(f, lo: float, hi: float) -> tuple[float, float]:
     return val, err
 
 
+# Panel counts of the row-wise rule, and their nodes in half-widths from a start
+_PANEL_NODES = {n: ((2.0 * np.arange(n) + 1.0)[:, None] + _GK_X).ravel()
+                for n in (1, 2, 4, 8, 16)}
+_TINY = np.finfo(float).smallest_subnormal
+
+
+def _angle_rows(f, m: int, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_log_angle_quad` for ``m`` rows at once: the integrals of
+    nonnegative ``f_r(psi)`` over ``psi`` in [exp(a_r), exp(b_r)], and their
+    errors.  ``a`` and ``b`` are ``(m, 1)`` columns or floats all rows share;
+    ``f(psi, rows)`` maps the nodes and the rows (indices, ``None`` for all)
+    to the rows' values, shape ``(rows, nodes)``.  Every row takes
+    :func:`_gk21` on one panel; rows whose estimate is above 1e-12 of their
+    value rerun, as one array, on 2, 4, 8 and 16 uniform panels, and what is
+    left runs in :func:`_log_angle_quad`.  Where ``resasc`` is 0 the
+    estimate is its floor.
+    """
+    val = rows = None
+    for n, nodes in _PANEL_NODES.items():
+        w = (0.5 / n) * (b - a)
+        psi = np.exp(a + w * nodes)
+        fx = (psi * f(psi, rows)).reshape(-1, n, 21)
+        # _gk21 on every panel, in units of w; fx >= 0, so resabs is resk
+        kg = fx @ _GK_W.T
+        resk = kg[..., 0]
+        resasc = np.abs(fx - 0.5 * resk[..., None]) @ _GK_WK21
+        e = np.minimum(200.0 * np.abs(resk - kg[..., 1]), resasc) / np.maximum(resasc, _TINY)
+        kg[..., 1] = np.maximum(resasc * e ** 1.5, _GK_EPS50 * resk)
+        v, e = (w * np.add.reduce(kg, axis=1)).T
+        done = e <= _QUAD_REL_TOL * v
+        if val is None:
+            if done.all():
+                return v, e
+            val, err, idx = np.empty(m), np.empty(m), np.arange(m)
+        val[idx], err[idx] = v, e
+        more = ~done
+        idx = rows = idx[more]
+        if not idx.size:
+            return val, err
+        a, b = (x[more] if np.ndim(x) else x for x in (a, b))
+    for pos, j in enumerate(idx.tolist()):
+        lo, hi = (float(x[pos, 0]) if np.ndim(x) else x for x in (a, b))
+        val[j], err[j] = _log_angle_quad(lambda psi: f(psi, [j])[0], lo, hi)
+    return val, err
+
+
 def bvn_cdf(h: float, k: float, rho: float) -> float:
     """P(X <= h, Y <= k) for standard bivariate normal, correlation ``rho``.
 
     Adaptive quadrature over the correlation parameter of the tetrachoric
     identity d Phi2 / d rho = phi2, to a relative 1e-12 of the integral
     (no absolute floor, so rectangles far below 1e-16 keep their digits),
-    by :func:`_angle_quad`; an estimate above 1e-10 raises
+    by :func:`_log_angle_quad`; an estimate above 1e-10 raises
     :class:`QuadratureNonConvergenceError`.  The correlation runs as
     ``+-cos(psi)``: ``d t`` cancels phi2's ``1 / sqrt(1 - t^2)``, so the
     integrand stays bounded as |rho| -> 1, and ``psi``, the angular distance
@@ -437,7 +486,7 @@ def _bvn_terms(h: float, k: float, rho: float) -> tuple[float, float]:
         s = np.sin(psi)
         return np.exp(-0.5 * d2 / (s * s) - hk / (1.0 + np.cos(psi)))
 
-    val, err = _angle_quad(integrand, rho)
+    val, err = _log_angle_quad(integrand, math.log(math.acos(abs(rho))), _LOG_HALF_PI)
     if err > 1e-10:
         raise QuadratureNonConvergenceError(
             f"bivariate cdf quadrature error {err:.2e} at rho={rho}"
@@ -471,52 +520,6 @@ def _bvn_with_error(h: float, k: float, rho: float) -> tuple[float, float]:
     return val, _TVN_REL_ERR * (val + base) + _singular_gap(rho)
 
 
-def _std_cdf_array(x: np.ndarray) -> np.ndarray:
-    """:func:`std_cdf` of each element of a 1-d array."""
-    return np.array([std_cdf(v) for v in x.tolist()])
-
-
-# Uniform panel counts that the array bivariate cdf runs, in turn, on the
-# elements not yet converged.
-_BVN_ARRAY_PANELS = (1, 2, 4, 8, 16)
-
-
-def _angle_array(d2: np.ndarray, hk: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Elementwise integral over ``psi`` in [exp(a), exp(b)], in ``log(psi)``,
-    of :func:`bvn_cdf`'s integrand ``exp(-0.5 d2 / sin^2 psi - hk / (1 +
-    cos psi))``, and the indices of the elements not converged.
-
-    All elements take :func:`_gk21` on one panel; those whose summed
-    estimate is above 1e-12 of their value are rerun, as one array, on 2, 4,
-    8 and then 16 uniform panels.
-    """
-    val = np.zeros(a.shape)
-    todo = np.arange(a.size)
-    d2, hk = d2[:, None, None], hk[:, None, None]
-    for n in _BVN_ARRAY_PANELS:
-        # n panels of half-width w, 21 nodes each: shape (m, n, 21)
-        w = (0.5 / n) * (b - a)[:, None]
-        mid = a[:, None] + (2.0 * np.arange(n) + 1.0) * w
-        psi = np.exp(mid[:, :, None] + w[:, :, None] * _GK_X)
-        s = np.sin(psi)
-        fx = psi * np.exp(-0.5 * d2 / (s * s) - hk / (1.0 + np.cos(psi)))
-        # _gk21 on every panel; fx >= 0, so resabs is w times the Kronrod sum
-        resk, resg = fx @ _GK_W[0], fx @ _GK_W[1]
-        resasc = w * (np.abs(fx - 0.5 * resk[:, :, None]) @ _GK_WK21)
-        err = w * np.abs(resk - resg)
-        big = (resasc != 0.0) & (err != 0.0)
-        err[big] = resasc[big] * np.minimum(1.0, (200.0 * err[big] / resasc[big]) ** 1.5)
-        err = np.maximum(err, _GK_EPS50 * w * resk).sum(axis=1)
-        v = (w * resk).sum(axis=1)
-        done = err <= _QUAD_REL_TOL * v
-        val[todo[done]] = v[done]
-        more = ~done
-        todo, d2, hk, a, b = todo[more], d2[more], hk[more], a[more], b[more]
-        if not todo.size:
-            break
-    return val, todo
-
-
 def _bvn_array(h: np.ndarray, k: np.ndarray, rho: np.ndarray,
                ph: np.ndarray, pk: np.ndarray) -> np.ndarray:
     """:func:`bvn_cdf` of 1-d arrays of finite limits ``h``, ``k`` and
@@ -530,9 +533,8 @@ def _bvn_array(h: np.ndarray, k: np.ndarray, rho: np.ndarray,
     integrand, over the angles from 0 to ``acos|rho|``.  That integrand
     falls as ``exp(-0.5 (h + k)^2 / psi^2)`` towards 0; the angles where it
     is below exp(-50) of its value at ``acos|rho|`` (or the first 1e-17 of
-    the range) are left out.  Both run in :func:`_angle_array`, and the
-    elements it leaves in :func:`_log_angle_quad`.  Correlations within
-    1e-15 of +-1 are taken as +-1.
+    the range) are left out.  Each element is one row of
+    :func:`_angle_rows`; correlations within 1e-15 of +-1 are +-1.
     """
     out = ph * pk
     arho = np.abs(rho)
@@ -551,143 +553,161 @@ def _bvn_array(h: np.ndarray, k: np.ndarray, rho: np.ndarray,
     cut = np.sqrt(d2 / (d2 / (s0 * s0) + 4.0 * np.abs(hk) + 100.0))
     lo = np.where(neg, np.maximum(cut, 1e-17 * psi0), psi0)
     hi = np.where(neg, psi0, 0.5 * math.pi)
-    val, left = _angle_array(d2, hk, np.log(lo), np.log(hi))
-    for j in left.tolist():
-        def f(psi, d2=d2[j], hk=hk[j]):
-            return np.exp(-0.5 * d2 / np.sin(psi) ** 2 - hk / (1.0 + np.cos(psi)))
-        val[j] = _log_angle_quad(f, float(lo[j]), float(hi[j]))[0]
+    d2, hk = d2[:, None], hk[:, None]
+
+    def integrand(psi, rows):
+        s, (d, k) = np.sin(psi), (d2, hk) if rows is None else (d2[rows], hk[rows])
+        return np.exp(-0.5 * d / (s * s) - k / (1.0 + np.cos(psi)))
+
+    val = _angle_rows(integrand, run.size, np.log(lo)[:, None], np.log(hi)[:, None])[0]
     base = out[run]
     up = hr[neg] > 0.0  # Phi(h) - Phi(-k) = Phi(k) - Phi(-h), which cancels less where h > 0
-    px = _std_cdf_array(np.where(up, -hr[neg], -kr[neg]))
+    px = _PHI(np.where(up, -hr[neg], -kr[neg])).astype(float)
     base[neg] = np.maximum(0.0, np.where(up, pk[run][neg], ph[run][neg]) - px)
     out[run] = base + val / (2.0 * math.pi)
     return np.clip(out, 0.0, 1.0)
 
 
-def _path_term(R: list, i: int, k: int, rest: list[int]):
-    """The path term of :func:`_cdf` for the pivot ``i`` and the coordinate
-    ``k``, as a function of the upper limits ``h``.  It returns 2 pi times
-    the integral over t in [0, 1] of ``r_ik phi2(h_i, h_k; t r_ik)`` times
-    the cdf of the coordinates ``rest`` (one or two) given ``x_i = h_i,
-    x_k = h_k`` at ``t``, quadrature's estimate of that, and the bound on
-    taking an inner correlation as +-1.
+def _path_terms(R: list, i: int, order: tuple):
+    """The path terms of :func:`_cdf` for the pivot ``i`` as a function of
+    the rows (corners) of upper limits ``H``, or ``None`` if ``x_i`` is
+    independent of the rest.  The term of ``k`` is 2 pi times the integral
+    over t in [0, 1] of ``r_ik phi2(h_i, h_k; t r_ik)`` times the cdf of the
+    other one or two coordinates given ``x_i = h_i, x_k = h_k`` at ``t``.
+    Per row, it returns the sum of the terms, the sum of their magnitudes,
+    quadrature's estimates and the bounds on inner correlations taken as
+    +-1.
 
-    The correlation ``t r_ik`` runs as ``sign cos(psi)``, as in
-    :func:`bvn_cdf`.  With ``c = cos(psi)`` and ``g = r_iz / |r_ik|``, the
-    conditional deviation of ``h_z`` times ``1 - c^2`` is ``h_z (1 - c^2) -
-    h_i (g - sign r_kz) c - h_k r_kz + h_k sign g c^2``, and its variance
-    times ``1 - c^2`` is ``(1 - r_kz^2) - q c^2 / r_ik^2``.  The inner cdf is
-    Phi, with a step at 0 where the variance vanishes, or :func:`_bvn_array`
-    over the nodes.  Where that takes a correlation as +-1 it is off by at
-    most the largest such ``sqrt(1 - |rho|) / pi``, and the density
-    integrates to ``|Phi2(h_i, h_k; r_ik) - Phi(h_i) Phi(h_k)|``.
+    ``t r_ik`` runs as ``sign cos(psi)``, as in :func:`bvn_cdf`, and every
+    (corner, term) pair is one row of one integrand (:func:`_angle_rows`).
+    With ``c = cos(psi)`` and ``g = r_iz / |r_ik|``, the conditional
+    deviation of ``h_z`` times ``1 - c^2`` is ``h_z (1 - c^2) - h_i (g - sign
+    r_kz) c - h_k r_kz + h_k sign g c^2``, its variance times ``1 - c^2``
+    ``(1 - r_kz^2) - q c^2 / r_ik^2``.  The inner cdf is Phi, or one
+    :func:`_bvn_array` over the nodes of all rows, off by at most ``sqrt(1 -
+    |rho|) / pi`` at the largest ``|rho|`` it takes as +-1, times the
+    density's integral ``|Phi2(h_i, h_k; r_ik) - Phi(h_i) Phi(h_k)|``.
     """
-    rik = R[i][k]
-    sign = math.copysign(1.0, rik)
-    r2 = rik * rik
-    coefs = []
-    for z in rest:
-        riz, rkz = R[i][z], R[k][z]
-        g = riz / abs(rik)
-        # q = r_ik^2 + r_iz^2 - 2 r_ik r_iz r_kz, free of cancellation near |r_kz| = 1
-        if rkz >= 0.0:
-            q = (rik - riz) ** 2 + 2.0 * rik * riz * (1.0 - rkz)
-        else:
-            q = (rik + riz) ** 2 - 2.0 * rik * riz * (1.0 + rkz)
-        coefs.append((z, g - sign * rkz, rkz, sign * g, (1.0 - rkz) * (1.0 + rkz), q / r2))
-    if len(rest) == 2:
-        # the conditional covariance of the pair times 1 - c^2: c0 - gc c^2
-        l, m = rest
-        ril, rim, rkl, rkm, rlm = R[i][l], R[i][m], R[k][l], R[k][m], R[l][m]
-        c0 = rlm - rkl * rkm
-        gc = rlm + (ril * rim - rik * (ril * rkm + rim * rkl)) / r2
+    ks = [k for k in order if R[i][k] != 0.0]
+    if not ks:
+        return None
+    n, two = len(R), len(order) == 3
+    # a row's coefficients are the columns of H @ lin + const: the start of
+    # its angles, (h_i - sign h_k, h_i, -sign h_k), then per other coordinate
+    # z (h_z, h_i (g - sign r_kz), h_k r_kz, h_k sign g, 1 - r_kz^2, q /
+    # r_ik^2), and at dimension 4 the covariance terms (c0, gc)
+    lin, const = np.zeros((n, len(ks), 16 + 2 * two)), np.zeros((len(ks), 16 + 2 * two))
+    signs = np.array([math.copysign(1.0, R[i][k]) for k in ks])
+    for t, (k, sign) in enumerate(zip(ks, signs.tolist())):
+        rik = R[i][k]
+        lin[[i, i, k, k], t, [1, 2, 1, 3]] = 1.0, 1.0, -sign, -sign
+        const[t, 0] = math.log(math.acos(abs(rik)))
+        zs = [z for z in order if z != k]
+        for j, z in zip((4, 10), zs):
+            riz, rkz = R[i][z], R[k][z]
+            g = riz / abs(rik)
+            # q = r_ik^2 + r_iz^2 - 2 r_ik r_iz r_kz, free of cancellation near |r_kz| = 1
+            q = ((rik - riz) ** 2 + 2.0 * rik * riz * (1.0 - rkz) if rkz >= 0.0
+                 else (rik + riz) ** 2 - 2.0 * rik * riz * (1.0 + rkz))
+            lin[[z, i, k, k], t, range(j, j + 4)] = 1.0, g - sign * rkz, rkz, sign * g
+            const[t, j + 4:j + 6] = (1.0 - rkz) * (1.0 + rkz), q / (rik * rik)
+        if two:
+            # the conditional covariance of the pair times 1 - c^2: c0 - gc c^2
+            (l, m), ril, rim = zs, R[i][zs[0]], R[i][zs[1]]
+            rkl, rkm, rlm = R[k][l], R[k][m], R[l][m]
+            const[t, 16:] = (rlm - rkl * rkm,
+                             rlm + (ril * rim - rik * (ril * rkm + rim * rkl)) / (rik * rik))
+    lin, const = lin.reshape(n, -1), const.ravel()
 
-    def term(h):
-        hi, hk = h[i], h[k]
-        d2 = (hi - sign * hk) ** 2
-        hik = sign * hi * hk
-        limits = [(h[z], hi * gx, hk * rkz, hk * gy, s0, gq) for z, gx, rkz, gy, s0, gq in coefs]
-        gap = 0.0
+    def terms(H):
+        m = len(H)
+        G = (H @ lin + const).reshape(m * len(ks), -1)
+        # the density's exponent is G1 / sin^2 + G3 / (1 + cos)
+        G[:, 1] = -0.5 * G[:, 1] ** 2
+        G[:, 3] *= G[:, 2]
+        top = 0.0  # the largest inner |rho|
 
-        def integrand(psi):
-            nonlocal gap
+        def integrand(psi, rows):
+            nonlocal top
+            g = G if rows is None else G[rows]
             c, s = np.cos(psi), np.sin(psi)
             om, cc = s * s, c * c
-            dens = np.exp(-0.5 * d2 / om - hik / (1.0 + c))
-            inner, rows = 1.0, []
-            for hz, gx, hkr, gy, s0, gq in limits:
+            dens = np.exp(g[:, 1:2] / om + g[:, 3:4] / (1.0 + c))
+            cdfs = []
+            for j in (4, 10)[:1 + two]:
+                hz, gx, hkr, gy, s0, gq = (g[:, q:q + 1] for q in range(j, j + 6))
                 num, v = hz * om - gx * c - hkr + gy * cc, s0 - gq * cc
                 var = om * v
-                # Phi(num / sqrt(var)), and the step at 0 where the variance vanishes
-                cdf = np.array([std_cdf(n / math.sqrt(w)) if w > 0.0 else float(n >= 0.0)
-                                for n, w in zip(num.tolist(), var.tolist())])
-                inner = inner * cdf
-                rows.append((num, v, var, cdf))
-            if len(rows) == 2:
-                (nl, vl, wl, pl), (nm, vm, wm, pm) = rows
-                both = (wl > 0.0) & (wm > 0.0)
-                if both.any():
-                    rho = (c0 - gc * cc[both]) / np.sqrt(vl[both] * vm[both])
-                    inner[both] = _bvn_array(nl[both] / np.sqrt(wl[both]),
-                                             nm[both] / np.sqrt(wm[both]),
-                                             rho, pl[both], pm[both])
-                    gap = max(gap, _singular_gap(float(np.abs(rho).max())))
+                # Phi(num / sqrt(var)): a step at 0 where the variance vanishes
+                cdf = _PHI(num / np.sqrt(np.maximum(var, _TINY))).astype(float)
+                cdfs.append((num, v, var, cdf))
+            if not two:
+                return dens * cdf
+            (nl, vl, wl, pl), (nm, vm, wm, pm) = cdfs
+            inner, both = pl * pm, (wl > 0.0) & (wm > 0.0)
+            if both.any():
+                rho = (g[:, 16:17] - g[:, 17:18] * cc)[both] / np.sqrt(vl[both] * vm[both])
+                inner[both] = _bvn_array(nl[both] / np.sqrt(wl[both]),
+                                         nm[both] / np.sqrt(wm[both]), rho, pl[both], pm[both])
+                top = max(top, float(np.abs(rho).max()))
             return dens * inner
 
-        val, err = _angle_quad(integrand, rik)
-        if gap:
-            gap *= abs(_bvn_terms(hi, hk, rik)[0] - std_cdf(hi) * std_cdf(hk))
-        return sign * val, err, gap
+        val, err = _angle_rows(integrand, len(G), G[:, :1], _LOG_HALF_PI)
+        val, gaps = val.reshape(m, len(ks)), np.zeros(m)
+        for c, t in itertools.product(range(m), range(len(ks))) if _singular_gap(top) else ():
+            x, y = float(H[c, i]), float(H[c, ks[t]])
+            gaps[c] += _singular_gap(top) * abs(_bvn_terms(x, y, R[i][ks[t]])[0]
+                                                - std_cdf(x) * std_cdf(y))
+        return val @ signs, val.sum(axis=1), err.reshape(m, len(ks)).sum(axis=1), gaps
 
-    return term
+    return terms
 
 
 def _cdf(R: list):
     """The cdf of a standard normal ``X`` of dimension 0 to 4 with
-    correlation ``R``: a function mapping upper limits ``h``, each finite or
-    +inf, to ``P(X <= h)`` and an absolute error estimate.  What depends on
-    ``R`` alone is worked out once, here, for all the corners of a
-    rectangle.
+    correlation ``R``: a function mapping an ``(m, n)`` array of upper
+    limits, finite or +inf, to the ``m`` values ``P(X <= h)`` of its rows and
+    their absolute error estimates.  What depends on ``R`` alone is set up
+    once, here, and the rows of a call are evaluated together.
 
     Dimension 1 is Phi and dimension 2 :func:`_bvn_with_error`.  Above that,
     a limit of +inf drops its coordinate, and a pair correlated within 1e-15
-    of +-1 (``x_b = +-x_a``) drops ``x_b``, adding the bound
-    ``sqrt(1 - |rho|) / pi`` on that step and ``sum_j |asin r_aj - asin
-    +-r_bj| / pi`` on keeping ``x_a`` rather than ``x_b``.  Otherwise
-    the cdf is Plackett's identity along the path that scales the
-    correlations of a pivot coordinate ``i`` by ``t`` in [0, 1]:
+    of +-1 (``x_b = +-x_a``) drops ``x_b``, adding the bound ``sqrt(1 -
+    |rho|) / pi`` on that step and ``sum_j |asin r_aj - asin +-r_bj| / pi``
+    on keeping ``x_a`` rather than ``x_b``.  Otherwise the cdf is Plackett's
+    identity along the path that scales the correlations of a pivot ``i`` by
+    ``t`` in [0, 1]:
 
         Phi_n(h; R) = Phi(h_i) Phi_{n-1}(h_rest; R_rest)
                       + sum_{k != i} int_0^1 r_ik phi2(h_i, h_k; t r_ik)
                                      Phi_{n-2}(h'(t); R'(t)) dt,
 
-    ``(h'(t), R'(t))`` being the standardized limits and the correlations of
-    the other coordinates given ``x_i = h_i, x_k = h_k`` at ``t``
-    (:func:`_path_term`).  Every matrix on the path is a convex mix of ``R``
-    and ``blockdiag(1, R_rest)``, so it is positive semidefinite for any
-    pivot; ``i`` is the coordinate least correlated with the rest (smallest
-    row sum of ``|R|``).  Each path term is integrated over the angle of its
-    correlation, as in :func:`bvn_cdf`, to a relative 1e-12 with no absolute
-    floor, so tiny orthants keep their relative accuracy.  The estimate adds
-    ``Phi(h_i)`` times the estimate of ``Phi_{n-1}``, 1e-11 relative to each
-    path term, quadrature's own estimates and the path terms' bounds on
-    inner correlations taken as +-1.
+    ``(h'(t), R'(t))`` being the standardized limits and correlations of the
+    others given ``x_i = h_i, x_k = h_k`` at ``t`` (:func:`_path_terms`, to
+    a relative 1e-12 with no absolute floor).  Every matrix on the path is a
+    convex mix of ``R`` and ``blockdiag(1, R_rest)``, so any pivot works;
+    ``i`` has the smallest row sum of ``|R|``.  ``Phi_{n-1}`` runs once per
+    distinct row (16 corners of a dim-4 box share 8).  The estimate adds
+    ``Phi(h_i)`` times that of ``Phi_{n-1}``, 1e-11 relative to each path
+    term, quadrature's estimates and the bounds of :func:`_path_terms`.
     """
     n = len(R)
-    if n == 0:
-        return lambda h: (1.0, 0.0)
-    if n == 1:
-        return lambda h: (std_cdf(h[0]), 0.0)
+    if n <= 1:
+        return lambda H: (_PHI(H[:, 0]).astype(float) if n else np.ones(len(H)), np.zeros(len(H)))
     if n == 2:
-        rho = R[0][1]
-        return lambda h: _bvn_with_error(h[0], h[1], rho)
+        return lambda H: np.array([_bvn_with_error(h, k, R[0][1]) for h, k in H.tolist()]).T
     subs = {}
 
-    def sub(keep, h):
-        """The cdf of the coordinates ``keep`` at ``h``."""
+    def sub(keep, H):
+        """The cdf of the coordinates ``keep`` at the distinct rows of ``H``."""
         if keep not in subs:
             subs[keep] = _cdf([[R[a][b] for b in keep] for a in keep])
-        return subs[keep](h)
+        first = {}
+        inv = [first.setdefault(tuple(row), len(first)) for row in H.tolist()]
+        if len(first) == len(inv):
+            return subs[keep](H)
+        val, err = subs[keep](np.array(list(first)).reshape(len(first), len(keep)))
+        return val[inv], err[inv]
 
     i = min(range(n), key=lambda j: math.fsum(map(abs, R[j])))
     order = tuple((i + m) % n for m in range(1, n))
@@ -702,61 +722,60 @@ def _cdf(R: list):
         rows = np.clip([[R[a][j], math.copysign(1.0, r) * R[b][j]] for j in keep[1:]], -1, 1)
         gap = _singular_gap(r) + float(np.abs(np.diff(np.arcsin(rows))).sum()) / math.pi
     else:
-        paths = [_path_term(R, i, k, [z for z in order if z != k])
-                 for k in order if R[i][k] != 0.0]
+        paths = _path_terms(R, i, order)
 
-    def cdf(h):
-        h = [float(x) for x in h]
-        finite = tuple(j for j in range(n) if h[j] < math.inf)
-        if len(finite) < n:
-            return sub(finite, [h[j] for j in finite])
+    def finite_cdf(H):
         if pair:
-            # x_b = +-x_a: a cdf of x_a and the others
-            rest = [h[j] for j in keep[1:]]
+            # x_b = +-x_a: a cdf of x_a and the others, or a difference of two
+            # (0 where h_a <= -h_b)
+            rest = H[:, keep[1:]]
             if r > 0.0:
-                val, err = sub(keep, [min(h[a], h[b])] + rest)
+                val, err = sub(keep, np.column_stack((np.minimum(H[:, a], H[:, b]), rest)))
                 return val, err + gap
-            if h[a] <= -h[b]:
-                return 0.0, gap
-            v1, e1 = sub(keep, [h[a]] + rest)
-            v2, e2 = sub(keep, [-h[b]] + rest)
-            return max(0.0, v1 - v2), e1 + e2 + gap
-        p1 = std_cdf(h[i])
-        v0, e0 = sub(order, [h[j] for j in order])
-        val = size = err = gaps = 0.0
-        for term in paths:
-            v, e, g = term(h)
-            val += v
-            size += abs(v)
-            err += e
-            gaps += g
-        return (min(1.0, max(0.0, p1 * v0 + val / (2.0 * math.pi))),
-                p1 * e0 + _TVN_REL_ERR * size / (2.0 * math.pi) + err / (2.0 * math.pi)
-                + gaps)
+            (v1, e1), (v2, e2) = (sub(keep, np.column_stack((x, rest)))
+                                  for x in (H[:, a], -H[:, b]))
+            full = H[:, a] > -H[:, b]
+            return (np.where(full, np.maximum(0.0, v1 - v2), 0.0),
+                    np.where(full, e1 + e2, 0.0) + gap)
+        p1 = _PHI(H[:, i]).astype(float)
+        v0, e0 = sub(order, H[:, order])
+        val, size, err, gaps = paths(H) if paths else (0.0,) * 4
+        return (np.minimum(1.0, np.maximum(0.0, p1 * v0 + val / (2.0 * math.pi))),
+                p1 * e0 + (_TVN_REL_ERR * size + err) / (2.0 * math.pi) + gaps)
+
+    def cdf(H):
+        finite = H < math.inf
+        if finite.all():
+            return finite_cdf(H)
+        groups, val, err = {}, np.empty(len(H)), np.empty(len(H))
+        for j, row in enumerate(finite.tolist()):
+            groups.setdefault(tuple(c for c in range(n) if row[c]), []).append(j)
+        for keep, rows in groups.items():
+            val[rows], err[rows] = (finite_cdf(H[rows]) if len(keep) == n
+                                    else sub(keep, H[np.ix_(rows, keep)]))
+        return val, err
 
     return cdf
 
 
-
 def _corner_prob(cdf, lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
     """Rectangle probability by inclusion-exclusion over the corners whose
-    lower limits are finite, ``cdf`` mapping a corner to a cdf value and its
-    error estimate; the error estimates add up.
-
-    Limits beyond 40 are taken as infinite: Phi is 0 or 1 there in double
-    precision, and the cdfs square their limits, which overflows from about
-    1e154 on."""
-    corners = []
-    for l, h in zip(lo, hi):
+    lower limits are finite, ``cdf`` mapping the corners, the rows of one
+    array, to their cdf values and error estimates; the estimates add up.
+    Limits beyond 40 are infinite: Phi is 0 or 1 there in double precision,
+    and the cdfs square their limits, which overflows from about 1e154 on.
+    """
+    limits = []
+    for l, h in zip(lo.tolist(), hi.tolist()):
         if h <= -_PHI_SATURATES:
             return 0.0, 0.0
-        if h >= _PHI_SATURATES:
-            h = np.inf
-        corners.append(((h, 1.0), (l, -1.0)) if l > -_PHI_SATURATES else ((h, 1.0),))
+        h = math.inf if h >= _PHI_SATURATES else h
+        limits.append((h, l) if l > -_PHI_SATURATES else (h,))
+    vals, errs = cdf(np.array(list(itertools.product(*limits))))
     prob = err = 0.0
-    for corner in itertools.product(*corners):
-        val, e = cdf([h for h, _ in corner])
-        prob += math.prod(sign for _, sign in corner) * val
+    signs = itertools.product(*((1.0, -1.0)[:len(x)] for x in limits))
+    for sign, val, e in zip(signs, vals.tolist(), errs.tolist()):
+        prob += math.prod(sign) * val
         err += e
     return min(1.0, max(0.0, prob)), err
 
@@ -994,17 +1013,13 @@ def mvn_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_QMC):
     """Rectangle probability ``P(lower <= X <= upper)`` and an absolute
     error estimate.
 
-    dim 1: difference of cdf values (error 0); dims 2 to 4: the
-    deterministic cdf of :func:`_cdf` (:func:`bvn_cdf` at dim 2, Plackett's
-    identity at dims 3 and 4) by inclusion-exclusion over the corners with
-    finite lower limits, each to a relative 1e-12, reported error the sum
-    over corners of 1e-11 relative to each term (plus quadrature's own
-    estimates at dims 3 and 4); dim >= 5: randomized
-    lattice QMC, error estimate 3x the standard error over replicates.
-    ``cfg`` is used only at dim >= 5.  The result is clamped to [0, 1] and
-    is a pure function of ``(box, p, cfg)``.  At dims 2 to 4 a standardized
-    limit beyond 40 is taken as infinite: Phi is 0 or 1 there in double
-    precision.
+    dim 1: difference of cdf values (error 0); dims 2 to 4: the cdf of
+    :func:`_cdf` at all corners with finite lower limits in one call, by
+    inclusion-exclusion, each to a relative 1e-12, the estimates added over
+    the corners; dim >= 5: randomized lattice QMC, error estimate 3x the
+    standard error over replicates.  ``cfg`` is used only at dim >= 5.  The
+    result is clamped to [0, 1] and is a pure function of ``(box, p,
+    cfg)``.  At dims 2 to 4 a standardized limit beyond 40 is infinite.
 
     Coordinates whose standardized interval lies above 0 are reflected
     first, so every interval probability is formed on the side where the

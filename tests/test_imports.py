@@ -76,3 +76,31 @@ def test_import_is_numpy_only_until_special_is_needed(module, call, expected):
     assert out["loaded"] == []
     assert out["special_after"]
     assert out["value"] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+_KERNEL_DIMS_2_TO_4 = """
+import json, sys
+import numpy as np
+import truncskew as ts
+values = []
+for d in (2, 3, 4):
+    sigma = np.full((d, d), -0.3) + 1.3 * np.eye(d)
+    sigma[0, 1] = sigma[1, 0] = 0.6
+    upper = np.linspace(0.5, -5.5, d)
+    box = ts.TruncationBox(upper - 1.5, upper)
+    values.append(ts.mvn_prob(box, ts.NormalParams(np.zeros(d), sigma))[0])
+print(json.dumps({"loaded": sorted(m for m in sys.modules if m.startswith("scipy")),
+                  "values": values}))
+"""
+
+
+def test_dims_2_to_4_load_no_scipy():
+    # the deterministic kernel runs its normal cdf on math.erfc, also as an
+    # array (importing scipy.special would cost about as much as a CLI request)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-c", _KERNEL_DIMS_2_TO_4],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["loaded"] == []
+    assert len(out["values"]) == 3 and all(0.0 < v < 1.0 for v in out["values"])

@@ -66,7 +66,9 @@ class TestScalarNormal:
 
 class TestInHouseCdfs:
     """``std_cdf`` and ``log_std_cdf`` run on ``math.erf`` / ``math.erfc``;
-    scipy's ``ndtr`` and ``log_ndtr`` are the reference."""
+    scipy's ``ndtr`` and ``log_ndtr`` are the reference, ``ndtr`` only from
+    x = -5 on: below that it is itself up to 2.3e-13 off, and ``std_cdf``
+    is checked against ``erfcx`` there."""
 
     GRID = np.concatenate([
         np.linspace(-40.0, 40.0, 8001),
@@ -80,12 +82,24 @@ class TestInHouseCdfs:
     def test_matches_scipy_where_normal(self, name, reference):
         import scipy.special
 
-        ref = getattr(scipy.special, reference)(self.GRID)
-        got = np.array([getattr(mvn, name)(float(x)) for x in self.GRID])
+        grid = self.GRID[self.GRID >= -5.0] if name == "std_cdf" else self.GRID
+        ref = getattr(scipy.special, reference)(grid)
+        got = np.array([getattr(mvn, name)(float(x)) for x in grid])
         normal = np.abs(ref) >= np.finfo(float).tiny
-        assert normal.sum() > 8000
+        assert normal.sum() > 4500
         rel = np.abs(got[normal] - ref[normal]) / np.abs(ref[normal])
-        assert rel.max() <= 1e-13, self.GRID[normal][np.argmax(rel)]
+        assert rel.max() <= 1e-13, grid[normal][np.argmax(rel)]
+
+    def test_left_tail_keeps_relative_precision(self):
+        # x = k / 64, so x^2 / 2 is exact and exp(-x^2 / 2) erfcx(-x / sqrt 2) / 2
+        # is Phi(x) to a few eps; rounding x / sqrt 2 alone would cost x^2 eps / 2
+        from scipy.special import erfcx
+
+        x = np.arange(-2400, -319) / 64.0
+        ref = 0.5 * np.exp(-0.5 * x * x) * erfcx(-x / math.sqrt(2.0))
+        got = np.array([std_cdf(float(v)) for v in x])
+        rel = np.abs(got - ref) / ref
+        assert rel.max() <= 2e-15, x[np.argmax(rel)]
 
     def test_infinities_exact_and_nan_passes(self):
         assert std_cdf(-np.inf) == 0.0 and std_cdf(np.inf) == 1.0
@@ -961,20 +975,94 @@ class TestAnyPivot:
                 assert abs(val - base[0]) <= err + base[1], (R, lo, hi, order)
 
 
+def _kernel_corners(R, lo, hi):
+    """The correlation matrix and the corners (rows of upper limits) that
+    ``mvn_prob`` hands the dims 2-4 kernel for a standardized box: the
+    coordinates above 0 reflected, limits beyond 40 taken as infinite."""
+    flip = lo > 0.0
+    lo, hi = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
+    v = np.where(flip, -1.0, 1.0)
+    assert np.all(hi > -40.0)
+    cols = [(h if h < 40.0 else np.inf,) + ((l,) if l > -40.0 else ()) for l, h in zip(lo, hi)]
+    return R * np.outer(v, v), np.array(list(itertools.product(*cols)))
+
+
+def _batch_case(rng, dim, kind):
+    """A box for :class:`TestCornerBatch`, its reference probability and the
+    reference's error."""
+    if kind in ("near-singular", "exact-pair"):
+        R, lo, hi = _pivot_case(rng, dim, kind)
+        # the pair (0, last) moves to (1, last): the references condition on
+        # coordinate 0
+        idx = [1, 0] + list(range(2, dim))
+        R, lo, hi = R[np.ix_(idx, idx)], lo[idx], hi[idx]
+        points = ()
+        if kind == "near-singular" and dim == 4:
+            r = R[1, -1]
+            points = sorted(lim / r + k * math.sqrt((1.0 - r) * (1.0 + r)) / abs(r)
+                            for lim in (lo[-1], hi[-1]) if np.isfinite(lim)
+                            for k in (-40.0, -8.0, -2.0, 0.0, 2.0, 8.0, 40.0))
+    elif dim == 4:
+        R, lo, hi, j, points = _qvn_case(rng, kind)
+        return R, lo, hi, *_qvn_reference(lo, hi, R, j, points)
+    else:
+        a = rng.normal(size=(3, 5))
+        s = a @ a.T
+        sd = np.sqrt(np.diag(s))
+        R = mvn.symmetrize(s / np.outer(sd, sd))
+        np.fill_diagonal(R, 1.0)
+        lo = rng.normal(scale=1.5, size=3) - 1.0
+        hi = lo + rng.uniform(0.2, 3.0, size=3)
+        if kind == "deep-shift":
+            # x_0 beyond 8 to 20 sd, the others around their conditional means
+            depth = rng.choice([-1.0, 1.0]) * rng.uniform(8.0, 20.0)
+            lo, hi = R[0] * depth - rng.uniform(0.2, 2.5, 3), R[0] * depth + rng.uniform(0.2, 2.5, 3)
+            lo[0], hi[0] = (-np.inf, depth) if depth < 0.0 else (depth, np.inf)
+        else:
+            lo[1:][rng.random(2) < 0.3] = -np.inf
+            hi[1:][rng.random(2) < 0.3] = np.inf
+    if dim == 3:
+        ref = _nested_rect(R, lo, hi)  # to a relative 1e-13
+        return R, lo, hi, ref, 1e-13 * ref
+    return R, lo, hi, *_qvn_reference(lo, hi, R, 0, points)
+
+
+class TestCornerBatch:
+    """``_cdf`` evaluates all corners of a rectangle in one call.  Each row
+    gives what a call with that row alone gives, and the rectangle's
+    estimate still bounds its error against the nested quadratures."""
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("kind", ["rectangle", "near-singular", "exact-pair", "deep-shift"])
+    def test_all_corners_match_one_row_calls(self, rng, dim, kind):
+        for _ in range(3):
+            R, lo, hi, ref, ref_err = _batch_case(rng, dim, kind)
+            Rk, H = _kernel_corners(R, lo, hi)
+            cdf = mvn._cdf(Rk.tolist())
+            val, err = cdf(H)
+            assert len(H) > 1
+            for j in range(len(H)):
+                one, one_err = cdf(H[j:j + 1])
+                tol = one_err[0] if one[0] < 1e-300 else 1e-14 * one[0]
+                assert abs(val[j] - one[0]) <= tol, (R, H[j], val[j], one[0])
+            prob, est = mvn_prob(TruncationBox(lo, hi), NormalParams(np.zeros(dim), R))
+            assert abs(prob - ref) <= est + ref_err, (R, lo, hi, prob, ref)
+
+
 # ----------------------------------------------------------------------------
 # the Gauss-Kronrod rule under the bivariate and trivariate kernels
 
 
-def _quad_reference(f, rho):
-    """The integral :func:`mvn._angle_quad` computes, by scipy's QUADPACK at
-    a relative 1e-13, calling the same integrand one node at a time."""
+def _quad_reference(f, a, b):
+    """The integral :func:`mvn._log_angle_quad` computes over ``log(psi)``
+    in [a, b], by scipy's QUADPACK at a relative 1e-13, calling the same
+    integrand one node at a time."""
 
     def g(u):
         psi = np.exp(np.array([u]))
         return float((psi * f(psi))[0])
 
-    val, err, *_ = quad(g, math.log(math.acos(abs(rho))), math.log(0.5 * math.pi),
-                        epsabs=0.0, epsrel=1e-13, limit=500, full_output=1)
+    val, err, *_ = quad(g, a, b, epsabs=0.0, epsrel=1e-13, limit=500, full_output=1)
     return val, err
 
 
@@ -989,16 +1077,25 @@ def _within_reported(val, err, ref, ref_err):
 
 @pytest.fixture
 def angle_quads(monkeypatch):
-    """Every (integrand, rho, value, error) that ``_angle_quad`` returns."""
+    """Every (integrand, log-angle interval, value, error) that
+    ``_log_angle_quad`` returns, and one for each row of ``_angle_rows``."""
     calls = []
-    inner = mvn._angle_quad
+    scalar, rows = mvn._log_angle_quad, mvn._angle_rows
 
-    def recording(f, rho):
-        val, err = inner(f, rho)
-        calls.append((f, rho, val, err))
+    def recording(f, a, b):
+        val, err = scalar(f, a, b)
+        calls.append((f, (a, b), val, err))
         return val, err
 
-    monkeypatch.setattr(mvn, "_angle_quad", recording)
+    def recording_rows(f, m, a, b):
+        val, err = rows(f, m, a, b)
+        for j in range(m):
+            interval = tuple(float(x[j, 0]) if np.ndim(x) else x for x in (a, b))
+            calls.append((lambda psi, j=j: f(psi, [j])[0], interval, val[j], err[j]))
+        return val, err
+
+    monkeypatch.setattr(mvn, "_log_angle_quad", recording)
+    monkeypatch.setattr(mvn, "_angle_rows", recording_rows)
     return calls
 
 
@@ -1032,8 +1129,8 @@ class TestGaussKronrod:
             rho = rng.choice([-1.0, 1.0]) * _near_one(rng)
             angle_quads.clear()
             bvn_cdf(h, k, rho)
-            for f, r, val, err in angle_quads:
-                ref, ref_err = _quad_reference(f, r)
+            for f, interval, val, err in angle_quads:
+                ref, ref_err = _quad_reference(f, *interval)
                 assert _within_reported(val, err, ref, ref_err), (h, k, rho)
 
     def test_trivariate_against_quadpack(self, rng, angle_quads):
@@ -1060,8 +1157,8 @@ class TestGaussKronrod:
                 continue
             angle_quads.clear()
             mvn_prob(TruncationBox(lo, hi), NormalParams(np.zeros(3), R))
-            for f, r, val, err in angle_quads:
-                ref, ref_err = _quad_reference(f, r)
+            for f, interval, val, err in angle_quads:
+                ref, ref_err = _quad_reference(f, *interval)
                 assert _within_reported(val, err, ref, ref_err), (R, lo, hi)
                 checked += 1
         assert checked > 1000
