@@ -180,20 +180,20 @@ def conditional_normal(mu, S, given: PartitionIndex, value) -> tuple[np.ndarray,
         return mu.copy(), S.copy()
     if not k:
         return np.empty(0), np.empty((0, 0))
-    return _conditional_normal(mu, S, k, r, value)
+    B, cov = _regression(S, k, r)
+    return mu[k] + B @ (value - mu[r]), cov
 
 
-def _conditional_normal(mu: np.ndarray, S: np.ndarray, k: list[int], r: list[int],
-                        value) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`conditional_normal` of checked arrays, with non-empty lists of
-    the kept (``k``) and conditioned-on (``r``) coordinates."""
-    S22 = S[np.ix_(r, r)]
+def _regression(S: np.ndarray, k: list[int], r: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The library's one Gaussian regression, of the coordinates ``k`` on the
+    non-empty ``r`` under a checked covariance: B = S_kr S_rr^{-1} and the
+    residual covariance S_kk - B S_rk (symmetrized).  Raises
+    :class:`SingularBlockError` where S_rr is numerically singular."""
+    S_rr = S[np.ix_(r, r)]
     # a finite non-zero 1x1 block has condition number exactly 1: skip the SVD
-    well_conditioned = len(r) == 1 and S22[0, 0] != 0.0 and np.isfinite(S22[0, 0])
-    if not well_conditioned and np.linalg.cond(S22) > _MAX_BLOCK_CONDITION:
+    well_conditioned = len(r) == 1 and S_rr[0, 0] != 0.0 and np.isfinite(S_rr[0, 0])
+    if not well_conditioned and np.linalg.cond(S_rr) > _MAX_BLOCK_CONDITION:
         raise SingularBlockError("conditioned-on block is numerically singular")
-    S12 = S[np.ix_(k, r)]
-    sol = np.linalg.solve(S22, np.column_stack([(value - mu[r]), S12.T.reshape(len(r), -1)]))
-    mean = mu[k] + S12 @ sol[:, 0]
-    cov = S[np.ix_(k, k)] - S12 @ sol[:, 1:]
-    return mean, symmetrize(cov)
+    S_rk = S[np.ix_(r, k)]
+    B = np.linalg.solve(S_rr, S_rk).T
+    return B, symmetrize(S[np.ix_(k, k)] - B @ S_rk)

@@ -1,8 +1,9 @@
 """Extended skew-normal distribution.
 
-Density, cdf, derived constants, marginal / conditional parameter maps,
-closed-form untruncated moments, the limiting normal parameters for large
-negative shift, and seeded sampling.
+Density, cdf, derived constants, marginal / conditional parameter maps
+(each from one Gaussian regression, ``core._regression``), closed-form
+untruncated moments, the limiting normal parameters for large negative
+shift, and seeded sampling.
 
 Each law derives its constants (:class:`EsnDerived`) once, on first use, as
 :attr:`EsnParams.derived`, where every routine reads them.
@@ -29,6 +30,7 @@ import numpy as np
 
 from .core import (
     PartitionIndex,
+    _regression,
     _sym_roots,
     _sym_sqrt,
     _unchecked,
@@ -83,12 +85,13 @@ class EsnParams:
         mu = as_vector(self.mu).copy()
         sigma = as_sym_matrix(self.sigma, dim=mu.shape[0])
         lam = as_vector(self.lam, dim=mu.shape[0]).copy()
-        if not all(np.isfinite(arr).all() for arr in (mu, sigma, lam)):
-            raise DimensionMismatchError("mu, sigma and lam must be finite")
+        tau = float(self.tau)
+        if not all(np.isfinite(arr).all() for arr in (mu, sigma, lam, tau)):
+            raise DimensionMismatchError("mu, sigma, lam and tau must be finite")
         for name, arr in (("mu", mu), ("sigma", sigma), ("lam", lam)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "tau", tau)
 
     @classmethod
     def _trusted(cls, mu, sigma, lam, tau: float) -> "EsnParams":
@@ -190,9 +193,12 @@ class NormalReduction(NamedTuple):
 
     def prob(self, cfg: QmcConfig = DEFAULT_QMC) -> tuple[float, float]:
         """The ESN box probability, capped at 1, and its absolute error
-        estimate: the normal rectangle and its estimate divided by xi."""
+        estimate: the normal rectangle and its estimate divided by xi, plus
+        the rounding of xi = exp(log Phi(tau_tilde)), whose relative error
+        stays below (4 |log xi| + 1) 2^-53."""
         prob, err = mvn_prob(self.box, self.params, cfg)
-        return min(1.0, prob / self.xi), err / self.xi
+        prob = min(1.0, prob / self.xi)
+        return prob, err / self.xi + (4.0 * abs(math.log(self.xi)) + 1.0) * 2.0 ** -53 * prob
 
 
 def augment(p: EsnParams, box: TruncationBox) -> NormalReduction:
@@ -259,23 +265,6 @@ def esn_cdf(y, p: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> float:
 # marginal / conditional parameter maps
 
 
-def _partition_quantities(p: EsnParams, one: list[int], two: list[int]):
-    """Blocks used by both the marginal and the conditional map, with the
-    conventions of the closure property: block 'one' is kept / conditioned
-    on, block 'two' is the complement."""
-    varphi = p.derived.varphi
-    S11 = p.sigma[np.ix_(one, one)]
-    S12 = p.sigma[np.ix_(one, two)]
-    S22 = p.sigma[np.ix_(two, two)]
-    phi1 = varphi[one]
-    phi2 = varphi[two]
-    S11_inv_S12 = np.linalg.solve(S11, S12)
-    S22_1 = symmetrize(S22 - S12.T @ S11_inv_S12)
-    phi1_tilde = phi1 + S11_inv_S12 @ phi2
-    c12 = 1.0 / math.sqrt(1.0 + float(phi2 @ (S22_1 @ phi2)))
-    return S11, S12, S22_1, phi1_tilde, phi2, c12, S11_inv_S12
-
-
 def esn_marginal(p: EsnParams, keep: PartitionIndex) -> EsnParams:
     """Parameters of the kept sub-vector (the family is closed under
     marginalization)."""
@@ -285,9 +274,12 @@ def esn_marginal(p: EsnParams, keep: PartitionIndex) -> EsnParams:
     two = list(keep.removed)
     if not two:
         return p
-    S11, _, _, phi1_tilde, _, c12, _ = _partition_quantities(p, one, two)
-    lam1 = c12 * (_sym_sqrt(S11) @ phi1_tilde)
-    return EsnParams._trusted(p.mu[one], S11, lam1, c12 * p.tau)
+    B, S = _regression(p.sigma, two, one)
+    phi2 = p.derived.varphi[two]
+    c = 1.0 / math.sqrt(1.0 + float(phi2 @ (S @ phi2)))
+    S11 = p.sigma[np.ix_(one, one)]
+    lam1 = c * (_sym_sqrt(S11) @ (p.derived.varphi[one] + B.T @ phi2))
+    return EsnParams._trusted(p.mu[one], S11, lam1, c * p.tau)
 
 
 def esn_conditional(p: EsnParams, given: PartitionIndex, value) -> EsnParams:
@@ -299,12 +291,11 @@ def esn_conditional(p: EsnParams, given: PartitionIndex, value) -> EsnParams:
     value = as_vector(value, dim=len(one))
     if not one:
         return p
-    _, S12, S22_1, phi1_tilde, phi2, _, S11_inv_S12 = _partition_quantities(p, one, two)
+    B, S = _regression(p.sigma, two, one)
+    phi2 = p.derived.varphi[two]
     dev = value - p.mu[one]
-    mu_cond = p.mu[two] + S11_inv_S12.T @ dev
-    tau_cond = p.tau + float(phi1_tilde @ dev)
-    lam_cond = _sym_sqrt(S22_1) @ phi2
-    return EsnParams._trusted(mu_cond, S22_1, lam_cond, tau_cond)
+    tau = p.tau + float((p.derived.varphi[one] + B.T @ phi2) @ dev)
+    return EsnParams._trusted(p.mu[two] + B @ dev, S, _sym_sqrt(S) @ phi2, tau)
 
 
 # ----------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PartitionIndex, symmetrize
+from .core import PartitionIndex, _regression, symmetrize
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
@@ -310,7 +310,8 @@ def folded_cross_work(pair: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> FoldedCr
     bivariate law (coordinate 0 = i, coordinate 1 = j)."""
     d = pair.derived
     m = pair.mu - d.mu_b
-    g_ii, g_ij, g_jj = d.Gamma[0, 0], d.Gamma[0, 1], d.Gamma[1, 1]
+    b_ji, v_ji = _regression(d.Gamma, [1], [0])
+    b_ij, v_ij = _regression(d.Gamma, [0], [1])
 
     dens_i, cond_given_i = edge_conditional(pair, 0, 0.0)
     dens_j, cond_given_j = edge_conditional(pair, 1, 0.0)
@@ -334,10 +335,10 @@ def folded_cross_work(pair: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> FoldedCr
         cdf2_j=esn_cdf(origin, flip_j, cfg),
         ncdf2_i=mvn_prob(neg_box, esn_limit_params(flip_i), cfg)[0],
         ncdf2_j=mvn_prob(neg_box, esn_limit_params(flip_j), cfg)[0],
-        m_ji=m[1] - g_ij * m[0] / g_ii,
-        v_ji=g_jj - g_ij * g_ij / g_ii,
-        m_ij=m[0] - g_ij * m[1] / g_jj,
-        v_ij=g_ii - g_ij * g_ij / g_jj,
+        m_ji=m[1] - b_ji[0, 0] * m[0],
+        v_ji=v_ji[0, 0],
+        m_ij=m[0] - b_ij[0, 0] * m[1],
+        v_ij=v_ij[0, 0],
         inner_abs=fesn_moment(cond_given_j, (1,), cfg=cfg),
     )
 

@@ -840,8 +840,6 @@ def _lattice_generator(dim: int, n_points: int) -> tuple[np.ndarray, int]:
     pure function of ``(dim, n)``.
     """
     n = _largest_prime_at_most(n_points)
-    if dim <= 0:
-        return np.empty(0), n
     m = (n - 1) // 2
     g = _primitive_root(n)
     # perm[j] = +-g^j mod n folded into [1, m]; psi is symmetric, psi(x) =
@@ -931,11 +929,8 @@ def _qmc_prob(R: np.ndarray, lo: np.ndarray, hi: np.ndarray, cfg: QmcConfig):
 
     L, lo, hi = _reordered_cholesky(R, lo, hi)
     n = R.shape[0]
-    if L[0, 0] > 0:
-        c0, d0 = std_cdf(lo[0] / L[0, 0]), std_cdf(hi[0] / L[0, 0])
-    else:
-        # a deterministic coordinate: the whole unit interval or nothing
-        c0, d0 = 0.0, float(lo[0] <= 0.0 <= hi[0])
+    # R has a unit diagonal (standardize), so the first pivot L[0, 0] is 1
+    c0, d0 = std_cdf(lo[0]), std_cdf(hi[0])
     q, n_pts = _lattice_generator(n - 1, cfg.sample_count)
     qidx = np.outer(q, np.arange(1, n_pts + 1))  # lattice points before the shift
     rng = np.random.default_rng(cfg.seed)

@@ -5,11 +5,12 @@ Two interchangeable engines:
 * :class:`TesnSession` / :func:`tesn_fk` -- the recurrence on the skewed
   integrals directly.  Raising one index mixes the current level, the
   companion normal integrals at the limiting parameters (mu - mu_b, Gamma),
-  and per-coordinate boundary terms that factor into a univariate edge
-  density times a (p-1)-dimensional problem with conditional parameters,
-  as in :func:`edge_conditional`; a law without a hidden coordinate gets
-  a :class:`TnSession` instead (:func:`_session`).  Every constant of a law
-  is read from ``EsnParams.derived``, derived once per law.
+  and per-coordinate boundary terms: the slice map of x_j (:func:`_slice_map`)
+  factors each into the edge density phi(t) Phi(tau_tilde') / Phi(tau_tilde)
+  and a (p-1)-dimensional problem on the slice law, with no marginal law
+  built; a law without a hidden coordinate gets a :class:`TnSession`
+  instead (:func:`_session`).  Every constant of a law is read from
+  ``EsnParams.derived``, derived once per law.
 * :func:`tesn_fk_via_normal` -- one truncated-normal moment of the normal
   of :func:`~truncskew.esn.reduce_to_normal`, divided by its xi.
 
@@ -22,21 +23,15 @@ normalizer passes one gate on the reduction's normal box,
 :func:`~truncskew.tn._check_normalizer`.
 """
 
+import math
+
 import numpy as np
 
-from .core import PartitionIndex, symmetrize
+from .core import _regression, _sym_sqrt, symmetrize
 from .errors import DimensionMismatchError
-from .esn import (
-    EsnParams,
-    NormalReduction,
-    esn_conditional,
-    esn_limit_params,
-    esn_marginal,
-    esn_pdf,
-    reduce_to_normal,
-)
+from .esn import EsnParams, NormalReduction, esn_limit_params, reduce_to_normal
 from .moments import FirstTwoMoments, MultiIndex, as_multi_index
-from .mvn import DEFAULT_QMC, QmcConfig, TruncationBox, mvn_prob
+from .mvn import DEFAULT_QMC, QmcConfig, TruncationBox, log_std_cdf, mvn_prob
 from .tn import (
     RecurrenceSession,
     TnSession,
@@ -61,23 +56,42 @@ __all__ = [
 
 def edge_conditional(p: EsnParams, j: int, t: float) -> tuple[float, EsnParams | None]:
     """The p-dim density on the slice x_j = t as the marginal density of x_j
-    at t (:func:`esn_marginal`) and the (p-1)-dim law of the other
-    coordinates given x_j = t (:func:`esn_conditional`; None at p = 1).  A
-    slice at +-inf carries no mass: (0.0, None)."""
+    at t and the (p-1)-dim law of the other coordinates given x_j = t (None
+    at p = 1), from the slice map of x_j (:func:`_slice_map`).  A slice at
+    +-inf carries no mass: (0.0, None)."""
     if np.isinf(t):
         return 0.0, None
-    density = esn_pdf([t], _coordinate_law(p, j))
-    return density, _slice_law(p, j, t) if p.dim > 1 else None
+    density, law = _slice_map(p, j, lambda law: law)(t)
+    return density, None if law is None else law()
 
 
-def _coordinate_law(p: EsnParams, j: int) -> EsnParams:
-    """The univariate marginal law of x_j."""
-    return esn_marginal(p, PartitionIndex.dropping(p.dim, [k for k in range(p.dim) if k != j]))
+def _slice_map(p: EsnParams, j: int, child):
+    """The slice map of x_j, from one regression of the other coordinates on
+    x_j: t -> (the density of x_j at t, a maker of ``child`` of the law of
+    the others given x_j = t; None at p = 1).  That law has the shift
+    tau' = tau + w (t - mu_j), normalized to tau_tilde' = c tau'.  The
+    marginal of x_j has the selection argument c tau' and the tau_tilde of
+    the whole law, so its density at t is phi(t; mu_j, sigma_jj)
+    Phi(tau_tilde') / Phi(tau_tilde), formed in log space."""
+    d = p.derived
+    mu_j, var_j = float(p.mu[j]), float(p.sigma[j, j])
+    others = [k for k in range(p.dim) if k != j]
+    B, S = _regression(p.sigma, others, [j])
+    b, phi2 = B[:, 0], d.varphi[others]
+    w = float(d.varphi[j] + b @ phi2)
+    c = 1.0 / math.sqrt(1.0 + float(phi2 @ (S @ phi2)))
+    lam = _sym_sqrt(S) @ phi2 if others else None
+    log_norm = -0.5 * math.log(2.0 * math.pi * var_j) - d.log_xi
 
+    def at(t: float):
+        dev = t - mu_j
+        shift = p.tau + w * dev
+        density = math.exp(log_norm - 0.5 * dev * dev / var_j + log_std_cdf(c * shift))
+        if not others:
+            return density, None
+        return density, lambda: child(EsnParams._trusted(p.mu[others] + b * dev, S, lam, shift))
 
-def _slice_law(p: EsnParams, j: int, t: float) -> EsnParams:
-    """The law of the other coordinates given x_j = t."""
-    return esn_conditional(p, PartitionIndex.dropping(p.dim, [j]), [t])
+    return at
 
 
 def tesn_prob_with_error(box: TruncationBox, p: EsnParams,
@@ -109,7 +123,6 @@ class TesnSession(RecurrenceSession):
             raise ValueError("no hidden coordinate: use TnSession(box, esn_limit_params(p))")
         super().__init__(box, params, cfg)
         self.normal = TnSession(box, esn_limit_params(params), cfg)
-        self._coordinate_laws: dict[int, EsnParams] = {}
 
     def _prob(self) -> float:
         return tesn_prob(self.box, self.params, self.cfg)
@@ -118,16 +131,10 @@ class TesnSession(RecurrenceSession):
         super()._share(cache, space, path, coords, signs)
         self.normal._share(cache, ("companion", path), (), coords, signs)
 
-    def _edge_at(self, j: int, t: float):
-        # both bounds of x_j share its marginal law; the slice law is built
-        # only on a slice-cache miss
-        if j not in self._coordinate_laws:
-            self._coordinate_laws[j] = _coordinate_law(self.params, j)
-        density = esn_pdf([t], self._coordinate_laws[j])
-        if self.dim == 1:
-            return density, None
-        return density, lambda: _session(self.box.drop(j), _slice_law(self.params, j, t),
-                                         self.cfg)
+    def _slicer(self, j: int):
+        # the slice law is built only on a slice-cache miss
+        box, cfg = self.box.drop(j), self.cfg
+        return _slice_map(self.params, j, lambda law: _session(box, law, cfg))
 
     def _companion(self, i: int, low: MultiIndex) -> float:
         return self.params.derived.delta[i] * self.normal._fk(low)

@@ -6,7 +6,8 @@ Three engines over the same rectangle kernel:
   recurrence on the skeleton :class:`RecurrenceSession`, which the skewed
   family shares.  Raising one index costs the current-level value, a
   d-vector of lower-order values, and two (p-1)-dimensional edge integrals
-  per coordinate, all memoized per session.
+  per coordinate, all memoized per session; both edges of a coordinate come
+  from its slice map, one regression of the others on it.
 * :func:`tn_first_two_mgf` -- first two moments by differentiating the
   moment generating function in correlation form, with the Hessian diagonal
   recycled from the off-diagonal entries and the edge vector q.  Edges and
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _conditional_normal, symmetrize
+from .core import _regression, symmetrize
 from .errors import DegenerateBoxError, DimensionMismatchError
 from .moments import FirstTwoMoments, MultiIndex, as_multi_index
 from .mvn import (
@@ -66,10 +67,11 @@ class RecurrenceSession:
     finite bounds of every coordinate.  ``table`` maps multi-indices to
     computed values; edge sub-sessions (one per finite bound) are created
     lazily and shared by all recurrence steps.  A family supplies three
-    hooks: the rectangle probability ``_prob()``; ``_edge_at(j, t)``, the
-    factorization of the density on the slice ``x_j = t`` into a density
-    value and a maker of the (p-1)-dimensional child session (None in
-    dimension 1); and ``_companion(i, low)``, 0 unless overridden.
+    hooks: the rectangle probability ``_prob()``; ``_slicer(j)``, the slice
+    map of x_j (one regression of the others on x_j, shared by both bounds),
+    which factors the density on the slice ``x_j = t`` into a density value
+    and a maker of the (p-1)-dimensional child session (None in dimension
+    1); and ``_companion(i, low)``, 0 unless overridden.
 
     Inside a folded sum (:func:`~truncskew.folded._pattern_fks`) the
     sessions of all sign patterns share one slice cache (``_share``): a
@@ -106,16 +108,18 @@ class RecurrenceSession:
         return self.table[zero]
 
     def _edge(self, j: int, side: int):
-        """Density factor and child session for the boundary x_j = bound."""
-        key = (j, side)
-        if key not in self._edges:
-            bound = (self.box.lower if side == 0 else self.box.upper)[j]
-            if np.isinf(bound):
-                self._edges[key] = (0.0, None)
-            else:
-                dens, make = self._edge_at(j, float(bound))
-                self._edges[key] = dens, None if make is None else self._child(j, side, make)
-        return self._edges[key]
+        """Density factor and child session for the boundary x_j = bound.
+        Both bounds of x_j are set up on first use, from one slice map."""
+        if (j, side) not in self._edges:
+            at = None
+            for s, bound in enumerate((self.box.lower[j], self.box.upper[j])):
+                if np.isinf(bound):
+                    self._edges[j, s] = (0.0, None)
+                    continue
+                at = at or self._slicer(j)
+                dens, make = at(float(bound))
+                self._edges[j, s] = dens, None if make is None else self._child(j, s, make)
+        return self._edges[j, side]
 
     def _child(self, j: int, side: int, make) -> "RecurrenceSession":
         """The child on the slice (j, side): built by ``make``, or taken from
@@ -189,15 +193,17 @@ class TnSession(RecurrenceSession):
     def _prob(self) -> float:
         return mvn_prob(self.box, self.params, self.cfg)[0]
 
-    def _edge_at(self, j: int, t: float):
-        mu, sigma = self.params.mu, self.params.sigma
+    def _slicer(self, j: int):
+        mu, sigma, box, cfg = self.params.mu, self.params.sigma, self.box.drop(j), self.cfg
+        others = [k for k in range(self.dim) if k != j]
+        B, S = _regression(sigma, others, [j])
 
-        def make():
-            keep = [k for k in range(self.dim) if k != j]
-            cmu, csig = _conditional_normal(mu, sigma, keep, [j], [t])
-            return TnSession(self.box.drop(j), NormalParams._trusted(cmu, csig), self.cfg)
+        def at(t: float):
+            law = NormalParams._trusted(mu[others] + B[:, 0] * (t - mu[j]), S)
+            make = (lambda: TnSession(box, law, cfg)) if others else None
+            return norm_pdf(t, mu[j], sigma[j, j]), make
 
-        return norm_pdf(t, mu[j], sigma[j, j]), make if self.dim > 1 else None
+        return at
 
 
 def tn_fk(box: TruncationBox, p: NormalParams, kappa, cfg: QmcConfig = DEFAULT_QMC) -> float:
@@ -367,7 +373,8 @@ def _pin_coordinate(box, p, cfg, labels, worst: int, note: str) -> FirstTwoMomen
     keep = [i for i in range(dim) if i != worst]
     notes = (note,)
     if keep:
-        cmu, csig = _conditional_normal(p.mu, p.sigma, keep, [worst], [point])
+        B, csig = _regression(p.sigma, keep, [worst])
+        cmu = p.mu[keep] + B[:, 0] * (point - p.mu[worst])
         sub = _corrected(box.select(keep), NormalParams._trusted(cmu, csig), cfg,
                          tuple(labels[i] for i in keep))
         mean, cov = _assemble_split(
@@ -398,12 +405,10 @@ def _corrected(box: TruncationBox, p: NormalParams, cfg: QmcConfig,
             box.select(rest), NormalParams._trusted(p.mu[rest], p.sigma[np.ix_(rest, rest)]),
             cfg, tuple(labels[i] for i in rest)
         )
-        S22 = p.sigma[np.ix_(rest, rest)]
-        S12 = p.sigma[np.ix_(free, rest)]
-        A = np.linalg.solve(S22, S12.T).T
-        mean1 = p.mu[free] + A @ (sub.mean - p.mu[rest])
-        cov11 = p.sigma[np.ix_(free, free)] - A @ S12.T + A @ sub.cov @ A.T
-        cov12 = A @ sub.cov
+        B, resid = _regression(p.sigma, free, rest)
+        mean1 = p.mu[free] + B @ (sub.mean - p.mu[rest])
+        cov11 = resid + B @ sub.cov @ B.T
+        cov12 = B @ sub.cov
         mean, cov = _assemble_split(dim, free, rest, mean1, cov11, cov12,
                                     sub.mean, sub.cov)
         notes = (f"double-infinite coords {tuple(labels[i] for i in free)}",)

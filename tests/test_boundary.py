@@ -50,16 +50,20 @@ class TestPublicConstructorsCheck:
         with pytest.raises(DimensionMismatchError):
             NormalParams(mu, sigma)
 
-    @pytest.mark.parametrize("mu, sigma, lam", [
-        ([0.0, 0.0], ASYMMETRIC, [0.0, 0.0]),
-        ([0.0, 0.0], np.eye(3), [0.0, 0.0]),
-        ([0.0, 0.0], np.eye(2), [0.0, 0.0, 0.0]),
-        ([np.nan, 0.0], np.eye(2), [0.0, 0.0]),
-        ([0.0, 0.0], np.eye(2), [np.inf, 0.0]),
-    ], ids=["asymmetric", "sigma-dimension", "lam-dimension", "nan-mu", "infinite-lam"])
-    def test_esn_params(self, mu, sigma, lam):
+    @pytest.mark.parametrize("mu, sigma, lam, tau", [
+        ([0.0, 0.0], ASYMMETRIC, [0.0, 0.0], 0.0),
+        ([0.0, 0.0], np.eye(3), [0.0, 0.0], 0.0),
+        ([0.0, 0.0], np.eye(2), [0.0, 0.0, 0.0], 0.0),
+        ([np.nan, 0.0], np.eye(2), [0.0, 0.0], 0.0),
+        ([0.0, 0.0], np.eye(2), [np.inf, 0.0], 0.0),
+        ([0.0], [[1.0]], [1.0], np.inf),
+        ([0.0], [[1.0]], [1.0], -np.inf),
+        ([0.0], [[1.0]], [1.0], np.nan),
+    ], ids=["asymmetric", "sigma-dimension", "lam-dimension", "nan-mu", "infinite-lam",
+            "infinite-tau", "minus-infinite-tau", "nan-tau"])
+    def test_esn_params(self, mu, sigma, lam, tau):
         with pytest.raises(DimensionMismatchError):
-            EsnParams(mu=mu, sigma=sigma, lam=lam)
+            EsnParams(mu=mu, sigma=sigma, lam=lam, tau=tau)
 
     @pytest.mark.parametrize("mu, sigma, part, value", [
         ([0.0, 0.0], ASYMMETRIC, PartitionIndex.dropping(2, [1]), [0.0]),

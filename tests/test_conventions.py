@@ -93,8 +93,10 @@ def _uses(name: str):
 
 
 def test_one_slicing_path():
-    # every conditional rectangle of the moment engines is a session edge
-    # child; only the public map and the corrected path's pinning condition
-    # a normal outside the session tree
-    assert sorted(set(_uses("_conditional_normal"))) == [
-        "core.conditional_normal", "tn.TnSession._edge_at", "tn._pin_coordinate"]
+    # one Gaussian regression feeds every conditioning: the public maps, the
+    # slice maps of both session families, the folded cross-moment work and
+    # the corrected path's split and pinning
+    assert sorted(set(_uses("_regression"))) == [
+        "core.conditional_normal", "esn.esn_conditional", "esn.esn_marginal",
+        "folded.folded_cross_work", "tesn._slice_map", "tn.TnSession._slicer",
+        "tn._corrected", "tn._pin_coordinate"]

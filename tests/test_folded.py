@@ -334,17 +334,19 @@ class TestSliceSharing:
         assert shared.by_dim[4] == alone.by_dim[4] == 1
 
     def test_child_laws_built_only_on_a_cache_miss(self, rng, monkeypatch):
-        # one esn_conditional call per child session: a cache hit builds none
+        # one slice-law maker call per child session: a cache hit builds none
         laws, children = [], []
-        conditional, init = tesn_module.esn_conditional, TesnSession.__init__
+        slice_map, init = tesn_module._slice_map, TesnSession.__init__
+
+        def counting_map(p, j, child):
+            return slice_map(p, j, lambda law: laws.append(law) or child(law))
 
         def counting_init(self, box, params, cfg):
             if params.dim < 3:
                 children.append(self)
             init(self, box, params, cfg)
 
-        monkeypatch.setattr(tesn_module, "esn_conditional",
-                            lambda *a: laws.append(a) or conditional(*a))
+        monkeypatch.setattr(tesn_module, "_slice_map", counting_map)
         monkeypatch.setattr(TesnSession, "__init__", counting_init)
         fesn_moment(random_esn_params(rng, 3), (1, 1, 1), method="orthant-sum", cfg=FAST_QMC)
         assert len(laws) == len(children) == 24

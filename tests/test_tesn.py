@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from truncskew import (
     DegenerateBoxError,
     EsnParams,
     NormalParams,
+    PartitionIndex,
     TesnSession,
     TnSession,
     TruncationBox,
     count_integrals,
     edge_conditional,
     esn_limit_params,
+    esn_marginal,
     esn_mean_cov,
     esn_pdf,
     esn_sample,
@@ -45,6 +48,29 @@ from conftest import (
     unit_index,
     unresolved_box,
 )
+
+
+class TestXiRounding:
+    """The box-probability estimate covers the rounding of
+    xi = exp(log Phi(tau_tilde)), whose relative error grows with |log xi|."""
+
+    @pytest.mark.parametrize("tau_tilde", [-10.0, -20.0, -30.0])
+    def test_half_space_within_its_estimate(self, tau_tilde):
+        # quadrature puts P(x_0 < 0) below 2e-24 here: the truth is 1
+        lam = np.array([1.0, 0.5])
+        pr = EsnParams(mu=[0.0, 0.0], sigma=[[1.0, 0.3], [0.3, 1.0]], lam=lam,
+                       tau=tau_tilde * math.sqrt(1.0 + lam @ lam))
+        prob, err = tesn_prob_with_error(TruncationBox([0.0, -np.inf], [np.inf, np.inf]), pr)
+        assert abs(prob - 1.0) <= err
+
+    def test_bound_covers_xi_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for tau_tilde in np.linspace(-35.0, 0.0, 351):
+                xi = EsnParams(mu=[0.0], sigma=[[1.0]], lam=[0.0], tau=tau_tilde).derived.xi
+                exact = mpmath.ncdf(mpmath.mpf(float(tau_tilde)))
+                bound = (4.0 * abs(math.log(xi)) + 1.0) * 2.0 ** -53
+                assert abs(mpmath.mpf(xi) / exact - 1) <= bound
 
 
 class TestProb:
@@ -315,18 +341,43 @@ class TestBatchMoments:
 
 
 class TestEdgeConditional:
-    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_slice_factorization(self, rng, p):
         # f(x) = f_j(x_j) f(x_{-j} | x_j): the identity behind every
-        # boundary term of the recurrence
-        pr = random_esn_params(rng, p)
-        for _ in range(3):
-            x = pr.mu + rng.normal(size=p)
-            joint = esn_pdf(x, pr)
-            for j in range(p):
-                density, child = edge_conditional(pr, j, x[j])
-                prod = density * esn_pdf(np.delete(x, j), child)
-                assert prod == pytest.approx(joint, rel=1e-12)
+        # boundary term of the recurrence, with f_j the density of the
+        # marginal law of x_j.  Both sides work in log space, so in the deep
+        # shift the bound grows with |log xi|; the points are draws of the law
+        for tau_tilde in (None, -20.0, -34.0):
+            pr = random_esn_params(rng, p)
+            if tau_tilde is not None:
+                pr = EsnParams(mu=pr.mu, sigma=pr.sigma, lam=pr.lam,
+                               tau=tau_tilde * math.sqrt(1.0 + pr.lam @ pr.lam))
+            rel = 1e-12 if tau_tilde is None else 1e-14 * abs(pr.derived.log_xi)
+            for x in esn_sample(pr, 3, seed=p):
+                joint = esn_pdf(x, pr)
+                for j in range(p):
+                    density, child = edge_conditional(pr, j, x[j])
+                    others = [k for k in range(p) if k != j]
+                    marginal = esn_marginal(pr, PartitionIndex.dropping(p, others))
+                    assert density == pytest.approx(esn_pdf([x[j]], marginal), rel=rel)
+                    inner = esn_pdf(np.delete(x, j), child) if p > 1 else 1.0
+                    assert density * inner == pytest.approx(joint, rel=rel)
+
+    def test_recurrence_builds_no_marginal_or_conditional_law(self, rng, monkeypatch):
+        # every edge comes from a slice map: no univariate marginal law, no
+        # density evaluation, no public conditioning map
+        box, pr = random_instance_with_mass(rng, 3, allow_infinite=False)
+        expected = tesn_moment(box, pr, (1, 2, 1), FAST_QMC, method="recurrence")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a slice law was built outside its slice map")
+
+        for name, module in list(sys.modules.items()):
+            if name == "truncskew" or name.startswith("truncskew."):
+                for fn in ("esn_marginal", "esn_pdf", "esn_conditional"):
+                    if hasattr(module, fn):
+                        monkeypatch.setattr(module, fn, refuse)
+        assert tesn_moment(box, pr, (1, 2, 1), FAST_QMC, method="recurrence") == expected
 
     @pytest.mark.filterwarnings("error")
     def test_infinite_slice_carries_no_mass(self, rng):

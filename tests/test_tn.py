@@ -382,6 +382,18 @@ class TestCorrected:
         assert variances[0] >= variances[1] >= variances[2]
         assert variances[-1] == 0.0
 
+    def test_jointly_degenerate_box_pins_its_least_probable_coordinate(self):
+        # each marginal interval holds 1.3e-3, above the out-of-bounds screen,
+        # while the joint mass under correlation -0.999 is numerically zero
+        pars = NormalParams([0.0, 0.0], [[1.0, -0.999], [-0.999, 1.0]])
+        box = TruncationBox([3.0, 3.0], [4.0, 4.0])
+        assert mvn_prob(box, pars) == (0.0, 0.0)
+        m = tn_first_two_corrected(box, pars)
+        assert m.corrections == ("jointly-degenerate, pinned coord 1", "out-of-bounds coord 2")
+        assert np.all(m.mean >= box.lower) and np.all(m.mean <= box.upper)
+        assert np.all(np.isfinite(m.cov))
+        assert np.linalg.eigvalsh(m.cov)[0] >= -1e-12
+
     def test_double_infinite_split(self, rng):
         # one free coordinate: moments must match brute-force Monte Carlo
         mu = rng.normal(size=3)
