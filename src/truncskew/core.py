@@ -194,6 +194,8 @@ def _regression(S: np.ndarray, k: list[int], r: list[int]) -> tuple[np.ndarray, 
     well_conditioned = len(r) == 1 and S_rr[0, 0] != 0.0 and np.isfinite(S_rr[0, 0])
     if not well_conditioned and np.linalg.cond(S_rr) > _MAX_BLOCK_CONDITION:
         raise SingularBlockError("conditioned-on block is numerically singular")
+    if not k:
+        return np.empty((0, len(r))), np.empty((0, 0))
     S_rk = S[np.ix_(r, k)]
     B = np.linalg.solve(S_rr, S_rk).T
     return B, symmetrize(S[np.ix_(k, k)] - B @ S_rk)

@@ -14,9 +14,10 @@ the law keeps its hidden coordinate, N(mu - mu_b, Gamma) where it does not.
 
 The density is the normal density times a shifted normal-cdf factor,
 
-    f(y) = xi^{-1} phi_p(y; mu, Sigma) Phi(tau + lam' Sigma^{-1/2} (y - mu)),
+    f(y) = xi^{-1} phi_p(y; mu, Sigma) Phi(tau + varphi' (y - mu)),
 
-normalized by ``xi = Phi(tau_tilde)`` with ``tau_tilde = tau / sqrt(1+lam'lam)``.
+with the slant ``varphi = Sigma^{-1/2} lam``, normalized by
+``xi = Phi(tau_tilde)`` with ``tau_tilde = tau / sqrt(1+lam'lam)``.
 ``lam = 0, tau = 0`` is the plain normal; ``tau = 0`` is the classical
 skew-normal (with the factor-2 normalization).
 """
@@ -135,13 +136,11 @@ class EsnDerived:
     xi: float                 # Phi(tau_tilde), in (0, 1]
     log_xi: float             # log Phi(tau_tilde), finite far into the tail
     eta: float                # phi(tau; 0, 1 + lam'lam) / xi
-    varphi: np.ndarray        # sigma^{-1/2} lam
+    varphi: np.ndarray        # the slant sigma^{-1/2} lam
     Delta: np.ndarray         # sigma^{1/2} lam / sqrt(1 + lam'lam)
     delta: np.ndarray         # eta * sigma^{1/2} lam
     mu_b: np.ndarray          # tau_tilde * Delta
     Gamma: np.ndarray         # sigma - Delta Delta'
-    sigma_sqrt: np.ndarray
-    sigma_inv_sqrt: np.ndarray
     hidden: bool
 
 
@@ -169,8 +168,6 @@ def esn_derive(p: EsnParams) -> EsnDerived:
         delta=eta * root_lam,
         mu_b=tau_tilde * Delta,
         Gamma=symmetrize(p.sigma - np.outer(Delta, Delta)),
-        sigma_sqrt=sigma_sqrt,
-        sigma_inv_sqrt=sigma_inv_sqrt,
         hidden=bool(np.any(p.lam)) and tau_tilde >= _TAU_TILDE_LIMIT,
     )
 
@@ -246,7 +243,7 @@ def esn_logpdf(x, p: EsnParams) -> float:
     log-density bit for bit."""
     d = p.derived
     x = as_vector(x, dim=p.dim)
-    arg = p.tau + float(p.lam @ (d.sigma_inv_sqrt @ (x - p.mu)))
+    arg = p.tau + float(d.varphi @ (x - p.mu))
     return mvn_logpdf(x, NormalParams._trusted(p.mu, p.sigma)) + (log_std_cdf(arg) - d.log_xi)
 
 
@@ -305,25 +302,22 @@ def esn_conditional(p: EsnParams, given: PartitionIndex, value) -> EsnParams:
 def esn_mean_cov(p: EsnParams) -> FirstTwoMoments:
     """Closed-form untruncated mean and covariance.
 
-    Uses the standardized representation Z = sigma^{-1/2}(Y - mu) whose mean
-    is eta*lam.  Without a hidden coordinate the moments of the
-    p-dimensional normal of :func:`reduce_to_normal` are returned instead:
-    mu and sigma exactly at lam = 0, the limiting normal's below the shift
-    switch point (the closed form degrades by cancellation there).
+    With the hidden coordinate U (Y = mu + X given U <= tau_tilde, where
+    Cov(X, U) = -Delta), the truncated U has mean -r and variance
+    1 - r (r + tau_tilde), r the Mills ratio, so E[Y] = mu + delta and
+    Var[Y] = sigma - delta (delta + mu_b)'.  Without a hidden coordinate the
+    moments of the p-dimensional normal of :func:`reduce_to_normal` are
+    returned instead: mu and sigma exactly at lam = 0, the limiting normal's
+    below the shift switch point (the closed form degrades by cancellation
+    there).
     """
     d = p.derived
     if not d.hidden:
         red = reduce_to_normal(TruncationBox.unbounded(p.dim), p)
         return FirstTwoMoments.from_mean_cov(red.params.mu, red.params.sigma,
                                              corrections=red.corrections)
-    mean_z = d.eta * p.lam
-    # var of the hidden coordinate truncated above at tau_tilde is
-    # 1 - r*(r + tau_tilde) with r the Mills ratio, which propagates to
-    # I - E[Z](E[Z] + (tau/(1+lam'lam)) lam)'.
-    cov_z = np.eye(p.dim) - np.outer(mean_z, mean_z + (p.tau / d.lam_norm2) * p.lam)
-    mean = p.mu + d.sigma_sqrt @ mean_z
-    cov = symmetrize(d.sigma_sqrt @ cov_z @ d.sigma_sqrt)
-    return FirstTwoMoments.from_mean_cov(mean, cov)
+    cov = symmetrize(p.sigma - np.outer(d.delta, d.delta + d.mu_b))
+    return FirstTwoMoments.from_mean_cov(p.mu + d.delta, cov)
 
 
 def esn_limit_params(p: EsnParams) -> NormalParams:

@@ -128,10 +128,10 @@ def _require_nonnegative(y, dim: int) -> np.ndarray:
 
 
 def fesn_pdf(y, p: EsnParams) -> float:
-    """Density of |X| at y >= 0: the 2^p-term reflection sum."""
+    """Density of |X| at y >= 0: the 2^p-term reflection sum, the law's own
+    density at the reflected points s * y (a reflection has unit Jacobian)."""
     y = _require_nonnegative(y, p.dim)
-    return float(sum(math.exp(esn_logpdf(y, flip_params(p, s)))
-                     for s in sign_patterns(p.dim)))
+    return float(sum(math.exp(esn_logpdf(s.vec * y, p)) for s in sign_patterns(p.dim)))
 
 
 def fesn_cdf(y, p: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> float:

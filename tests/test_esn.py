@@ -122,7 +122,7 @@ class TestDeriveOnce:
             np.testing.assert_array_equal(kept, before)
         assert pr.derived is d
         fresh = esn_derive(pr)
-        for field in ("varphi", "Delta", "delta", "mu_b", "Gamma", "sigma_sqrt"):
+        for field in ("varphi", "Delta", "delta", "mu_b", "Gamma"):
             np.testing.assert_array_equal(getattr(d, field), getattr(fresh, field))
         assert (d.xi, d.eta, d.hidden) == (fresh.xi, fresh.eta, fresh.hidden)
 

@@ -33,6 +33,7 @@ from truncskew import (
     tesn_fk,
     tesn_prob_with_error,
 )
+import truncskew.esn as esn_module
 import truncskew.folded as folded_module
 import truncskew.tesn as tesn_module
 from truncskew.cli import _benchmark_instance
@@ -108,6 +109,25 @@ class TestPdfCdf:
         for y in (0.5, 1.0, 2.0):
             assert fesn_cdf([y], pr) == pytest.approx(
                 math.erf(y / math.sqrt(2)), abs=1e-12)
+
+    def test_pdf_builds_no_reflected_law(self, rng, monkeypatch):
+        pr = random_esn_params(rng, 3)
+        y = np.abs(rng.normal(size=3))
+        expected = fesn_pdf(y, pr)
+        law = EsnParams(pr.mu, pr.sigma, pr.lam, pr.tau)
+        esn_derive, derived = esn_module.esn_derive, []
+
+        def refuse(p, s):
+            raise AssertionError("fesn_pdf built a reflected law")
+
+        def derive(p):
+            derived.append(p)
+            return esn_derive(p)
+
+        monkeypatch.setattr(folded_module, "flip_params", refuse)
+        monkeypatch.setattr(esn_module, "esn_derive", derive)
+        assert fesn_pdf(y, law) == pytest.approx(expected, rel=1e-14, abs=0.0)
+        assert len(derived) == 1 and derived[0] is law
 
     def test_negative_argument(self):
         pr = EsnParams.normal([0.0], [[1.0]])

@@ -914,6 +914,45 @@ class TestQuadrivariate:
             worst = max(worst, abs(prob - ref) / (err + ref_err)) if err + ref_err else worst
         assert worst <= 1.0
 
+    def test_exact_inner_correlation(self, monkeypatch):
+        # x4 = w1 x1 + w2 x2 with x0 weakly tied to the rest: given a pivot
+        # and a second coordinate, the inner pair is often an exact +-1
+        # pair, the branch of _bvn_array that the other cases leave out
+        rng = np.random.default_rng(5)
+        bvn_array, exact = mvn._bvn_array, []
+
+        def spy(h, k, rho, ph, pk):
+            exact.append(bool(np.any(np.abs(rho) >= 1.0 - mvn._RHO_ONE)))
+            return bvn_array(h, k, rho, ph, pk)
+
+        monkeypatch.setattr(mvn, "_bvn_array", spy)
+        ref_cfg = QmcConfig(sample_count=2 ** 17, replicates=12, seed=7)
+        reached = 0
+        for _ in range(20):
+            a = rng.standard_normal((3, 3))
+            c = a @ a.T + 0.2 * np.eye(3)
+            c[0, 1:] *= 0.2
+            c[1:, 0] *= 0.2
+            w = rng.standard_normal(3)
+            w[0] = 0.0
+            t = np.vstack([np.eye(3), w])
+            perm = rng.permutation(4)
+            s = (t @ c @ t.T)[np.ix_(perm, perm)]
+            sd = np.sqrt(np.diag(s))
+            R = mvn.symmetrize(s / np.outer(sd, sd))
+            np.fill_diagonal(R, 1.0)
+            lo = rng.standard_normal(4) - 1.0
+            hi = lo + rng.uniform(0.5, 2.5, size=4)
+            exact.clear()
+            prob, err = self._prob(lo, hi, R)
+            reached += any(exact)
+            # the reference on the box mvn_prob integrates, reflected where lo > 0
+            v = np.where(lo > 0.0, -1.0, 1.0)
+            ref, ref_err = mvn._qmc_prob(R * np.outer(v, v), np.where(v < 0.0, -hi, lo),
+                                         np.where(v < 0.0, -lo, hi), ref_cfg)
+            assert abs(prob - ref) <= err + ref_err, (R, lo, hi, prob, ref)
+        assert reached >= 15
+
 
 def _pivot_case(rng, dim, kind):
     """A correlation matrix and a box with infinite limits, for one of the
