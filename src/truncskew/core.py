@@ -5,6 +5,7 @@ all functions are pure and never mutate their inputs.  Coordinate indices are
 0-based throughout the library.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,13 +190,15 @@ def _regression(S: np.ndarray, k: list[int], r: list[int]) -> tuple[np.ndarray, 
     non-empty ``r`` under a checked covariance: B = S_kr S_rr^{-1} and the
     residual covariance S_kk - B S_rk (symmetrized).  Raises
     :class:`SingularBlockError` where S_rr is numerically singular."""
-    S_rr = S[np.ix_(r, r)]
+    rows = S[r]
+    S_rr = rows[:, r]
     # a finite non-zero 1x1 block has condition number exactly 1: skip the SVD
-    well_conditioned = len(r) == 1 and S_rr[0, 0] != 0.0 and np.isfinite(S_rr[0, 0])
+    well_conditioned = len(r) == 1 and S_rr[0, 0] != 0.0 and math.isfinite(S_rr[0, 0])
     if not well_conditioned and np.linalg.cond(S_rr) > _MAX_BLOCK_CONDITION:
         raise SingularBlockError("conditioned-on block is numerically singular")
     if not k:
         return np.empty((0, len(r))), np.empty((0, 0))
-    S_rk = S[np.ix_(r, k)]
+    S_rk = rows[:, k]
+    # solve, not S_rk / S_rr: for 1x1 S_rr OpenBLAS multiplies by its reciprocal on 2+ columns
     B = np.linalg.solve(S_rr, S_rk).T
-    return B, symmetrize(S[np.ix_(k, k)] - B @ S_rk)
+    return B, symmetrize(S[k][:, k] - B @ S_rk)

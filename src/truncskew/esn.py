@@ -121,7 +121,8 @@ class EsnParams:
 class EsnDerived:
     """Constants derived from :class:`EsnParams`, shared by all algorithms.
 
-    ``delta = eta * sqrt(1 + lam'lam) * Delta`` holds by construction;
+    ``delta = eta * sqrt(1 + lam'lam) * Delta`` holds by construction, with
+    ``eta = phi(tau; 0, 1 + lam'lam) / xi``;
     ``Gamma = sigma - Delta Delta'`` is positive definite whenever sigma is.
 
     ``hidden`` is the one decision on the hidden coordinate of the
@@ -131,11 +132,9 @@ class EsnDerived:
     the switch point dropping it is the limiting-normal approximation.
     """
 
-    lam_norm2: float          # 1 + lam' lam
     tau_tilde: float          # tau / sqrt(1 + lam' lam)
     xi: float                 # Phi(tau_tilde), in (0, 1]
     log_xi: float             # log Phi(tau_tilde), finite far into the tail
-    eta: float                # phi(tau; 0, 1 + lam'lam) / xi
     varphi: np.ndarray        # the slant sigma^{-1/2} lam
     Delta: np.ndarray         # sigma^{1/2} lam / sqrt(1 + lam'lam)
     delta: np.ndarray         # eta * sigma^{1/2} lam
@@ -158,11 +157,9 @@ def esn_derive(p: EsnParams) -> EsnDerived:
     root_lam = sigma_sqrt @ p.lam
     Delta = root_lam / math.sqrt(lam_norm2)
     return EsnDerived(
-        lam_norm2=lam_norm2,
         tau_tilde=tau_tilde,
         xi=xi,
         log_xi=log_xi,
-        eta=eta,
         varphi=sigma_inv_sqrt @ p.lam,
         Delta=Delta,
         delta=eta * root_lam,
@@ -345,7 +342,7 @@ def esn_sample(p: EsnParams, n: int, seed: int) -> np.ndarray:
     return sample_with_rng(p, n, rng)
 
 
-def sample_with_rng(p: EsnParams, n: int, rng: np.random.Generator) -> np.ndarray:
+def sample_with_rng(p: EsnParams, n: int, rng: "np.random.Generator") -> np.ndarray:
     """Draw ``n`` variates advancing the caller's generator (lets several
     chunks share one deterministic stream)."""
     from scipy.special import ndtri_exp

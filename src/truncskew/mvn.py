@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.fft import fft, ifft
 
-from .core import _psd_eigh, _unchecked, as_sym_matrix, as_vector, symmetrize
+from .core import _psd_eigh, _unchecked, as_sym_matrix, as_vector
 from .errors import (
     DimensionMismatchError,
     NotPSDError,
@@ -133,7 +133,8 @@ class TruncationBox:
         return self.lower.shape[0]
 
     def is_unbounded(self) -> bool:
-        return bool(np.all(np.isinf(self.lower)) and np.all(np.isinf(self.upper)))
+        return (self.lower.tolist().count(-math.inf) == self.dim
+                and self.upper.tolist().count(math.inf) == self.dim)
 
     def drop(self, i: int) -> "TruncationBox":
         return self.select([k for k in range(self.dim) if k != i])
@@ -758,7 +759,7 @@ def _cdf(R: list):
     return cdf
 
 
-def _corner_prob(cdf, lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
+def _corner_prob(cdf, lo: list, hi: list) -> tuple[float, float]:
     """Rectangle probability by inclusion-exclusion over the corners whose
     lower limits are finite, ``cdf`` mapping the corners, the rows of one
     array, to their cdf values and error estimates; the estimates add up.
@@ -766,7 +767,7 @@ def _corner_prob(cdf, lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
     and the cdfs square their limits, which overflows from about 1e154 on.
     """
     limits = []
-    for l, h in zip(lo.tolist(), hi.tolist()):
+    for l, h in zip(lo, hi):
         if h <= -_PHI_SATURATES:
             return 0.0, 0.0
         h = math.inf if h >= _PHI_SATURATES else h
@@ -977,31 +978,33 @@ def _qmc_prob(R: np.ndarray, lo: np.ndarray, hi: np.ndarray, cfg: QmcConfig):
 # public rectangle probability
 
 
-def standardize(box: TruncationBox, p: NormalParams):
-    """Per-coordinate scales ``sd``, correlation matrix ``R`` and the box
-    limits in standard units: the one place a covariance is turned into
-    correlation form."""
-    var = np.diag(p.sigma)
-    if not np.all(var > 0.0):  # also NaN
-        raise NotPSDError("scale matrix has a non-positive diagonal entry")
-    sd = np.sqrt(var)
-    with np.errstate(invalid="ignore"):
-        lo = (box.lower - p.mu) / sd
-        hi = (box.upper - p.mu) / sd
-    # +-inf stays +-inf; no NaNs possible since sd > 0
-    R = symmetrize(p.sigma / np.outer(sd, sd))
-    np.fill_diagonal(R, 1.0)
+def standardize(box: TruncationBox, p: NormalParams, reflect: bool = False):
+    """Per-coordinate scales ``sd``, correlation matrix ``R`` (a list of
+    rows) and the box limits ``lo``, ``hi`` in standard units, all Python
+    floats: the one place a covariance is turned into correlation form.
+    With ``reflect``, each coordinate whose standardized interval lies above
+    0 is reflected: its limits are negated and swapped and its correlations
+    with the other coordinates negated."""
+    sigma = p.sigma.tolist()
+    sd, lo, hi, flip = [], [], [], []
+    for i, (row, m, a, b) in enumerate(zip(sigma, p.mu.tolist(), box.lower.tolist(),
+                                           box.upper.tolist())):
+        if not row[i] > 0.0:  # also NaN
+            raise NotPSDError("scale matrix has a non-positive diagonal entry")
+        s = math.sqrt(row[i])
+        # +-inf stays +-inf; no NaNs possible since s > 0
+        a, b = (a - m) / s, (b - m) / s
+        f = reflect and a > 0.0
+        sd.append(s)
+        lo.append(-b if f else a)
+        hi.append(-a if f else b)
+        flip.append(f)
+    R = [[1.0] * len(sd) for _ in sd]
+    for i, row in enumerate(sigma):
+        for j in range(i):
+            r = row[j] / (sd[i] * sd[j])
+            R[i][j] = R[j][i] = -r if flip[i] != flip[j] else r
     return sd, R, lo, hi
-
-
-def _standard_interval(box: TruncationBox, p: NormalParams) -> tuple[float, float]:
-    """:func:`standardize` of a univariate box, on floats: the same doubles
-    for the limits, with no correlation matrix to form."""
-    var = float(p.sigma[0, 0])
-    if not var > 0.0:  # also NaN
-        raise NotPSDError("scale matrix has a non-positive diagonal entry")
-    sd, mu = math.sqrt(var), float(p.mu[0])
-    return (float(box.lower[0]) - mu) / sd, (float(box.upper[0]) - mu) / sd
 
 
 def mvn_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_QMC):
@@ -1021,28 +1024,18 @@ def mvn_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_QMC):
     cdf is small: ``Phi(hi) - Phi(lo)`` is ``1 - 1 = 0`` once ``lo`` passes
     ~8.3.
     """
-    if box.dim != p.dim:
+    n = p.dim
+    if box.dim != n:
         raise DimensionMismatchError("box and parameter dimensions differ")
-    _record(p.dim)
-    if p.dim == 1:
-        if box.lower[0] == -np.inf and box.upper[0] == np.inf:
-            return 1.0, 0.0
-        lo, hi = _standard_interval(box, p)
-        if lo > 0.0:
-            lo, hi = -hi, -lo
-        prob = std_cdf(hi) - std_cdf(lo)
-        return min(1.0, max(0.0, prob)), 0.0
+    _record(n)
     if box.is_unbounded():
         return 1.0, 0.0
-    _, R, lo, hi = standardize(box, p)
-    flip = lo > 0.0
-    if np.any(flip):
-        lo, hi = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
-        v = np.where(flip, -1.0, 1.0)
-        R = R * np.outer(v, v)
-    if p.dim <= 4:
-        return _corner_prob(_cdf(R.tolist()), lo, hi)
-    return _qmc_prob(R, lo, hi, cfg)
+    _, R, lo, hi = standardize(box, p, reflect=True)
+    if n == 1:
+        return min(1.0, max(0.0, std_cdf(hi[0]) - std_cdf(lo[0]))), 0.0
+    if n <= 4:
+        return _corner_prob(_cdf(R), lo, hi)
+    return _qmc_prob(np.array(R), np.array(lo), np.array(hi), cfg)
 
 
 def mvn_log_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_QMC) -> float:
@@ -1062,4 +1055,5 @@ def mvn_log_prob(box: TruncationBox, p: NormalParams, cfg: QmcConfig = DEFAULT_Q
         raise DimensionMismatchError(
             f"mvn_log_prob is univariate; got dimension {p.dim}")
     _record(1)
-    return _interval_log_prob(*_standard_interval(box, p))
+    _, _, (lo,), (hi,) = standardize(box, p)
+    return _interval_log_prob(lo, hi)

@@ -244,7 +244,7 @@ def tn_mgf_work(box: TruncationBox, p: NormalParams,
     entries are recycled from q and the off-diagonal row, which avoids any
     second-derivative integrals.
     """
-    sd, R, a, b = standardize(box, p)
+    sd, R, a, b = map(np.array, standardize(box, p))
     n = p.dim
     std = TnSession(TruncationBox._trusted(a, b), NormalParams._trusted(np.zeros(n), R), cfg)
     L, L_err = mvn_prob(std.box, std.params, cfg)

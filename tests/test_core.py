@@ -149,6 +149,22 @@ class TestConditionalNormal:
         np.testing.assert_allclose(
             cov, s[np.ix_(k, k)] - np.outer(s[k, 1], s[k, 1]) / s[1, 1], rtol=1e-14)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_regression_matches_ix_solve_bitwise(self, rng, dim):
+        # the gathers by np.ix_ and one solve, the formula the regression
+        # keeps bit for bit on one and on two conditioned-on coordinates
+        for _ in range(20):
+            s = random_spd(rng, dim) * 10.0 ** rng.uniform(-3.0, 3.0)
+            r = sorted(rng.choice(dim, size=1 + (dim > 2 and rng.random() < 0.3),
+                                  replace=False).tolist())
+            k = [i for i in range(dim) if i not in r]
+            s_rk = s[np.ix_(r, k)]
+            b = np.linalg.solve(s[np.ix_(r, r)], s_rk).T
+            want = (b, symmetrize(s[np.ix_(k, k)] - b @ s_rk))
+            got = core._regression(s, k, r)
+            assert [g.shape for g in got] == [w.shape for w in want]
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), (s, r)
+
     def test_zero_one_coordinate_block_raises(self):
         s = np.diag([1.0, 0.0, 2.0])
         with pytest.raises(SingularBlockError):

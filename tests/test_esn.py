@@ -34,22 +34,31 @@ from truncskew import (
 from conftest import FAST_QMC, random_esn_params, random_spd
 
 
+def _eta(pr: EsnParams, d) -> float:
+    """eta = phi(tau; 0, 1 + lam'lam) / xi, the factor in delta = eta sqrt(1 +
+    lam'lam) Delta, formed in log space from the derived log xi."""
+    n2 = 1.0 + float(pr.lam @ pr.lam)
+    return math.exp(-0.5 * (math.log(2.0 * math.pi * n2) + pr.tau * pr.tau / n2) - d.log_xi)
+
+
 class TestDerive:
     def test_normal_case(self):
-        d = esn_derive(EsnParams.normal([0.0, 1.0], np.eye(2)))
+        pr = EsnParams.normal([0.0, 1.0], np.eye(2))
+        d = esn_derive(pr)
         assert d.xi == 0.5
         np.testing.assert_array_equal(d.Delta, np.zeros(2))
         np.testing.assert_array_equal(d.Gamma, np.eye(2))
         np.testing.assert_array_equal(d.mu_b, np.zeros(2))
-        assert d.eta == pytest.approx(2 * 0.3989422804014327, abs=1e-14)
+        assert _eta(pr, d) == pytest.approx(2 * 0.3989422804014327, abs=1e-14)
 
     def test_scalar_skewed(self):
-        d = esn_derive(EsnParams(mu=[0.0], sigma=[[1.0]], lam=[1.0], tau=0.0))
+        pr = EsnParams(mu=[0.0], sigma=[[1.0]], lam=[1.0], tau=0.0)
+        d = esn_derive(pr)
         assert d.Delta[0] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
         assert d.Gamma[0, 0] == pytest.approx(0.5, abs=1e-15)
-        assert d.eta == pytest.approx(1 / math.sqrt(math.pi), abs=1e-14)
+        assert _eta(pr, d) == pytest.approx(1 / math.sqrt(math.pi), abs=1e-14)
         # delta = eta * sqrt(1 + lam'lam) * Delta
-        assert d.delta[0] == pytest.approx(d.eta * math.sqrt(2) * d.Delta[0], abs=1e-14)
+        assert d.delta[0] == pytest.approx(_eta(pr, d) * math.sqrt(2) * d.Delta[0], abs=1e-14)
         assert d.delta[0] == pytest.approx(1 / math.sqrt(math.pi), abs=1e-14)
 
     def test_delta_consistency_random(self, rng):
@@ -57,7 +66,7 @@ class TestDerive:
             pr = random_esn_params(rng, p)
             d = esn_derive(pr)
             np.testing.assert_allclose(
-                d.delta, d.eta * math.sqrt(d.lam_norm2) * d.Delta, rtol=1e-12)
+                d.delta, _eta(pr, d) * math.sqrt(1.0 + pr.lam @ pr.lam) * d.Delta, rtol=1e-12)
             assert np.linalg.eigvalsh(d.Gamma)[0] > 0
             assert 0.0 < d.xi <= 1.0
 
@@ -66,7 +75,7 @@ class TestDerive:
         d = esn_derive(pr)
         assert d.xi == 0.0  # linear channel underflows
         assert d.log_xi == pytest.approx(-804.6084420137538, abs=1e-9)
-        assert math.isfinite(d.eta)
+        assert math.isfinite(_eta(pr, d))
 
 
 @pytest.fixture
@@ -124,7 +133,7 @@ class TestDeriveOnce:
         fresh = esn_derive(pr)
         for field in ("varphi", "Delta", "delta", "mu_b", "Gamma"):
             np.testing.assert_array_equal(getattr(d, field), getattr(fresh, field))
-        assert (d.xi, d.eta, d.hidden) == (fresh.xi, fresh.eta, fresh.hidden)
+        assert (d.xi, d.log_xi, d.hidden) == (fresh.xi, fresh.log_xi, fresh.hidden)
 
     @pytest.mark.parametrize("field", ["mu", "sigma", "lam"])
     def test_law_arrays_are_read_only(self, rng, field):

@@ -1,5 +1,6 @@
 """Importing the package or its command line loads numpy only: no module of
-``scipy`` and no ``jsonschema``.  The scalar normal cdfs run on ``math.erf``
+``scipy``, no ``jsonschema`` and not ``numpy.random``, which the samplers
+reach only when called.  The scalar normal cdfs run on ``math.erf``
 / ``math.erfc``, the kernels on their own quadrature rule and numpy's FFT,
 and requests are checked by the CLI's own schema interpreter.  Three callers
 import from scipy when first called: the lattice kernel (dim >= 5) and the
@@ -15,7 +16,7 @@ import pytest
 _CHECK = """
 import json, math, sys
 import {module}
-loaded = sorted(m for m in ("scipy.integrate", "scipy.fft") if m in sys.modules)
+loaded = sorted(m for m in ("scipy.integrate", "scipy.fft", "numpy.random") if m in sys.modules)
 from truncskew.oracle import quad_oracle_1d
 value = quad_oracle_1d(math.exp, 0.0, 1.0)
 print(json.dumps({{"loaded": loaded, "value": value,

@@ -25,6 +25,7 @@ from truncskew import (
     tesn_prob_with_error,
 )
 from truncskew import mvn
+from truncskew.core import symmetrize
 from truncskew.errors import DimensionMismatchError, NotPSDError
 from truncskew.esn import esn_cdf, esn_derive, esn_limit_params, esn_pdf
 from truncskew.oracle import quad_oracle_1d, quad_oracle_2d
@@ -537,7 +538,7 @@ def test_qmc_kernel_matches_reference_bitwise(rng):
                 A[:, -1] = A[:, 0]
             S = A @ A.T + (0.0 if singular else 0.3) * np.eye(n)
             sd = np.sqrt(np.diag(S))
-            R = mvn.symmetrize(S / np.outer(sd, sd))
+            R = symmetrize(S / np.outer(sd, sd))
             np.fill_diagonal(R, 1.0)
             lo = rng.normal(size=n) - 1.0
             hi = lo + rng.uniform(0.2, 3.0, size=n)
@@ -559,6 +560,47 @@ def test_univariate_kernel_matches_standardize_bitwise(rng):
         a, b = (-b, -a) if a > 0.0 else (a, b)
         prob = std_cdf(b) - std_cdf(a)
         assert mvn_prob(box, p) == (min(1.0, max(0.0, prob)), 0.0)
+
+
+def _standardize_reference(box, p, reflect):
+    """The array formula :func:`mvn.standardize` replaces: limits under
+    ``errstate``, ``R`` symmetrized with a unit diagonal, and the reflection
+    of coordinates above 0 by ``np.where`` and the signs' outer product."""
+    sd = np.sqrt(np.diag(p.sigma))
+    with np.errstate(invalid="ignore"):
+        lo = (box.lower - p.mu) / sd
+        hi = (box.upper - p.mu) / sd
+    R = symmetrize(p.sigma / np.outer(sd, sd))
+    np.fill_diagonal(R, 1.0)
+    if reflect:
+        flip = lo > 0.0
+        lo, hi = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
+        v = np.where(flip, -1.0, 1.0)
+        R = R * np.outer(v, v)
+    return sd, R, lo, hi
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_standardize_matches_array_formula_bitwise(rng, dim):
+    # scales from 1e-3 to 1e3, exact zero covariances (whose sign a reflection
+    # flips), infinite limits, intervals above 0 and limits beyond +-40 sd
+    for _ in range(100):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, dim)
+        sigma = random_spd(rng, dim) * np.outer(scale, scale)
+        sigma[np.triu(rng.random((dim, dim)) < 0.2, 1)] = 0.0
+        sigma = np.triu(sigma) + np.triu(sigma, 1).T
+        mu = rng.normal(size=dim) * scale
+        lo = rng.normal(size=dim) * 3.0 + rng.choice([0.0, 45.0, -60.0], size=dim)
+        hi = lo + rng.choice([0.5, 3.0, 50.0], size=dim)
+        lo[rng.random(dim) < 0.25] = -np.inf
+        hi[rng.random(dim) < 0.25] = np.inf
+        box = TruncationBox(mu + lo * np.sqrt(np.diag(sigma)), mu + hi * np.sqrt(np.diag(sigma)))
+        p = NormalParams(mu, sigma)
+        for reflect in (False, True):
+            got = mvn.standardize(box, p, reflect=reflect)
+            want = _standardize_reference(box, p, reflect)
+            for g, w in zip(got, want):
+                assert np.array(g).tobytes() == w.tobytes(), (sigma, mu, box, reflect)
 
 
 class TestLatticeGenerator:
@@ -818,7 +860,7 @@ def _qvn_case(rng, kind):
         a[n] = rng.choice([-1.0, 1.0]) * a[m] + 10.0 ** rng.uniform(-7.0, -4.5) * a[n]
     s = a @ a.T
     sd = np.sqrt(np.diag(s))
-    R = mvn.symmetrize(s / np.outer(sd, sd))
+    R = symmetrize(s / np.outer(sd, sd))
     np.fill_diagonal(R, 1.0)
     lo = rng.normal(scale=1.5, size=4) - 1.0
     hi = lo + rng.uniform(0.2, 3.0, size=4)
@@ -939,7 +981,7 @@ class TestQuadrivariate:
             perm = rng.permutation(4)
             s = (t @ c @ t.T)[np.ix_(perm, perm)]
             sd = np.sqrt(np.diag(s))
-            R = mvn.symmetrize(s / np.outer(sd, sd))
+            R = symmetrize(s / np.outer(sd, sd))
             np.fill_diagonal(R, 1.0)
             lo = rng.standard_normal(4) - 1.0
             hi = lo + rng.uniform(0.5, 2.5, size=4)
@@ -971,7 +1013,7 @@ def _pivot_case(rng, dim, kind):
             a[-1] = rng.choice([-1.0, 1.0]) * a[0] + 1e-9 * rng.normal(size=dim + 2)
         s = a @ a.T
         sd = np.sqrt(np.diag(s))
-        R = mvn.symmetrize(s / np.outer(sd, sd))
+        R = symmetrize(s / np.outer(sd, sd))
         if kind == "near-singular":
             # x_last = r x_0 + sqrt(1 - r^2) z, z independent: 1 - |r| = 1e-12
             r = rng.choice([-1.0, 1.0]) * (1.0 - 1e-12)
@@ -1048,7 +1090,7 @@ def _batch_case(rng, dim, kind):
         a = rng.normal(size=(3, 5))
         s = a @ a.T
         sd = np.sqrt(np.diag(s))
-        R = mvn.symmetrize(s / np.outer(sd, sd))
+        R = symmetrize(s / np.outer(sd, sd))
         np.fill_diagonal(R, 1.0)
         lo = rng.normal(scale=1.5, size=3) - 1.0
         hi = lo + rng.uniform(0.2, 3.0, size=3)
