@@ -7,6 +7,7 @@ all functions are pure and never mutate their inputs.  Coordinate indices are
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -202,3 +203,40 @@ def _regression(S: np.ndarray, k: list[int], r: list[int]) -> tuple[np.ndarray, 
     # solve, not S_rk / S_rr: for 1x1 S_rr OpenBLAS multiplies by its reciprocal on 2+ columns
     B = np.linalg.solve(S_rr, S_rk).T
     return B, symmetrize(S[k][:, k] - B @ S_rk)
+
+
+class _SliceGeometry:
+    """The slices of a covariance ``S`` within one public call.  The node of
+    the slice x_j holds the regression of the others on x_j, ``b = S[others,
+    j] / S[j, j]``, and the residual covariance as its ``S``, which neither
+    the side nor the point of the slice moves: both sides of a slice and
+    their subtrees share it.  With the ``Delta`` and ``Gamma`` of a selection
+    form, a node also holds the slice's ``s = sqrt(1 - Delta_j^2 / S_jj)``,
+    ``Delta' = (Delta_others - b Delta_j) / s`` and ``Gamma'``, and
+    ``companion`` is the geometry of Gamma.  The nodes given one
+    ``regressions`` memo regress a covariance once per coordinate (the
+    reflected laws of a folded sum repeat covariances)."""
+
+    def __init__(self, S, Delta=None, Gamma=None, b=None, s: float = 1.0, regressions=None):
+        self.S, self.Delta, self.Gamma, self.b, self.s = S, Delta, Gamma, b, s
+        self._regressions = {} if regressions is None else regressions
+        self._slices: dict[int, "_SliceGeometry"] = {}
+
+    def slice(self, j: int) -> "_SliceGeometry":
+        if j not in self._slices:
+            others = [k for k in range(len(self.S)) if k != j]
+            key = self.S.tobytes(), j
+            if key not in self._regressions:
+                self._regressions[key] = _regression(self.S, others, [j])
+            B, S = self._regressions[key]
+            Delta, Gamma, s = None, None, 1.0
+            if self.Delta is not None:
+                s = math.sqrt(1.0 - self.Delta[j] ** 2 / self.S[j, j])
+                Delta = (self.Delta[others] - B[:, 0] * self.Delta[j]) / s
+                Gamma = symmetrize(S - np.outer(Delta, Delta))
+            self._slices[j] = _SliceGeometry(S, Delta, Gamma, B[:, 0], s, self._regressions)
+        return self._slices[j]
+
+    @cached_property
+    def companion(self) -> "_SliceGeometry":
+        return _SliceGeometry(self.Gamma, regressions=self._regressions)

@@ -1,12 +1,15 @@
 """Extended skew-normal distribution.
 
-Density, cdf, derived constants, marginal / conditional parameter maps
-(each from one Gaussian regression, ``core._regression``), closed-form
-untruncated moments, the limiting normal parameters for large negative
-shift, and seeded sampling.
+Density, cdf, derived constants, marginal / conditional parameter maps,
+closed-form untruncated moments, the limiting normal parameters for large
+negative shift, and seeded sampling.
 
-Each law derives its constants (:class:`EsnDerived`) once, on first use, as
-:attr:`EsnParams.derived`, where every routine reads them.
+Each law derives its constants (:class:`EsnDerived`) once, as
+:attr:`EsnParams.derived`, where every routine reads them: by one matrix root
+for a law given by ``(mu, sigma, lam, tau)`` (:func:`esn_derive`), by none
+for the slices, marginals, conditionals and reflections the library builds,
+which carry their selection form ``(mu, sigma, Delta, tau_tilde)``
+(:func:`_selection_law`) and compute ``lam`` and ``tau`` only when read.
 
 Every skewed rectangle task is carried by one normal task, the
 :class:`NormalReduction` of :func:`reduce_to_normal`: :func:`augment` where
@@ -69,6 +72,7 @@ __all__ = [
 ]
 
 _TAU_TILDE_LIMIT = -35.0  # below it, a law drops its hidden coordinate for the limiting normal
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -94,14 +98,6 @@ class EsnParams:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "tau", tau)
 
-    @classmethod
-    def _trusted(cls, mu, sigma, lam, tau: float) -> "EsnParams":
-        """The law of fresh float arrays of matching shapes, ``sigma``
-        exactly symmetric, made read-only in place (:func:`_unchecked`)."""
-        for arr in (mu, sigma, lam):
-            arr.flags.writeable = False
-        return _unchecked(cls, mu, sigma, lam, tau)
-
     @property
     def dim(self) -> int:
         return self.mu.shape[0]
@@ -117,13 +113,42 @@ class EsnParams:
         return cls(mu=mu, sigma=sigma, lam=np.zeros(mu.shape[0]), tau=0.0)
 
 
+class _SelectionLaw(EsnParams):
+    """A law of :func:`_selection_law`, whose ``lam = sigma^{1/2} varphi``
+    (one root) and ``tau = tau_tilde sqrt(1 + varphi' sigma varphi)`` are
+    computed on first read."""
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        lam = _sym_sqrt(self.sigma) @ self.derived.varphi
+        lam.flags.writeable = False
+        return lam
+
+    @cached_property
+    def tau(self) -> float:
+        varphi = self.derived.varphi
+        return self.derived.tau_tilde * math.sqrt(1.0 + float(varphi @ self.sigma @ varphi))
+
+
+def _selection_law(mu, sigma, Delta, Gamma, tau_tilde: float) -> EsnParams:
+    """The law of mu + X given U <= tau_tilde, (X, U) normal with Cov(X) =
+    ``sigma``, Var(U) = 1 and Cov(X, U) = -``Delta`` (Arellano-Valle &
+    Azzalini 2006), and ``Gamma = sigma - Delta Delta'``: float arrays,
+    ``sigma`` and ``Gamma`` exactly symmetric, made read-only in place."""
+    mu.flags.writeable = sigma.flags.writeable = False
+    law = _unchecked(_SelectionLaw, mu, sigma)
+    law.__dict__["derived"] = _derived(Delta, Gamma, tau_tilde)
+    return law
+
+
 @dataclass(frozen=True)
 class EsnDerived:
     """Constants derived from :class:`EsnParams`, shared by all algorithms.
 
-    ``delta = eta * sqrt(1 + lam'lam) * Delta`` holds by construction, with
-    ``eta = phi(tau; 0, 1 + lam'lam) / xi``;
-    ``Gamma = sigma - Delta Delta'`` is positive definite whenever sigma is.
+    With the hidden coordinate U of :func:`_selection_law`, ``delta = r
+    Delta`` with r = phi(tau_tilde) / Phi(tau_tilde) the Mills ratio, ``mu_b =
+    tau_tilde Delta`` and ``Gamma = Cov(X | U)``, positive definite whenever
+    sigma is; none takes a root.
 
     ``hidden`` is the one decision on the hidden coordinate of the
     hidden-truncation representation: it is kept only when lam != 0 and
@@ -135,38 +160,39 @@ class EsnDerived:
     tau_tilde: float          # tau / sqrt(1 + lam' lam)
     xi: float                 # Phi(tau_tilde), in (0, 1]
     log_xi: float             # log Phi(tau_tilde), finite far into the tail
-    varphi: np.ndarray        # the slant sigma^{-1/2} lam
     Delta: np.ndarray         # sigma^{1/2} lam / sqrt(1 + lam'lam)
-    delta: np.ndarray         # eta * sigma^{1/2} lam
+    delta: np.ndarray         # r Delta, r the Mills ratio at tau_tilde
     mu_b: np.ndarray          # tau_tilde * Delta
     Gamma: np.ndarray         # sigma - Delta Delta'
     hidden: bool
 
+    @cached_property
+    def varphi(self) -> np.ndarray:
+        """The slant sigma^{-1/2} lam = u / sqrt(1 + Delta'u), u = Gamma^{-1}
+        Delta (:func:`esn_derive` sets it from its root)."""
+        u = np.linalg.solve(self.Gamma, self.Delta)
+        return u / math.sqrt(1.0 + float(self.Delta @ u))
+
+
+def _derived(Delta: np.ndarray, Gamma: np.ndarray, tau_tilde: float) -> EsnDerived:
+    """The constants of a selection form, the normalizer and the Mills ratio
+    formed in log space so the far-left-tail regime stays finite."""
+    log_xi = log_std_cdf(tau_tilde)
+    mills = math.exp(-0.5 * (_LOG_2PI + tau_tilde * tau_tilde) - log_xi)
+    hidden = bool(np.any(Delta)) and tau_tilde >= _TAU_TILDE_LIMIT
+    return _unchecked(EsnDerived, tau_tilde, math.exp(log_xi), log_xi, Delta, mills * Delta,
+                      tau_tilde * Delta, Gamma, hidden)
+
 
 def esn_derive(p: EsnParams) -> EsnDerived:
-    """All derived constants; the normalizer is kept in log space so the
-    far-left-tail regime stays finite."""
+    """The constants of a law given by ``(mu, sigma, lam, tau)``: ``Delta``
+    and the slant from one eigendecomposition of sigma."""
     lam_norm2 = 1.0 + float(p.lam @ p.lam)
-    tau_tilde = p.tau / math.sqrt(lam_norm2)
-    log_xi = log_std_cdf(tau_tilde)
-    xi = math.exp(log_xi)
-    # eta = phi(tau; 0, lam_norm2) / xi, formed in log space
-    log_phi_tau = -0.5 * (math.log(2.0 * math.pi * lam_norm2) + p.tau * p.tau / lam_norm2)
-    eta = math.exp(log_phi_tau - log_xi)
     sigma_sqrt, sigma_inv_sqrt = _sym_roots(p.sigma)
-    root_lam = sigma_sqrt @ p.lam
-    Delta = root_lam / math.sqrt(lam_norm2)
-    return EsnDerived(
-        tau_tilde=tau_tilde,
-        xi=xi,
-        log_xi=log_xi,
-        varphi=sigma_inv_sqrt @ p.lam,
-        Delta=Delta,
-        delta=eta * root_lam,
-        mu_b=tau_tilde * Delta,
-        Gamma=symmetrize(p.sigma - np.outer(Delta, Delta)),
-        hidden=bool(np.any(p.lam)) and tau_tilde >= _TAU_TILDE_LIMIT,
-    )
+    Delta = sigma_sqrt @ p.lam / math.sqrt(lam_norm2)
+    d = _derived(Delta, symmetrize(p.sigma - np.outer(Delta, Delta)), p.tau / math.sqrt(lam_norm2))
+    d.__dict__["varphi"] = sigma_inv_sqrt @ p.lam
+    return d
 
 
 class NormalReduction(NamedTuple):
@@ -226,7 +252,7 @@ def reduce_to_normal(box: TruncationBox, p: EsnParams) -> NormalReduction:
         return augment(p, box)
     if box.dim != p.dim:
         raise DimensionMismatchError("box and parameter dimensions differ")
-    corrections = ("limit-tau",) if np.any(p.lam) else ()
+    corrections = ("limit-tau",) if np.any(p.derived.Delta) else ()
     return NormalReduction(box, esn_limit_params(p), False, 1.0, corrections)
 
 
@@ -261,23 +287,22 @@ def esn_cdf(y, p: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> float:
 
 def esn_marginal(p: EsnParams, keep: PartitionIndex) -> EsnParams:
     """Parameters of the kept sub-vector (the family is closed under
-    marginalization)."""
+    marginalization): subsets of the selection form, tau_tilde kept."""
     if keep.dim != p.dim:
         raise DimensionMismatchError("partition does not match dimension")
     one = list(keep.kept)
-    two = list(keep.removed)
-    if not two:
+    if not keep.removed:
         return p
-    B, S = _regression(p.sigma, two, one)
-    phi2 = p.derived.varphi[two]
-    c = 1.0 / math.sqrt(1.0 + float(phi2 @ (S @ phi2)))
-    S11 = p.sigma[np.ix_(one, one)]
-    lam1 = c * (_sym_sqrt(S11) @ (p.derived.varphi[one] + B.T @ phi2))
-    return EsnParams._trusted(p.mu[one], S11, lam1, c * p.tau)
+    d = p.derived
+    return _selection_law(p.mu[one], p.sigma[one][:, one], d.Delta[one], d.Gamma[one][:, one],
+                          d.tau_tilde)
 
 
 def esn_conditional(p: EsnParams, given: PartitionIndex, value) -> EsnParams:
-    """Parameters of the kept sub-vector given ``x[removed] = value``."""
+    """Parameters of the kept sub-vector given ``x[removed] = value``: one
+    regression of the kept coordinates on the removed ones, and U given
+    them, mean ``-a'(value - mu_removed)`` (``a = sigma_removed^{-1}
+    Delta_removed``) and variance ``s^2 = 1 - Delta_removed' a``, rescaled."""
     if given.dim != p.dim:
         raise DimensionMismatchError("partition does not match dimension")
     one = list(given.removed)
@@ -285,11 +310,14 @@ def esn_conditional(p: EsnParams, given: PartitionIndex, value) -> EsnParams:
     value = as_vector(value, dim=len(one))
     if not one:
         return p
+    d = p.derived
     B, S = _regression(p.sigma, two, one)
-    phi2 = p.derived.varphi[two]
+    a = np.linalg.solve(p.sigma[one][:, one], d.Delta[one])
+    s = math.sqrt(1.0 - float(d.Delta[one] @ a))
     dev = value - p.mu[one]
-    tau = p.tau + float((p.derived.varphi[one] + B.T @ phi2) @ dev)
-    return EsnParams._trusted(p.mu[two] + B @ dev, S, _sym_sqrt(S) @ phi2, tau)
+    Delta = (d.Delta[two] - B @ d.Delta[one]) / s
+    return _selection_law(p.mu[two] + B @ dev, S, Delta, symmetrize(S - np.outer(Delta, Delta)),
+                          (d.tau_tilde + float(a @ dev)) / s)
 
 
 # ----------------------------------------------------------------------------

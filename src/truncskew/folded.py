@@ -2,8 +2,8 @@
 
 A fold is a sum over the 2^p sign patterns s of the reflected laws; the
 extended skew-normal family is closed under reflection (only mu, the
-off-diagonal scale entries, and lam flip; the shift and the normalizer are
-invariant).  Moments reduce to positive-orthant integrals, available through
+off-diagonal scale entries, and lam or Delta flip; the shift and the
+normalizer are invariant).  Moments reduce to positive-orthant integrals, available through
 the direct recurrence (:func:`fesn_ik`), the normal reduction of each
 reflected law, or -- for the first two moments -- explicit formulas that
 collapse the sign sum to a handful of univariate and bivariate evaluations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PartitionIndex, _regression, symmetrize
+from .core import PartitionIndex, _regression, _SliceGeometry, symmetrize
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
@@ -40,6 +40,7 @@ from .errors import (
 )
 from .esn import (
     EsnParams,
+    _selection_law,
     esn_cdf,
     esn_limit_params,
     esn_logpdf,
@@ -110,12 +111,19 @@ def sign_patterns(dim: int):
 
 
 def flip_params(p: EsnParams, s: SignPattern) -> EsnParams:
-    """Parameters of Lambda_s X: the family is closed under reflections, with
-    the shift invariant."""
+    """Parameters of Lambda_s X, in the selection form with no matrix root:
+    the signs of mu, of Delta and of the off-diagonal entries of sigma and
+    Gamma flip, and tau_tilde stays."""
     if len(s.s) != p.dim:
         raise DimensionMismatchError("sign pattern length does not match dim")
     v = s.vec
-    return EsnParams._trusted(v * p.mu, symmetrize(p.sigma * np.outer(v, v)), v * p.lam, p.tau)
+    flip = np.outer(v, v)
+    d = p.derived
+    law = _selection_law(v * p.mu, p.sigma * flip, v * d.Delta, d.Gamma * flip, d.tau_tilde)
+    if "lam" in vars(p):  # a lam and tau already known reflect exactly, with no root
+        law.__dict__.update(lam=v * p.lam, tau=p.tau)
+        law.lam.flags.writeable = False
+    return law
 
 
 def _require_nonnegative(y, dim: int) -> np.ndarray:
@@ -221,7 +229,8 @@ def _pattern_fks(p: EsnParams, method: str, cfg: QmcConfig, kappas):
     :func:`reduce_to_normal`, whose F_0 is the unnormalized mass (the result
     is divided by xi).  All of them, and the companion normals of those that
     are a ``TesnSession``, take their edge children from one slice cache
-    (:class:`~truncskew.tn.RecurrenceSession`).
+    (:class:`~truncskew.tn.RecurrenceSession`) and their regressions from
+    one memo (:class:`~truncskew.core._SliceGeometry`).
     """
     if method not in ("orthant-sum", "normal-reduction"):
         raise ValueError(f"unknown method {method!r}")
@@ -236,10 +245,14 @@ def _pattern_fks(p: EsnParams, method: str, cfg: QmcConfig, kappas):
     # weak: every session holds the cache, and each child is held by the
     # session that built it, so the trees are freed without a cycle
     slices = weakref.WeakValueDictionary()
+    # patterns s and -s reflect to one covariance: their trees share its regressions
+    regressions = {}
     for s in sign_patterns(n):
         flipped = flip_params(p, s)
         if method == "orthant-sum":
-            session = _session(orthant, flipped, cfg)
+            d = flipped.derived
+            geometry = _SliceGeometry(flipped.sigma, d.Delta, d.Gamma, regressions=regressions)
+            session = _session(orthant, flipped, cfg, geometry)
             session._share(slices, "main", (), tuple(range(n)), s.s)
             session.table[zero] = masses[s][0] / red.xi
             if red.hidden:
@@ -247,7 +260,8 @@ def _pattern_fks(p: EsnParams, method: str, cfg: QmcConfig, kappas):
             fks.append(session.fk)
         else:
             red_s = reduce_to_normal(orthant, flipped)
-            session = TnSession(red_s.box, red_s.params, cfg)
+            session = TnSession(red_s.box, red_s.params, cfg,
+                                _SliceGeometry(red_s.params.sigma, regressions=regressions))
             # the hidden coordinate is never reflected
             session._share(slices, "main", (), tuple(range(red_s.box.dim)),
                            s.s + (1,) * red_s.hidden)

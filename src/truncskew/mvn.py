@@ -666,10 +666,11 @@ def _path_terms(R: list, i: int, order: tuple):
 
 def _cdf(R: list):
     """The cdf of a standard normal ``X`` of dimension 0 to 4 with
-    correlation ``R``: a function mapping an ``(m, n)`` array of upper
-    limits, finite or +inf, to the ``m`` values ``P(X <= h)`` of its rows and
-    their absolute error estimates.  What depends on ``R`` alone is set up
-    once, here, and the rows of a call are evaluated together.
+    correlation ``R``: a function mapping ``m`` rows of upper limits (a list
+    of tuples of floats, finite or +inf) to the ``m`` values ``P(X <= h)``
+    and their absolute error estimates, two arrays (two tuples of floats at
+    dimension 2).  What depends on ``R`` alone is set up once, here, and the
+    rows of a call are evaluated together.
 
     Dimension 1 is Phi and dimension 2 :func:`_bvn_with_error`.  Above that,
     a limit of +inf drops its coordinate, and a pair correlated within 1e-15
@@ -694,9 +695,10 @@ def _cdf(R: list):
     """
     n = len(R)
     if n <= 1:
-        return lambda H: (_PHI(H[:, 0]).astype(float) if n else np.ones(len(H)), np.zeros(len(H)))
+        return lambda H: (_PHI([h[0] for h in H]).astype(float) if n else np.ones(len(H)),
+                          np.zeros(len(H)))
     if n == 2:
-        return lambda H: np.array([_bvn_with_error(h, k, R[0][1]) for h, k in H.tolist()]).T
+        return lambda H: tuple(zip(*[_bvn_with_error(h, k, R[0][1]) for h, k in H]))
     subs = {}
 
     def sub(keep, H):
@@ -705,10 +707,8 @@ def _cdf(R: list):
             subs[keep] = _cdf([[R[a][b] for b in keep] for a in keep])
         first = {}
         inv = [first.setdefault(tuple(row), len(first)) for row in H.tolist()]
-        if len(first) == len(inv):
-            return subs[keep](H)
-        val, err = subs[keep](np.array(list(first)).reshape(len(first), len(keep)))
-        return val[inv], err[inv]
+        val, err = map(np.asarray, subs[keep](list(first)))
+        return (val, err) if len(first) == len(inv) else (val[inv], err[inv])
 
     i = min(range(n), key=lambda j: math.fsum(map(abs, R[j])))
     order = tuple((i + m) % n for m in range(1, n))
@@ -745,6 +745,7 @@ def _cdf(R: list):
                 p1 * e0 + (_TVN_REL_ERR * size + err) / (2.0 * math.pi) + gaps)
 
     def cdf(H):
+        H = np.array(H)
         finite = H < math.inf
         if finite.all():
             return finite_cdf(H)
@@ -761,8 +762,8 @@ def _cdf(R: list):
 
 def _corner_prob(cdf, lo: list, hi: list) -> tuple[float, float]:
     """Rectangle probability by inclusion-exclusion over the corners whose
-    lower limits are finite, ``cdf`` mapping the corners, the rows of one
-    array, to their cdf values and error estimates; the estimates add up.
+    lower limits are finite, ``cdf`` mapping the corners, a list of tuples,
+    to their cdf values and error estimates; the estimates add up.
     Limits beyond 40 are infinite: Phi is 0 or 1 there in double precision,
     and the cdfs square their limits, which overflows from about 1e154 on.
     """
@@ -772,12 +773,12 @@ def _corner_prob(cdf, lo: list, hi: list) -> tuple[float, float]:
             return 0.0, 0.0
         h = math.inf if h >= _PHI_SATURATES else h
         limits.append((h, l) if l > -_PHI_SATURATES else (h,))
-    vals, errs = cdf(np.array(list(itertools.product(*limits))))
+    vals, errs = cdf(list(itertools.product(*limits)))
     prob = err = 0.0
     signs = itertools.product(*((1.0, -1.0)[:len(x)] for x in limits))
-    for sign, val, e in zip(signs, vals.tolist(), errs.tolist()):
-        prob += math.prod(sign) * val
-        err += e
+    for sign, val, e in zip(signs, vals, errs):
+        prob += math.prod(sign) * float(val)
+        err += float(e)
     return min(1.0, max(0.0, prob)), err
 
 

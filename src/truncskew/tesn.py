@@ -7,10 +7,10 @@ Two interchangeable engines:
   companion normal integrals at the limiting parameters (mu - mu_b, Gamma),
   and per-coordinate boundary terms: the slice map of x_j (:func:`_slice_map`)
   factors each into the edge density phi(t) Phi(tau_tilde') / Phi(tau_tilde)
-  and a (p-1)-dimensional problem on the slice law, with no marginal law
-  built; a law without a hidden coordinate gets a :class:`TnSession`
-  instead (:func:`_session`).  Every constant of a law is read from
-  ``EsnParams.derived``, derived once per law.
+  and a (p-1)-dimensional problem on the slice law, in its selection form
+  with no matrix root; a law without a hidden coordinate gets a
+  :class:`TnSession` instead (:func:`_session`).  Every constant of a law is
+  read from ``EsnParams.derived``, derived once per law.
 * :func:`tesn_fk_via_normal` -- one truncated-normal moment of the normal
   of :func:`~truncskew.esn.reduce_to_normal`, divided by its xi.
 
@@ -27,9 +27,9 @@ import math
 
 import numpy as np
 
-from .core import _regression, _sym_sqrt, symmetrize
+from .core import _SliceGeometry, symmetrize
 from .errors import DimensionMismatchError
-from .esn import EsnParams, NormalReduction, esn_limit_params, reduce_to_normal
+from .esn import EsnParams, NormalReduction, _selection_law, esn_limit_params, reduce_to_normal
 from .moments import FirstTwoMoments, MultiIndex, as_multi_index
 from .mvn import DEFAULT_QMC, QmcConfig, TruncationBox, log_std_cdf, mvn_prob
 from .tn import (
@@ -61,35 +61,34 @@ def edge_conditional(p: EsnParams, j: int, t: float) -> tuple[float, EsnParams |
     +-inf carries no mass: (0.0, None)."""
     if np.isinf(t):
         return 0.0, None
-    density, law = _slice_map(p, j, lambda law: law)(t)
+    geometry = _SliceGeometry(p.sigma, p.derived.Delta, p.derived.Gamma)
+    density, law = _slice_map(p, j, geometry, lambda law, sub: law)(t)
     return density, None if law is None else law()
 
 
-def _slice_map(p: EsnParams, j: int, child):
-    """The slice map of x_j, from one regression of the other coordinates on
-    x_j: t -> (the density of x_j at t, a maker of ``child`` of the law of
-    the others given x_j = t; None at p = 1).  That law has the shift
-    tau' = tau + w (t - mu_j), normalized to tau_tilde' = c tau'.  The
-    marginal of x_j has the selection argument c tau' and the tau_tilde of
-    the whole law, so its density at t is phi(t; mu_j, sigma_jj)
-    Phi(tau_tilde') / Phi(tau_tilde), formed in log space."""
+def _slice_map(p: EsnParams, j: int, geometry: _SliceGeometry, child):
+    """The slice map of x_j: t -> (the density of x_j at t, a maker of
+    ``child(law, node)`` of the law of the others given x_j = t and its node
+    in ``geometry``, the law's slice geometry; None at p = 1).  The node
+    holds what t does not move; the law adds the location mu_others + b (t -
+    mu_j) and the shift tau_tilde' = (tau_tilde + Delta_j (t - mu_j) / S_jj)
+    / s.  The density is phi(t; mu_j, S_jj) Phi(tau_tilde') / Phi(tau_tilde).
+    """
     d = p.derived
+    sub = geometry.slice(j)
     mu_j, var_j = float(p.mu[j]), float(p.sigma[j, j])
     others = [k for k in range(p.dim) if k != j]
-    B, S = _regression(p.sigma, others, [j])
-    b, phi2 = B[:, 0], d.varphi[others]
-    w = float(d.varphi[j] + b @ phi2)
-    c = 1.0 / math.sqrt(1.0 + float(phi2 @ (S @ phi2)))
-    lam = _sym_sqrt(S) @ phi2 if others else None
+    slope = float(d.Delta[j]) / var_j
     log_norm = -0.5 * math.log(2.0 * math.pi * var_j) - d.log_xi
 
     def at(t: float):
         dev = t - mu_j
-        shift = p.tau + w * dev
-        density = math.exp(log_norm - 0.5 * dev * dev / var_j + log_std_cdf(c * shift))
+        tau_tilde = (d.tau_tilde + slope * dev) / sub.s
+        density = math.exp(log_norm - 0.5 * dev * dev / var_j + log_std_cdf(tau_tilde))
         if not others:
             return density, None
-        return density, lambda: child(EsnParams._trusted(p.mu[others] + b * dev, S, lam, shift))
+        return density, lambda: child(_selection_law(p.mu[others] + sub.b * dev, sub.S, sub.Delta,
+                                                     sub.Gamma, tau_tilde), sub)
 
     return at
 
@@ -118,11 +117,13 @@ class TesnSession(RecurrenceSession):
     """
 
     def __init__(self, box: TruncationBox, params: EsnParams,
-                 cfg: QmcConfig = DEFAULT_QMC):
-        if not params.derived.hidden:
+                 cfg: QmcConfig = DEFAULT_QMC, geometry: _SliceGeometry | None = None):
+        d = params.derived
+        if not d.hidden:
             raise ValueError("no hidden coordinate: use TnSession(box, esn_limit_params(p))")
-        super().__init__(box, params, cfg)
-        self.normal = TnSession(box, esn_limit_params(params), cfg)
+        geometry = geometry or _SliceGeometry(params.sigma, d.Delta, d.Gamma)
+        super().__init__(box, params, cfg, geometry)
+        self.normal = TnSession(box, esn_limit_params(params), cfg, geometry.companion)
 
     def _prob(self) -> float:
         return tesn_prob(self.box, self.params, self.cfg)
@@ -134,16 +135,19 @@ class TesnSession(RecurrenceSession):
     def _slicer(self, j: int):
         # the slice law is built only on a slice-cache miss
         box, cfg = self.box.drop(j), self.cfg
-        return _slice_map(self.params, j, lambda law: _session(box, law, cfg))
+        return _slice_map(self.params, j, self._geometry,
+                          lambda law, sub: _session(box, law, cfg, sub))
 
     def _companion(self, i: int, low: MultiIndex) -> float:
         return self.params.derived.delta[i] * self.normal._fk(low)
 
 
-def _session(box: TruncationBox, p: EsnParams,
-             cfg: QmcConfig = DEFAULT_QMC) -> RecurrenceSession:
+def _session(box: TruncationBox, p: EsnParams, cfg: QmcConfig = DEFAULT_QMC,
+             geometry: _SliceGeometry | None = None) -> RecurrenceSession:
     """The recurrence session of a law: a :class:`TesnSession` where it keeps
     its hidden coordinate, else a :class:`TnSession` on N(mu - mu_b, Gamma).
+    ``geometry`` is the law's slice geometry (None at a root); a
+    :class:`TnSession` takes its companion, that of Gamma.
 
     That normal is the law itself at lam = 0.  Below the shift switch point
     it is the limiting normal, whose integrals are not the skewed ones: the
@@ -154,8 +158,8 @@ def _session(box: TruncationBox, p: EsnParams,
     moments can be off by O(1).
     """
     if p.derived.hidden:
-        return TesnSession(box, p, cfg)
-    return TnSession(box, esn_limit_params(p), cfg)
+        return TesnSession(box, p, cfg, geometry)
+    return TnSession(box, esn_limit_params(p), cfg, geometry and geometry.companion)
 
 
 def tesn_fk(box: TruncationBox, p: EsnParams, kappa, cfg: QmcConfig = DEFAULT_QMC) -> float:

@@ -7,7 +7,8 @@ Three engines over the same rectangle kernel:
   family shares.  Raising one index costs the current-level value, a
   d-vector of lower-order values, and two (p-1)-dimensional edge integrals
   per coordinate, all memoized per session; both edges of a coordinate come
-  from its slice map, one regression of the others on it.
+  from its slice map, one regression of the others on it, which the sessions
+  on both sides of that slice share with their subtrees.
 * :func:`tn_first_two_mgf` -- first two moments by differentiating the
   moment generating function in correlation form, with the Hessian diagonal
   recycled from the off-diagonal entries and the edge vector q.  Edges and
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _regression, symmetrize
+from .core import _regression, _SliceGeometry, symmetrize
 from .errors import DegenerateBoxError, DimensionMismatchError
 from .moments import FirstTwoMoments, MultiIndex, as_multi_index
 from .mvn import (
@@ -68,10 +69,16 @@ class RecurrenceSession:
     computed values; edge sub-sessions (one per finite bound) are created
     lazily and shared by all recurrence steps.  A family supplies three
     hooks: the rectangle probability ``_prob()``; ``_slicer(j)``, the slice
-    map of x_j (one regression of the others on x_j, shared by both bounds),
-    which factors the density on the slice ``x_j = t`` into a density value
-    and a maker of the (p-1)-dimensional child session (None in dimension
-    1); and ``_companion(i, low)``, 0 unless overridden.
+    map of x_j, which factors the density on the slice ``x_j = t`` into a
+    density value and a maker of the (p-1)-dimensional child session (None
+    in dimension 1); and ``_companion(i, low)``, 0 unless overridden.
+
+    What a slice map does not take from the point t -- the regression of the
+    others on x_j and the child's scale -- comes from ``geometry``, the
+    session tree's :class:`~truncskew.core._SliceGeometry`: a child gets its
+    parent's node for its slice, so the sessions on both sides of a slice
+    and their subtrees regress each covariance once.  A root without one
+    starts its own.
 
     Inside a folded sum (:func:`~truncskew.folded._pattern_fks`) the
     sessions of all sign patterns share one slice cache (``_share``): a
@@ -85,7 +92,8 @@ class RecurrenceSession:
     are not shared, and a session outside a folded sum has no cache.
     """
 
-    def __init__(self, box: TruncationBox, params, cfg: QmcConfig = DEFAULT_QMC):
+    def __init__(self, box: TruncationBox, params, cfg: QmcConfig = DEFAULT_QMC,
+                 geometry: _SliceGeometry | None = None):
         if box.dim != params.dim:
             raise DimensionMismatchError("box and parameter dimensions differ")
         self.box = box
@@ -97,6 +105,7 @@ class RecurrenceSession:
         self._edges: dict[tuple[int, int], tuple[float, "RecurrenceSession | None"]] = {}
         # (cache, namespace, path, original coordinates, signs) in a folded sum
         self._slices = None
+        self._geometry = geometry or _SliceGeometry(params.sigma)
 
     def _companion(self, i: int, low: MultiIndex) -> float:
         return 0.0
@@ -196,11 +205,11 @@ class TnSession(RecurrenceSession):
     def _slicer(self, j: int):
         mu, sigma, box, cfg = self.params.mu, self.params.sigma, self.box.drop(j), self.cfg
         others = [k for k in range(self.dim) if k != j]
-        B, S = _regression(sigma, others, [j])
+        sub = self._geometry.slice(j)
 
         def at(t: float):
-            law = NormalParams._trusted(mu[others] + B[:, 0] * (t - mu[j]), S)
-            make = (lambda: TnSession(box, law, cfg)) if others else None
+            law = NormalParams._trusted(mu[others] + sub.b * (t - mu[j]), sub.S)
+            make = (lambda: TnSession(box, law, cfg, sub)) if others else None
             return norm_pdf(t, mu[j], sigma[j, j]), make
 
         return at

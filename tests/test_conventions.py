@@ -94,9 +94,8 @@ def _uses(name: str):
 
 def test_one_slicing_path():
     # one Gaussian regression feeds every conditioning: the public maps, the
-    # slice maps of both session families, the folded cross-moment work and
-    # the corrected path's split and pinning
+    # slice geometry of both session families, the folded cross-moment work
+    # and the corrected path's split and pinning; a marginal needs none
     assert sorted(set(_uses("_regression"))) == [
-        "core.conditional_normal", "esn.esn_conditional", "esn.esn_marginal",
-        "folded.folded_cross_work", "tesn._slice_map", "tn.TnSession._slicer",
-        "tn._corrected", "tn._pin_coordinate"]
+        "core._SliceGeometry.slice", "core.conditional_normal", "esn.esn_conditional",
+        "folded.folded_cross_work", "tn._corrected", "tn._pin_coordinate"]

@@ -358,13 +358,14 @@ class TestSliceSharing:
         laws, children = [], []
         slice_map, init = tesn_module._slice_map, TesnSession.__init__
 
-        def counting_map(p, j, child):
-            return slice_map(p, j, lambda law: laws.append(law) or child(law))
+        def counting_map(p, j, geometry, child):
+            return slice_map(p, j, geometry,
+                             lambda law, sub: laws.append(law) or child(law, sub))
 
-        def counting_init(self, box, params, cfg):
+        def counting_init(self, box, params, cfg, geometry=None):
             if params.dim < 3:
                 children.append(self)
-            init(self, box, params, cfg)
+            init(self, box, params, cfg, geometry)
 
         monkeypatch.setattr(tesn_module, "_slice_map", counting_map)
         monkeypatch.setattr(TesnSession, "__init__", counting_init)

@@ -7,6 +7,7 @@ import from scipy when first called: the lattice kernel (dim >= 5) and the
 sampler load ``scipy.special``, the quadrature oracles ``scipy.integrate``."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -105,3 +106,30 @@ def test_dims_2_to_4_load_no_scipy():
     out = json.loads(proc.stdout)
     assert out["loaded"] == []
     assert len(out["values"]) == 3 and all(0.0 < v < 1.0 for v in out["values"])
+
+
+_SELECTION_FORM = """
+import json, sys
+import numpy as np
+import truncskew as ts
+p = ts.EsnParams(mu=[0.1, -0.2, 0.3], sigma=[[1.0, 0.3, -0.2], [0.3, 1.5, 0.4], [-0.2, 0.4, 2.0]],
+                 lam=[0.8, -0.5, 0.6], tau=-0.3)
+box = ts.TruncationBox([-1.0, -1.5, -2.0], [1.0, 0.5, 1.5])
+values = [ts.tesn_moment(box, p, (1, 1, 1), method="recurrence"),
+          *ts.fesn_mean_cov(p).mean.tolist(),
+          *ts.edge_conditional(p, 1, 0.2)[1].lam.tolist()]
+print(json.dumps({"loaded": sorted(m for m in sys.modules if m.startswith("scipy")),
+                  "values": values}))
+"""
+
+
+def test_selection_form_loads_no_scipy():
+    # the Mills ratio and the slice laws' lam and tau run on math and numpy:
+    # scipy.special would add more than a CLI request's import time
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-c", _SELECTION_FORM],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["loaded"] == []
+    assert len(out["values"]) == 6 and all(map(math.isfinite, out["values"]))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -994,6 +995,49 @@ class TestQuadrivariate:
                                          np.where(v < 0.0, -lo, hi), ref_cfg)
             assert abs(prob - ref) <= err + ref_err, (R, lo, hi, prob, ref)
         assert reached >= 15
+
+    def test_near_exact_inner_correlation(self, monkeypatch):
+        # the collinear case above, with x3's variance raised by a relative
+        # 1e-15: the inner correlations stop short of +-1 by a few 1e-16, so
+        # the largest one is taken as +-1 and the path terms add its bound
+        # (the _singular_gap loop of _path_terms)
+        singular_gap, gaps = mvn._singular_gap, []
+
+        def spy(rho):
+            gap = singular_gap(rho)
+            if gap and sys._getframe(1).f_code.co_name == "terms":
+                gaps.append(rho)
+            return gap
+
+        monkeypatch.setattr(mvn, "_singular_gap", spy)
+        ref_cfg = QmcConfig(sample_count=2 ** 17, replicates=12, seed=7)
+        reached = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            a = rng.standard_normal((3, 3))
+            c = a @ a.T + 0.2 * np.eye(3)
+            c[0, 1:] *= 0.2
+            c[1:, 0] *= 0.2
+            w = rng.standard_normal(3)
+            w[0] = 0.0
+            lo = rng.standard_normal(4) - 1.0
+            hi = lo + rng.uniform(0.5, 2.5, size=4)
+            t = np.vstack([np.eye(3), w])
+            s = t @ c @ t.T
+            s[3, 3] *= 1.0 + 1e-15
+            sd = np.sqrt(np.diag(s))
+            R = symmetrize(s / np.outer(sd, sd))
+            np.fill_diagonal(R, 1.0)
+            gaps.clear()
+            prob, err = self._prob(lo, hi, R)
+            if gaps:
+                reached += 1
+                assert all(0.0 < 1.0 - abs(rho) <= mvn._RHO_ONE for rho in gaps)
+            v = np.where(lo > 0.0, -1.0, 1.0)
+            ref, ref_err = mvn._qmc_prob(R * np.outer(v, v), np.where(v < 0.0, -hi, lo),
+                                         np.where(v < 0.0, -lo, hi), ref_cfg)
+            assert abs(prob - ref) <= err + ref_err, (R, lo, hi, prob, ref)
+        assert reached >= 6
 
 
 def _pivot_case(rng, dim, kind):
