@@ -1,29 +1,27 @@
 """Folded distributions: the law of the componentwise absolute value.
 
-A fold is a sum over the 2^p sign patterns s of the reflected laws; the
-extended skew-normal family is closed under reflection (only mu, the
-off-diagonal scale entries, and lam or Delta flip; the shift and the
-normalizer are invariant).  Moments reduce to positive-orthant integrals, available through
-the direct recurrence (:func:`fesn_ik`), the normal reduction of each
-reflected law, or -- for the first two moments -- explicit formulas that
-collapse the sign sum to a handful of univariate and bivariate evaluations
-per matrix entry.
+A fold is a sum over the 2^p sign patterns s of the law on its orthant
+O_s = {x : s_i x_i >= 0}, where |x|^kappa = prod_i s_i^kappa_i x^kappa: a
+folded moment is a signed sum of the law's own moment integrals over the
+2^p orthant boxes, and the folded density the law's density at the
+reflected points s * y.  Moments come from those integrals, through the
+direct recurrence or the normal reduction, or -- for the first two
+moments -- from explicit formulas that collapse the sign sum to a handful
+of univariate and bivariate evaluations per matrix entry.
 
 The 2^p orthant masses of a sign sum come from one inclusion-exclusion
-table (:func:`_orthant_masses`): reflecting coordinates commutes with the
-normal reduction and leaves tau_tilde unchanged, so every reflected
-orthant is a signed sum of the lower-orthant masses of the unreflected
-normal: C(p, k) rectangle calls of dimension k + 1 for k = 0..p (k below
-the switch point, where k = 0 needs none), so one (p+1)-dimensional call
-where one call per pattern made 2^p.  The masses sum to one by
-construction.
+table (:func:`_orthant_masses`) of the lower-orthant masses of the law's
+normal reduction (the hidden coordinate keeps its interval): C(p, k)
+rectangle calls of dimension k + 1 for k = 0..p (k below the switch
+point, where k = 0 needs none), so one (p+1)-dimensional call where one
+call per pattern made 2^p.  The masses sum to one by construction.
 
-The edge terms share one slice cache per sum (:func:`_pattern_fks`).  Every
-edge of a positive orthant lies at x_j = 0, which reflecting x_j leaves in
-place, so pattern s and pattern s with coordinate j flipped have the same
-child law on that slice: the law of the free coordinates given the fixed
-ones, reflected by the free signs.  Their sessions, at every depth, take
-that child and its memo table from the cache instead of building their own.
+The edge terms share one slice geometry and one slice cache per sum
+(:func:`_pattern_fks`).  Every edge of an orthant lies at x_j = 0,
+whichever side of it the orthant takes, so orthant s and orthant s with
+coordinate j flipped have the same child law and box on that slice.  Their
+sessions, at every depth, take that child and its memo table from the
+cache instead of building their own.
 """
 
 import math
@@ -32,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PartitionIndex, _regression, _SliceGeometry, symmetrize
+from .core import PartitionIndex, _SliceGeometry, symmetrize
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
@@ -58,7 +56,7 @@ from .mvn import (
     norm_pdf,
     std_cdf,
 )
-from .tesn import _session, edge_conditional, tesn_fk, tesn_prob
+from .tesn import _session, _slice_map, tesn_fk, tesn_prob
 from .tn import TnSession
 
 __all__ = [
@@ -219,18 +217,19 @@ def _orthant_masses(box: TruncationBox, params: NormalParams, dim: int,
 
 
 def _pattern_fks(p: EsnParams, method: str, cfg: QmcConfig, kappas):
-    """One evaluator ``kappa -> F_kappa`` per sign pattern: the
-    positive-orthant integral of the reflected law, on a session whose F_0
-    memo (and its companion normal's) is seeded from :func:`_orthant_masses`
-    for the indices ``kappas``.
+    """One evaluator ``kappa -> prod_i s_i^kappa_i F_kappa(O_s)`` per sign
+    pattern s: the law's moment integral over its orthant O_s, on a session
+    whose F_0 memo (and its companion normal's) is seeded from
+    :func:`_orthant_masses` for the indices ``kappas``.
 
-    'orthant-sum' runs :func:`~truncskew.tesn._session` on each reflected
-    law; 'normal-reduction' a :class:`TnSession` on its
-    :func:`reduce_to_normal`, whose F_0 is the unnormalized mass (the result
-    is divided by xi).  All of them, and the companion normals of those that
-    are a ``TesnSession``, take their edge children from one slice cache
-    (:class:`~truncskew.tn.RecurrenceSession`) and their regressions from
-    one memo (:class:`~truncskew.core._SliceGeometry`).
+    'orthant-sum' runs :func:`~truncskew.tesn._session` on the law over each
+    orthant; 'normal-reduction' a :class:`TnSession` on the law's
+    :func:`reduce_to_normal` over it, whose F_0 is the unnormalized mass
+    (the result is divided by xi).  All of them, and the companion normals
+    of those that are a ``TesnSession``, hang off one root
+    :class:`~truncskew.core._SliceGeometry` -- of (sigma, Delta, Gamma), or
+    of the reduction's covariance -- and take their edge children from one
+    slice cache (:class:`~truncskew.tn.RecurrenceSession`).
     """
     if method not in ("orthant-sum", "normal-reduction"):
         raise ValueError(f"unknown method {method!r}")
@@ -239,42 +238,40 @@ def _pattern_fks(p: EsnParams, method: str, cfg: QmcConfig, kappas):
     orthant = TruncationBox.orthant(n)
     red = reduce_to_normal(orthant, p)
     masses = _orthant_masses(red.box, red.params, n, cfg, kappas)
-    if method == "orthant-sum" and red.hidden:
-        companion = _orthant_masses(orthant, esn_limit_params(p), n, cfg, kappas)
+    if method == "orthant-sum":
+        d = p.derived
+        geometry = _SliceGeometry(p.sigma, d.Delta, d.Gamma)
+        if red.hidden:
+            companion = _orthant_masses(orthant, esn_limit_params(p), n, cfg, kappas)
+    else:
+        geometry = _SliceGeometry(red.params.sigma)
     fks = []
     # weak: every session holds the cache, and each child is held by the
     # session that built it, so the trees are freed without a cycle
     slices = weakref.WeakValueDictionary()
-    # patterns s and -s reflect to one covariance: their trees share its regressions
-    regressions = {}
     for s in sign_patterns(n):
-        flipped = flip_params(p, s)
+        v = s.vec  # the orthant O_s
+        box = TruncationBox._trusted(np.where(v > 0, 0.0, -np.inf), np.where(v > 0, np.inf, 0.0))
         if method == "orthant-sum":
-            d = flipped.derived
-            geometry = _SliceGeometry(flipped.sigma, d.Delta, d.Gamma, regressions=regressions)
-            session = _session(orthant, flipped, cfg, geometry)
-            session._share(slices, "main", (), tuple(range(n)), s.s)
+            session = _session(box, p, cfg, geometry)
             session.table[zero] = masses[s][0] / red.xi
             if red.hidden:
                 session.normal.table[zero] = companion[s][0]
-            fks.append(session.fk)
+            fk = session.fk
         else:
-            red_s = reduce_to_normal(orthant, flipped)
-            session = TnSession(red_s.box, red_s.params, cfg,
-                                _SliceGeometry(red_s.params.sigma, regressions=regressions))
-            # the hidden coordinate is never reflected
-            session._share(slices, "main", (), tuple(range(red_s.box.dim)),
-                           s.s + (1,) * red_s.hidden)
-            session.table[red_s.lift(zero)] = masses[s][0]
-            fks.append(lambda kappa, session=session, red_s=red_s:
-                       session.fk(red_s.lift(kappa)) / red_s.xi)
+            session = TnSession(reduce_to_normal(box, p).box, red.params, cfg, geometry)
+            session.table[red.lift(zero)] = masses[s][0]
+            fk = lambda kappa, session=session: session.fk(red.lift(kappa)) / red.xi
+        session._share(slices)
+        fks.append(lambda kappa, signs=s.s, fk=fk: math.prod(map(pow, signs, kappa)) * fk(kappa))
     return fks
 
 
 def fesn_moment(p: EsnParams, kappa, cfg: QmcConfig = DEFAULT_QMC,
                 method: str = "orthant-sum") -> float:
-    """Raw folded moment E[|X|^kappa]: the sum over sign patterns of the
-    positive-orthant integral of each reflected law.
+    """Raw folded moment E[|X|^kappa]: the sum over sign patterns s of the
+    law's moment integral over the orthant O_s, signed by prod_i
+    s_i^kappa_i.
 
     'orthant-sum' takes each from the direct recurrence (as
     :func:`tesn_fk`); 'normal-reduction' from the normal reduction (as
@@ -321,19 +318,20 @@ class FoldedCrossWork:
 
 def folded_cross_work(pair: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> FoldedCrossWork:
     """Assemble the ingredients of the explicit E|V_i V_j| formula for a
-    bivariate law (coordinate 0 = i, coordinate 1 = j)."""
+    bivariate law (coordinate 0 = i, coordinate 1 = j).  Both edge slices
+    at 0 and the limiting normal's regressions come from one slice geometry
+    of the pair, and the mixed-orthant probabilities are box probabilities
+    of the pair itself."""
     d = pair.derived
     m = pair.mu - d.mu_b
-    b_ji, v_ji = _regression(d.Gamma, [1], [0])
-    b_ij, v_ij = _regression(d.Gamma, [0], [1])
-
-    dens_i, cond_given_i = edge_conditional(pair, 0, 0.0)
-    dens_j, cond_given_j = edge_conditional(pair, 1, 0.0)
-
-    flip_i = flip_params(pair, SignPattern((-1, 1)))
-    flip_j = flip_params(pair, SignPattern((1, -1)))
-    origin = np.zeros(2)
-    neg_box = TruncationBox([-np.inf, -np.inf], [0.0, 0.0])
+    geometry = _SliceGeometry(pair.sigma, d.Delta, d.Gamma)
+    (dens_i, law_i), (dens_j, law_j) = (
+        _slice_map(pair, j, geometry, lambda law, sub: law)(0.0) for j in (0, 1))
+    cond_given_i, cond_given_j = law_i(), law_j()
+    normal_i, normal_j = geometry.companion.slice(0), geometry.companion.slice(1)
+    plus_minus = TruncationBox([0.0, -np.inf], [np.inf, 0.0])
+    minus_plus = TruncationBox([-np.inf, 0.0], [0.0, np.inf])
+    limit = esn_limit_params(pair)
 
     return FoldedCrossWork(
         pair=pair,
@@ -345,16 +343,23 @@ def folded_cross_work(pair: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> FoldedCr
         cond_given_j=cond_given_j,
         cdf_ji=esn_cdf([0.0], cond_given_i, cfg),
         cdf_ij=esn_cdf([0.0], cond_given_j, cfg),
-        cdf2_i=esn_cdf(origin, flip_i, cfg),
-        cdf2_j=esn_cdf(origin, flip_j, cfg),
-        ncdf2_i=mvn_prob(neg_box, esn_limit_params(flip_i), cfg)[0],
-        ncdf2_j=mvn_prob(neg_box, esn_limit_params(flip_j), cfg)[0],
-        m_ji=m[1] - b_ji[0, 0] * m[0],
-        v_ji=v_ji[0, 0],
-        m_ij=m[0] - b_ij[0, 0] * m[1],
-        v_ij=v_ij[0, 0],
-        inner_abs=fesn_moment(cond_given_j, (1,), cfg=cfg),
+        cdf2_i=tesn_prob(plus_minus, pair, cfg),
+        cdf2_j=tesn_prob(minus_plus, pair, cfg),
+        ncdf2_i=mvn_prob(plus_minus, limit, cfg)[0],
+        ncdf2_j=mvn_prob(minus_plus, limit, cfg)[0],
+        m_ji=m[1] - normal_i.b[0] * m[0],
+        v_ji=normal_i.S[0, 0],
+        m_ij=m[0] - normal_j.b[0] * m[1],
+        v_ij=normal_j.S[0, 0],
+        inner_abs=_abs_mean(cond_given_j, cfg),
     )
+
+
+def _abs_mean(law: EsnParams, cfg: QmcConfig) -> float:
+    """E|X| of a univariate law with no sign sum: E[X] - 2 E[X; X < 0],
+    the closed-form mean and one moment integral over (-inf, 0]."""
+    below = tesn_fk(TruncationBox([-np.inf], [0.0]), law, (1,), cfg)
+    return float(esn_mean_cov(law).mean[0]) - 2.0 * below
 
 
 def _abs_cross_moment(pair: EsnParams, cfg: QmcConfig) -> float:
@@ -389,18 +394,18 @@ def _abs_cross_moment(pair: EsnParams, cfg: QmcConfig) -> float:
 def fesn_mean_cov(p: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> FirstTwoMoments:
     """Mean and covariance of |X| without a 2^p sum.
 
-    The means come from the univariate marginal folds.  The diagonal raw
-    second moments need no fold, since |X_i|^2 = X_i^2: they are those of
-    the unfolded law (:func:`esn_mean_cov`).  Each off-diagonal entry comes
-    from the collapsed bivariate formula applied to the corresponding
-    marginal pair.
+    The means come from the univariate marginal folds (:func:`_abs_mean`).
+    The diagonal raw second moments need no fold, since |X_i|^2 = X_i^2:
+    they are those of the unfolded law (:func:`esn_mean_cov`).  Each
+    off-diagonal entry comes from the collapsed bivariate formula applied
+    to the corresponding marginal pair.
     """
     n = p.dim
     mean = np.zeros(n)
     raw2 = np.diag(np.diag(esn_mean_cov(p).raw2))
     for i in range(n):
         marg = esn_marginal(p, PartitionIndex.dropping(n, [k for k in range(n) if k != i]))
-        mean[i] = fesn_moment(marg, (1,), cfg=cfg)
+        mean[i] = _abs_mean(marg, cfg)
     for i in range(n):
         for j in range(i + 1, n):
             keep = PartitionIndex.dropping(n, [k for k in range(n) if k not in (i, j)])
@@ -413,7 +418,7 @@ def fesn_mean_cov(p: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> FirstTwoMoments
 def fesn_mean_cov_orthant(p: EsnParams, cfg: QmcConfig = DEFAULT_QMC) -> FirstTwoMoments:
     """Mean and covariance of |X| by the full 2^p orthant sum (reference
     implementation for cross-checks and the benchmark): one direct
-    recurrence session per reflected law, every orthant mass (and the
+    recurrence session per orthant of the law, every orthant mass (and the
     companion normal's) from one inclusion-exclusion table as in
     :func:`fesn_moment`, so one (p+1)-dim rectangle call in place of 2^p."""
     n = p.dim

@@ -128,9 +128,9 @@ class TesnSession(RecurrenceSession):
     def _prob(self) -> float:
         return tesn_prob(self.box, self.params, self.cfg)
 
-    def _share(self, cache, space, path: tuple, coords: tuple, signs: tuple) -> None:
-        super()._share(cache, space, path, coords, signs)
-        self.normal._share(cache, ("companion", path), (), coords, signs)
+    def _share(self, cache) -> None:
+        super()._share(cache)
+        self.normal._share(cache)
 
     def _slicer(self, j: int):
         # the slice law is built only on a slice-cache miss

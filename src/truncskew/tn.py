@@ -80,15 +80,13 @@ class RecurrenceSession:
     and their subtrees regress each covariance once.  A root without one
     starts its own.
 
-    Inside a folded sum (:func:`~truncskew.folded._pattern_fks`) the
-    sessions of all sign patterns share one slice cache (``_share``): a
-    child is keyed by its namespace (the main tree, or the companion normal
-    of a main-tree session), the ordered path of fixed (original
-    coordinate, side) pairs and the signs of the coordinates still free, so
-    two patterns that agree on the free signs get the same child and its
-    memo table.  The key determines the child law there because every
-    reflected coordinate is fixed at 0, which reflection leaves in place
-    (the hidden coordinate is never reflected).  The path stays ordered: slices fixed in different orders
+    Inside a folded sum (:func:`~truncskew.folded._pattern_fks`) the 2^p
+    orthant sessions hang off one root geometry and share one slice cache
+    (``_share``), which keys a child by its geometry node and its box.  That
+    pair determines the child there: every fixed coordinate sits at its one
+    finite bound (0, or tau_tilde for the hidden coordinate), so two
+    orthants that agree on the free coordinates get the same child and its
+    memo table.  The node stays ordered: slices fixed in different orders
     are not shared, and a session outside a folded sum has no cache.
     """
 
@@ -103,8 +101,7 @@ class RecurrenceSession:
         self.table: dict[MultiIndex, float] = {}
         self._dvec: dict[MultiIndex, np.ndarray] = {}
         self._edges: dict[tuple[int, int], tuple[float, "RecurrenceSession | None"]] = {}
-        # (cache, namespace, path, original coordinates, signs) in a folded sum
-        self._slices = None
+        self._slices = None  # the slice cache of a folded sum
         self._geometry = geometry or _SliceGeometry(params.sigma)
 
     def _companion(self, i: int, low: MultiIndex) -> float:
@@ -127,28 +124,25 @@ class RecurrenceSession:
                     continue
                 at = at or self._slicer(j)
                 dens, make = at(float(bound))
-                self._edges[j, s] = dens, None if make is None else self._child(j, s, make)
+                self._edges[j, s] = dens, None if make is None else self._child(j, make)
         return self._edges[j, side]
 
-    def _child(self, j: int, side: int, make) -> "RecurrenceSession":
-        """The child on the slice (j, side): built by ``make``, or taken from
+    def _child(self, j: int, make) -> "RecurrenceSession":
+        """The child on the slice of x_j: built by ``make``, or taken from
         the folded sum's slice cache, where it joins the cache itself."""
         if self._slices is None:
             return make()
-        cache, space, path, coords, signs = self._slices
-        path += ((coords[j], side),)
-        coords, signs = coords[:j] + coords[j + 1:], signs[:j] + signs[j + 1:]
-        child = cache.get((space, path, signs))
+        box = self.box.drop(j)
+        key = self._geometry.slice(j), box.lower.tobytes(), box.upper.tobytes()
+        child = self._slices.get(key)
         if child is None:
-            child = cache[space, path, signs] = make()
-            child._share(cache, space, path, coords, signs)
+            child = self._slices[key] = make()
+            child._share(self._slices)
         return child
 
-    def _share(self, cache, space, path: tuple, coords: tuple, signs: tuple) -> None:
-        """Join a folded sum's slice cache as the session at ``path`` in
-        namespace ``space``, whose coordinates are the original ``coords``
-        with reflection ``signs``."""
-        self._slices = (cache, space, path, coords, signs)
+    def _share(self, cache) -> None:
+        """Join a folded sum's slice cache."""
+        self._slices = cache
 
     def dvec(self, kappa: MultiIndex) -> np.ndarray:
         """The boundary/differentiation vector d_kappa of the recurrence."""

@@ -94,8 +94,9 @@ def _uses(name: str):
 
 def test_one_slicing_path():
     # one Gaussian regression feeds every conditioning: the public maps, the
-    # slice geometry of both session families, the folded cross-moment work
-    # and the corrected path's split and pinning; a marginal needs none
+    # slice geometry of both session families (which the folded cross-moment
+    # work reads) and the corrected path's split and pinning; a marginal
+    # needs none
     assert sorted(set(_uses("_regression"))) == [
         "core._SliceGeometry.slice", "core.conditional_normal", "esn.esn_conditional",
-        "folded.folded_cross_work", "tn._corrected", "tn._pin_coordinate"]
+        "tn._corrected", "tn._pin_coordinate"]

@@ -175,3 +175,21 @@ class TestConditionalNormal:
         with pytest.raises(SingularBlockError):
             conditional_normal(np.zeros(3), s, PartitionIndex.dropping(3, [0, 1]),
                                [0.0, 0.0])
+
+
+class TestSliceGeometry:
+    def test_one_coordinate_node_regresses_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("regression with nothing to regress")
+
+        monkeypatch.setattr(core, "_regression", refuse)
+        node = core._SliceGeometry(np.array([[2.0]]), np.array([0.5]), np.array([[1.75]]))
+        child = node.slice(0)
+        assert child.b.shape == (0,) and child.S.shape == (0, 0)
+        assert child.Delta.shape == (0,) and child.Gamma.shape == (0, 0)
+        assert child.s == pytest.approx(np.sqrt(1.0 - 0.25 / 2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("s_jj", [0.0, np.inf, np.nan])
+    def test_one_coordinate_node_checks_its_block(self, s_jj):
+        with pytest.raises(SingularBlockError):
+            core._SliceGeometry(np.array([[s_jj]])).slice(0)

@@ -403,6 +403,71 @@ class TestSliceSharing:
         assert recurrence.total == 159
 
 
+class TestOneLawOverOrthants:
+    """A folded sum evaluates the law itself on its 2^p orthant boxes: no
+    reflected law is built, and every session hangs off one slice geometry."""
+
+    @staticmethod
+    def _refuse_flips(monkeypatch):
+        def refuse(p, s):
+            raise AssertionError("a reflected law was built")
+
+        monkeypatch.setattr(folded_module, "flip_params", refuse)
+
+    @pytest.mark.parametrize("method", ["orthant-sum", "normal-reduction"])
+    @pytest.mark.parametrize("tau_tilde", [None, -20.0, -36.0, -40.0])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_moment_builds_no_reflected_law(self, rng, monkeypatch, method, tau_tilde, p):
+        pr = _at_shift(random_esn_params(rng, p), tau_tilde)
+        kappa = (1,) * p
+        expected = fesn_moment(pr, kappa, method=method, cfg=FAST_QMC)
+        self._refuse_flips(monkeypatch)
+        assert fesn_moment(pr, kappa, method=method, cfg=FAST_QMC) == expected
+
+    @pytest.mark.parametrize("tau_tilde", [None, -40.0])
+    def test_mean_cov_and_cross_work_build_no_reflected_law(self, rng, monkeypatch,
+                                                            tau_tilde):
+        from truncskew import folded_cross_work
+        pr = _at_shift(random_esn_params(rng, 3), tau_tilde)
+        self._refuse_flips(monkeypatch)
+        fesn_mean_cov_orthant(pr, FAST_QMC)
+        fesn_mean_cov(pr, FAST_QMC)
+        folded_cross_work(_at_shift(random_esn_params(rng, 2), tau_tilde), FAST_QMC)
+
+    @pytest.mark.parametrize("method", ["orthant-sum", "normal-reduction"])
+    @pytest.mark.parametrize("tau_tilde", SHIFT_REGIMES)
+    def test_roots_share_one_geometry(self, rng, monkeypatch, method, tau_tilde):
+        roots = []
+
+        def record(make):
+            return lambda *args: roots.append(make(*args)) or roots[-1]
+
+        monkeypatch.setattr(folded_module, "_session", record(folded_module._session))
+        monkeypatch.setattr(folded_module, "TnSession", record(TnSession))
+        pr = _at_shift(random_esn_params(rng, 3), tau_tilde)
+        fesn_moment(pr, (1, 1, 1), method=method, cfg=FAST_QMC)
+        assert len(roots) == 8
+        geometry = roots[0]._geometry
+        assert all(root._geometry is geometry for root in roots)
+        assert all(root.normal._geometry is geometry.companion
+                   for root in roots if isinstance(root, TesnSession))
+
+    @pytest.mark.parametrize("tau_tilde", SHIFT_REGIMES)
+    def test_mean_cov_makes_no_sign_sum(self, rng, monkeypatch, tau_tilde):
+        def refuse(*args):
+            raise AssertionError("fesn_mean_cov entered a sign sum")
+
+        monkeypatch.setattr(folded_module, "_pattern_fks", refuse)
+        fesn_mean_cov(_at_shift(random_esn_params(rng, 3), tau_tilde), FAST_QMC)
+
+    def test_univariate_fold_makes_one_companion_call(self, rng):
+        # E|X| = E[X] - 2 E[X; X < 0]: the skewed integral over (-inf, 0] and
+        # its companion normal's, for three means and three inner folds
+        with count_integrals() as counter:
+            fesn_mean_cov(random_esn_params(rng, 3), FAST_QMC)
+        assert dict(counter.by_dim) == {1: 6, 2: 18, 3: 6}
+
+
 class TestMeanCov:
     def test_independent_standard(self):
         pr = EsnParams.normal([0.0, 0.0], np.eye(2))
