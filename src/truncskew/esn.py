@@ -49,6 +49,7 @@ from .mvn import (
     NormalParams,
     QmcConfig,
     TruncationBox,
+    _inv_log_std_cdf,
     log_std_cdf,
     mvn_logpdf,
     mvn_prob,
@@ -361,8 +362,9 @@ def esn_sample(p: EsnParams, n: int, seed: int) -> np.ndarray:
 
     Uses the hidden-truncation representation: (X1 | X2 < tau_tilde) with
     (X1, X2) jointly normal.  Every draw is exact for every xi, with no
-    rejection: X2 comes from its truncated law by log-space inverse cdf and
-    X1 from the normal conditional on it.
+    rejection: X2 comes from its truncated law by log-space inverse cdf
+    (Wichura's AS241 on numpy, :func:`mvn._inv_log_std_cdf`, within 1e-15
+    relative for |X2| > 0.2) and X1 from the normal conditional on it.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -372,11 +374,9 @@ def esn_sample(p: EsnParams, n: int, seed: int) -> np.ndarray:
 
 def sample_with_rng(p: EsnParams, n: int, rng: "np.random.Generator") -> np.ndarray:
     """Draw ``n`` variates advancing the caller's generator (lets several
-    chunks share one deterministic stream)."""
-    from scipy.special import ndtri_exp
-
+    chunks share one deterministic stream); X2 = Phi^-1(exp(log xi + log U))."""
     d = p.derived
-    x2 = ndtri_exp(d.log_xi + np.log(rng.random(n)))
+    x2 = _inv_log_std_cdf(d.log_xi + np.log(rng.random(n)))
     z = rng.standard_normal((n, p.dim))
     return p.mu - np.outer(x2, d.Delta) + z @ _psd_factor(d.Gamma).T
 

@@ -395,6 +395,34 @@ class TestSampler:
         b = esn_sample(pr, 1000, seed=9)
         np.testing.assert_array_equal(a, b)
 
+    @staticmethod
+    def _scipy_sample(p, n, seed):
+        # the sampler as it was when X2 came from scipy.special.ndtri_exp
+        from scipy.special import ndtri_exp
+
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        d = p.derived
+        x2 = ndtri_exp(d.log_xi + np.log(rng.random(n)))
+        z = rng.standard_normal((n, p.dim))
+        return p.mu - np.outer(x2, d.Delta) + z @ esn_module._psd_factor(d.Gamma).T
+
+    @pytest.mark.parametrize("lam, tau_tilde", [
+        ([0.8, -0.5], 0.3), ([1.5, 2.0], 2.5), ([0.8, -0.5], -3.0),
+        ([0.8, -0.5], -40.0), ([0.0, 0.0], -1.0),
+    ])
+    @pytest.mark.parametrize("seed", [1, 17, 2024])
+    def test_matches_scipy_quantile_sampler(self, lam, tau_tilde, seed):
+        # tau_tilde = -40 puts every log xi + log U below -800, where the
+        # quantile takes Newton steps past AS241's range; at lam = 0 X2 is
+        # drawn and discarded.  Draws near 0 keep X2's absolute error, a few
+        # ulps of X2 Delta, hence the absolute floor.
+        lam = np.array(lam)
+        pr = EsnParams(mu=[0.3, -1.2], sigma=[[1.5, 0.4], [0.4, 0.8]], lam=lam,
+                       tau=tau_tilde * math.sqrt(1.0 + lam @ lam))
+        got = esn_sample(pr, 20_000, seed)
+        np.testing.assert_allclose(got, self._scipy_sample(pr, 20_000, seed),
+                                   rtol=1e-12, atol=1e-14)
+
 
 class TestTinyNormalizer:
     # tau_tilde = -34.5 lies above the switch point with xi ~ 4e-261, so the

@@ -109,6 +109,73 @@ class TestInHouseCdfs:
         assert math.isnan(std_cdf(np.nan)) and math.isnan(log_std_cdf(np.nan))
 
 
+def _quantile(y):
+    """``mvn._inv_log_std_cdf`` with every floating-point warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return mvn._inv_log_std_cdf(np.asarray(y, dtype=float))
+
+
+class TestInvLogStdCdf:
+    """The sampler's numpy quantile x = Phi^-1(exp(y)) against scipy's
+    ``ndtri_exp``.  Near the median each routine rounds p = exp(y) within an
+    ulp of 1/2, numpy's ``exp`` not always like libm's, so x agrees there to
+    two such ulps times sqrt(2 pi), 6e-16 absolute, rather than relative.
+    Below y = -1e4 ``ndtri_exp`` extrapolates cephes' tail fit and is itself
+    up to 6.6e-13 off (against 40-digit roots), so there the round trip
+    through :func:`log_std_cdf` is the reference and scipy is held to 1e-12."""
+
+    GRID = np.concatenate([
+        -np.logspace(-320.0, 8.0, 200_001),
+        np.linspace(-5.0, 0.0, 100_001),
+        np.linspace(math.log(0.5) - 1e-3, math.log(0.5) + 1e-3, 2001),
+    ])
+    # AS241's branch switches: |p - 1/2| = 0.425, then r = 5 and r = 27 in
+    # each tail (r = sqrt(-log q), q = min(p, 1 - p)), past which Newton runs
+    SWITCHES = [math.log(0.075), math.log(0.925), -25.0, -729.0,
+                math.log1p(-math.exp(-25.0)), -math.exp(-729.0)]
+
+    @staticmethod
+    def _against_scipy(y, rtol):
+        from scipy.special import ndtri_exp
+
+        got, ref = _quantile(y), ndtri_exp(y)
+        assert np.isfinite(got).all() and np.isfinite(ref).all()
+        bad = np.abs(got - ref) > rtol * np.abs(ref) + 6e-16
+        assert not bad.any(), (y[bad][:5], got[bad][:5], ref[bad][:5])
+
+    def test_matches_scipy_on_dense_grid(self):
+        y = self.GRID[self.GRID < 0.0]
+        self._against_scipy(y[y >= -1e4], 1e-13)
+        self._against_scipy(y[y < -1e4], 1e-12)
+
+    def test_matches_scipy_at_branch_switches(self):
+        y = np.array(self.SWITCHES)
+        y = np.concatenate([np.nextafter(y, -np.inf), y, np.nextafter(y, 0.0)])
+        self._against_scipy(y, 1e-13)
+
+    def test_round_trip_through_log_std_cdf(self):
+        # log_std_cdf(x) = y in the lower half; above it the root is checked
+        # on log q = log_std_cdf(-x), which keeps its relative precision
+        y = np.concatenate([self.GRID[::20], self.SWITCHES])
+        y = y[y < -1e-320]
+        x = _quantile(y)
+        upper = y > math.log(0.5)
+        target = np.where(upper, np.log(-np.expm1(y)), y)
+        back = np.array([log_std_cdf(-v if u else v) for v, u in zip(x.tolist(), upper)])
+        rel = np.abs(back - target) / np.abs(target)
+        assert rel.max() <= 4e-15, y[np.argmax(rel)]
+
+    def test_special_values_and_subnormals(self):
+        from scipy.special import ndtri_exp
+
+        x = _quantile([-np.inf, 0.0, -0.0, np.nan])
+        assert x[0] == -np.inf and x[1] == np.inf and x[2] == np.inf and np.isnan(x[3])
+        y = -np.array([5e-324, 1e-320, 2.2e-308, np.finfo(float).tiny])
+        np.testing.assert_allclose(_quantile(y), ndtri_exp(y), rtol=1e-13, atol=0.0)
+        assert _quantile(np.empty(0)).shape == (0,)
+
+
 class TestMvnPdf:
     def test_standard_univariate(self):
         p = NormalParams([0.0], [[1.0]])

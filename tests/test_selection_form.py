@@ -60,8 +60,8 @@ def test_only_the_public_law_is_decomposed(rng, monkeypatch, call):
 
 @pytest.mark.parametrize("call", _CALLS)
 def test_no_regression_is_repeated(rng, monkeypatch, call):
-    # both sides of a slice, and the reflected laws of a folded sum that
-    # share a covariance, take one regression of it
+    # both sides of a slice, and the orthant boxes of one law in a folded
+    # sum, take one regression of it
     inputs = []
     _spy(monkeypatch, core._regression,
          lambda S, k, r: inputs.append((S.tobytes(), tuple(k), tuple(r))) if k else None)
